@@ -13,7 +13,8 @@ Exit codes
 1  decided: not equivalent
 2  malformed state file
 3  input rejected (not PSD, not PPT where required, or wrong shape)
-4  inconclusive (no full-tensor-rank vector found, or scaling failed)
+4  inconclusive (no full-tensor-rank vector found, the decision broke down
+   numerically, or scaling failed)
 """
 
 from __future__ import annotations
@@ -211,6 +212,9 @@ def _cmd_decide(args: argparse.Namespace) -> int:
     except ValueError as exc:
         _err(str(exc))
         return EXIT_BAD_STATE
+    except RuntimeError as exc:
+        _err(f"decision broke down: {exc}")
+        return EXIT_INCONCLUSIVE
 
     witness = verdict.witness
     if (
@@ -268,6 +272,9 @@ def _cmd_normal_form(args: argparse.Namespace) -> int:
         except ValueError as exc:
             _err(str(exc))
             return EXIT_BAD_STATE
+        except RuntimeError as exc:
+            _err(f"decision broke down: {exc}")
+            return EXIT_INCONCLUSIVE
         if verdict.outcome == OUTCOME_NOT_EQUIVALENT:
             _err("state has no normal form (map is not equivalent)")
             return EXIT_NOT_EQUIVALENT

@@ -17,9 +17,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .linalg import (
-    DEFAULT_TOL,
     Projection,
     Tolerances,
+    _tol,
+    dagger,
     hermitian_sqrt_pinv,
     identity_projection,
     image_basis,
@@ -37,12 +38,14 @@ from .maps import (
     CornerRep,
     CpMap,
     _eigenspace,
+    _invariance_defect,
     _perron_vector,
     _top_eigenvalue,
     adjoint,
     apply,
     conjugate,
     corner_rep,
+    is_irreducible,
     kraus_norm,
 )
 from .states import (
@@ -82,10 +85,6 @@ OUTCOME_INCONCLUSIVE = "inconclusive"
 STAGE_NO_FULL_RANK_VECTOR = "no-full-rank-vector"
 STAGE_GRAM_NOT_PD = "gram-not-positive-definite"
 STAGE_F_MIN_POSITIVE = "f-minimum-positive"
-
-
-def _tol(tol: Tolerances | None) -> Tolerances:
-    return DEFAULT_TOL if tol is None else tol
 
 
 # ---------------------------------------------------------------------------
@@ -217,10 +216,6 @@ def anchor_transform(
 # ---------------------------------------------------------------------------
 
 
-def _projection_onto_image(mat: np.ndarray, tol: Tolerances) -> Projection:
-    return projector_onto(image_basis(mat, tol), tol)
-
-
 def _psd_boundary_eps(
     gamma_s: np.ndarray, gamma_p: np.ndarray, tol: Tolerances
 ) -> float | None:
@@ -318,7 +313,7 @@ def find_irreducible_corner(
             rep = corner_rep(T, current, tol)
             if np.abs(rep.matrix).max() == 0.0:
                 raise ValueError("the map vanishes on a candidate corner")
-            lam = _top_eigenvalue(rep.matrix, tol)
+            lam = _top_eigenvalue(rep.matrix)
             if lam <= 0.0:
                 raise ValueError("corner spectral radius is not positive")
             space = _eigenspace(rep, lam, tol)
@@ -329,22 +324,22 @@ def find_irreducible_corner(
             gamma_rank = rank_eps(gamma, tol)
             if mult == 1:
                 if gamma_rank < current.rank:
-                    current = _projection_onto_image(gamma, tol)
+                    current = projection_from_matrix(gamma, tol)
                 break
             # degenerate top eigenvalue: shrink to the Perron image first,
             # then walk to the cone boundary inside the eigenspace
             if gamma_rank < current.rank:
-                current = _projection_onto_image(gamma, tol)
+                current = projection_from_matrix(gamma, tol)
                 continue
             boundary = _boundary_rank_drop(space, gamma, current, tol)
-            current = _projection_onto_image(boundary, tol)
+            current = projection_from_matrix(boundary, tol)
 
         # step 3: compare against the Perron vector of the compressed adjoint.
         # The corner may have shrunk since lam was computed; the spectral
         # radius is preserved by the shrink, but recompute it on the fresh
         # compression so downstream eigenspace cutoffs see consistent numbers.
         rep = corner_rep(T, current, tol)
-        lam = _top_eigenvalue(rep.matrix, tol)
+        lam = _top_eigenvalue(rep.matrix)
         rep_adj = CornerRep(V=rep.V, basis=rep.basis, matrix=rep.matrix.T)
         delta = _perron_vector(rep_adj, lam, tol)
         if delta is None:
@@ -405,7 +400,7 @@ def normalize_corner(
         raise RuntimeError("corner normalization failed: adjoint fixed point is off")
     lead = projector_onto(np.eye(k, dtype=complex)[:, :s], tol)
     rep1 = corner_rep(T1, lead, tol)
-    lam1 = _top_eigenvalue(rep1.matrix, tol)
+    lam1 = _top_eigenvalue(rep1.matrix)
     if abs(lam1 - 1.0) > 1e-8:
         raise RuntimeError("corner normalization failed: spectral radius is not one")
     return Q, T1, s
@@ -416,17 +411,18 @@ def normalize_corner(
 # ---------------------------------------------------------------------------
 
 
-def _real_block_basis(rows: int, cols: int) -> list[np.ndarray]:
-    """Real basis of complex ``rows x cols`` blocks: E_ab then i E_ab, row-major."""
-    out = []
-    for a in range(rows):
-        for b in range(cols):
-            e = np.zeros((rows, cols), dtype=complex)
-            e[a, b] = 1.0
-            out.append(e)
-            out.append(1j * e)
-    # interleave: (E, iE) pairs in row-major entry order
-    return out
+def _real_block_basis(rows: int, cols: int) -> np.ndarray:
+    """Real basis of complex ``rows x cols`` blocks: (E_ab, i E_ab) pairs, row-major.
+
+    Shape ``(2 * rows * cols, rows, cols)``.
+    """
+    units = np.eye(rows * cols).reshape(-1, rows, cols)
+    return np.stack([units, 1j * units], axis=1).reshape(-1, rows, cols)
+
+
+def _trace(M: np.ndarray) -> np.ndarray:
+    """Trace of each matrix in a stack."""
+    return np.trace(M, axis1=-2, axis2=-1)
 
 
 def adjoint_block_quadratic(
@@ -440,13 +436,13 @@ def adjoint_block_quadratic(
         f(X) = tr( T_1*([[Id, X*], [X, X X*]]) . [[X*X, -X*], [-X, Id]] )
 
     collapses to a real quadratic.  The constant comes from the expansion's
-    X-free term, the linear part from differencing ``f`` on basis blocks, and
-    the Gram matrix from the associated bilinear form on basis pairs.  Both
-    the quadratic expansion and the original expression above are re-evaluated
-    at 30 random points as a mandatory cross-check (RuntimeError on mismatch —
-    it means ``T_1`` violates the normalization preconditions).
+    X-free term, the linear part from differencing ``f`` on the stacked basis
+    blocks, and the Gram matrix from the associated bilinear form, contracted
+    over all basis pairs at once.  Both the quadratic expansion and the
+    original expression above are re-evaluated at 30 random points as a
+    mandatory cross-check (RuntimeError on mismatch — it means ``T_1``
+    violates the normalization preconditions).
     """
-    tol = _tol(tol)
     k = T1.src_dim
     ns = k - s
     if not 0 <= ns <= k:
@@ -468,83 +464,77 @@ def adjoint_block_quadratic(
             n=0, gram=np.zeros((0, 0)), linear=np.zeros(0), constant=constant
         )
 
+    # f and its pieces act on stacks of blocks X (N, k - s, s)
     def off(X: np.ndarray) -> np.ndarray:
-        out = np.zeros((k, k), dtype=complex)
-        out[:s, s:] = X.conj().T
-        out[s:, :s] = X
+        out = np.zeros(X.shape[:-2] + (k, k), dtype=complex)
+        out[..., :s, s:] = dagger(X)
+        out[..., s:, :s] = X
         return out
 
-    def f_direct(X: np.ndarray) -> float:
-        Xc = X.conj().T
-        t1 = constant
-        b2 = np.zeros((k, k), dtype=complex)
-        b2[:s, :s] = Xc @ X
-        b2[:s, s:] = -Xc
-        b2[s:, :s] = -X
-        t2 = np.trace(A @ b2)
+    def f_direct(X: np.ndarray) -> np.ndarray:
+        Xc = dagger(X)
+        b2 = np.zeros(X.shape[:-2] + (k, k), dtype=complex)
+        b2[..., :s, :s] = Xc @ X
+        b2[..., :s, s:] = -Xc
+        b2[..., s:, :s] = -X
+        t2 = _trace(A @ b2)
         c3 = off(X)
-        c3[s:, s:] = X @ Xc
-        t3 = np.trace(apply(T1a, c3)[s:, s:])
-        t4 = np.trace(apply(T1a, off(X)) @ (-off(X)))
-        return float(np.real(t1 + t2 + t3 + t4))
+        c3[..., s:, s:] = X @ Xc
+        t3 = _trace(apply(T1a, c3)[..., s:, s:])
+        t4 = _trace(apply(T1a, off(X)) @ (-off(X)))
+        return np.real(constant + t2 + t3 + t4)
 
-    def f_original(X: np.ndarray) -> float:
-        Xc = X.conj().T
-        m1 = np.zeros((k, k), dtype=complex)
-        m1[:s, :s] = np.eye(s)
-        m1[:s, s:] = Xc
-        m1[s:, :s] = X
-        m1[s:, s:] = X @ Xc
-        m2 = np.zeros((k, k), dtype=complex)
-        m2[:s, :s] = Xc @ X
-        m2[:s, s:] = -Xc
-        m2[s:, :s] = -X
-        m2[s:, s:] = np.eye(ns)
-        return float(np.real(np.trace(apply(T1a, m1) @ m2)))
+    def f_original(X: np.ndarray) -> np.ndarray:
+        eye = np.broadcast_to(np.eye(s), X.shape[:-2] + (s, s))
+        lead = np.concatenate([eye, X], axis=-2)
+        trail = np.concatenate(
+            [-dagger(X), np.broadcast_to(np.eye(ns), X.shape[:-2] + (ns, ns))], axis=-2
+        )
+        return np.real(_trace(apply(T1a, lead @ dagger(lead)) @ (trail @ dagger(trail))))
 
     basis = _real_block_basis(ns, s)
-    # linear term by differencing the direct expansion on basis blocks
-    linear = np.zeros(n)
-    for j, bj in enumerate(basis):
-        linear[j] = 0.5 * (f_direct(bj) - f_direct(-bj))
+    # linear term by differencing the direct expansion on the basis blocks
+    f_pm = f_direct(np.concatenate([basis, -basis]))
+    linear = 0.5 * (f_pm[:n] - f_pm[n:])
 
-    # Gram matrix from the bilinear form of the quadratic part
-    a_lead = A[:s, :s]
-    cache = [apply(T1, -off(bj)) for bj in basis]
-    raw = np.zeros((n, n))
-    for i, bi in enumerate(basis):
-        bic = bi.conj().T
-        for j, bj in enumerate(basis):
-            t1 = np.trace(a_lead @ (bic @ bj))
-            t2 = np.trace((bi @ bj.conj().T) @ lam_low)
-            cj = cache[j]
-            t3 = np.trace(bic @ cj[s:, :s]) + np.trace(bi @ cj[:s, s:])
-            raw[i, j] = float(np.real(t1 + t2 + t3))
+    # Gram matrix from the bilinear form of the quadratic part, entry (i, j)
+    #   tr(A_lead b_i* b_j) + tr(b_i b_j* Lam_low) + tr(b_i* C_j[low]) + tr(b_i C_j[up])
+    # with C_j = T1(-off(b_j)).  Every basis block has a single unit entry, so
+    # each contraction picks one matrix entry and is exact in floating point.
+    cache = apply(T1, -off(basis))
+    t1 = np.einsum("iap,jap->ij", basis.conj() @ A[:s, :s].T, basis)
+    t2 = np.einsum("icb,jcb->ij", lam_low @ basis, basis.conj())
+    t3 = np.einsum("iab,jab->ij", basis.conj(), cache[:, s:, :s]) + np.einsum(
+        "iab,jba->ij", basis, cache[:, :s, s:]
+    )
+    raw = np.real(t1 + t2 + t3)
     gram = 0.5 * (raw + raw.T)
 
     model = QuadraticModel(n=n, gram=gram, linear=linear, constant=constant)
 
     # mandatory cross-check against both direct forms
-    rng = np.random.default_rng(2026)
-    for _ in range(30):
-        x = rng.standard_normal(n)
-        X = _coords_to_block(x, ns, s)
-        want = f_direct(X)
-        want_orig = f_original(X)
-        got = model.evaluate(x)
-        scale = max(1.0, abs(want), abs(got))
-        if abs(got - want) > 1e-8 * scale or abs(got - want_orig) > 1e-8 * scale:
-            raise RuntimeError(
-                "quadratic model cross-check failed: the normalized map violates "
-                "its invariance preconditions"
-            )
+    x = np.random.default_rng(2026).standard_normal((30, n))
+    X = _coords_to_block(x, ns, s)
+    want = f_direct(X)
+    got = constant + x @ linear + np.einsum("pi,ij,pj->p", x, gram, x)
+    scale = np.maximum(1.0, np.maximum(np.abs(want), np.abs(got)))
+    misfit = np.maximum(np.abs(got - want), np.abs(got - f_original(X)))
+    if np.any(misfit > 1e-8 * scale):
+        raise RuntimeError(
+            "quadratic model cross-check failed: the normalized map violates "
+            "its invariance preconditions"
+        )
     return model
 
 
 def _coords_to_block(x: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """Inverse of the real-basis flattening used by the quadratic model."""
+    """Inverse of the real-basis flattening used by the quadratic model.
+
+    Maps coordinates ``(..., 2 * rows * cols)`` to blocks ``(..., rows, cols)``.
+    """
     x = np.asarray(x, dtype=float)
-    return x[0::2].reshape(rows, cols) + 1j * x[1::2].reshape(rows, cols)
+    shape = x.shape[:-1] + (rows, cols)
+    return x[..., 0::2].reshape(shape) + 1j * x[..., 1::2].reshape(shape)
 
 
 def solve_adjoint_block(
@@ -610,17 +600,11 @@ def _verify_paired_block(
     T: CpMap, V: Projection, W: Projection, tol: Tolerances
 ) -> None:
     """Guard the four defining properties of the paired block."""
-    from .maps import is_irreducible, leaves_invariant  # cycle-free local import
-
     Ta = adjoint(T)
     guard = 1e-7 * max(1.0, kraus_norm(Ta))
-    P = W.matrix
-    for idx in range(W.rank):
-        col = W.basis[:, idx : idx + 1]
-        b = col @ col.conj().T
-        tb = apply(Ta, b)
-        if np.abs(tb - P @ tb @ P).max() > guard:
-            raise RuntimeError("paired block is not invariant under the adjoint map")
+    rank_ones = np.einsum("ip,jp->pij", W.basis, W.basis.conj())
+    if _invariance_defect(apply(Ta, rank_ones), W.matrix) > guard:
+        raise RuntimeError("paired block is not invariant under the adjoint map")
     if W.rank != V.rank:
         raise RuntimeError("paired block has the wrong rank")
     if not is_irreducible(Ta, W, tol):

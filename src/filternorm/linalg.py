@@ -52,8 +52,6 @@ class Tolerances:
         quadratic counts as an exact zero.
     idem : float
         Tolerance for idempotence / invariance residuals of projections.
-    max_power_iters : int
-        Iteration cap for power-method fallbacks on large corner reps.
     sinkhorn_residual : float
         Doubly-stochastic residual target for the operator scaling loop.
     sinkhorn_max_iters : int
@@ -64,7 +62,6 @@ class Tolerances:
     psd_abs: float = 1e-9
     zero_f: float = 1e-8
     idem: float = 1e-10
-    max_power_iters: int = 10000
     sinkhorn_residual: float = 1e-8
     sinkhorn_max_iters: int = 100000
 
@@ -72,9 +69,8 @@ class Tolerances:
         for name in ("rank_rel", "psd_abs", "zero_f", "idem", "sinkhorn_residual"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"tolerance {name!r} must be positive")
-        for name in ("max_power_iters", "sinkhorn_max_iters"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"iteration cap {name!r} must be positive")
+        if not self.sinkhorn_max_iters > 0:
+            raise ValueError("iteration cap 'sinkhorn_max_iters' must be positive")
 
 
 DEFAULT_TOL = Tolerances()
@@ -94,8 +90,8 @@ def _as_matrix(mat: np.ndarray, name: str = "matrix") -> np.ndarray:
 
 
 def dagger(mat: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(mat).conj().T
+    """Conjugate transpose (of each matrix, for a stack ``(n, rows, cols)``)."""
+    return np.asarray(mat).conj().swapaxes(-1, -2)
 
 
 def mirror_hermitian(mat: np.ndarray) -> np.ndarray:

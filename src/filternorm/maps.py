@@ -1,6 +1,9 @@
 """Completely positive maps in Kraus form and their corner representations.
 
 A map ``T(X) = sum_i K_i X K_i*`` acts from ``k x k`` to ``m x m`` matrices.
+It is evaluated on a whole stack of inputs ``(n, k, k)`` at once, summing over
+the Kraus operators in their stored order, so each stacked image is bit-for-bit
+the image of that input alone.
 Most of the decision machinery lives on *corners*: for a projection ``V`` the
 compression ``V M V`` is an invariant subalgebra when ``T(V X V)`` stays inside
 it, and ``T`` restricted there is encoded as a real matrix over an orthonormal
@@ -15,12 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    DEFAULT_TOL,
     Projection,
     Tolerances,
+    _tol,
     dagger,
     hermitian_basis,
-    image_basis,
     mirror_hermitian,
     psd_check,
     rank_eps,
@@ -45,10 +47,6 @@ __all__ = [
 ]
 
 
-def _tol(tol: Tolerances | None) -> Tolerances:
-    return DEFAULT_TOL if tol is None else tol
-
-
 @dataclass(frozen=True, eq=False)
 class CpMap:
     """Completely positive map given by Kraus operators.
@@ -70,15 +68,16 @@ class CpMap:
     def __post_init__(self) -> None:
         if not self.kraus:
             raise ValueError("CpMap needs at least one Kraus operator")
-        for op in self.kraus:
-            if op.shape != (self.dst_dim, self.src_dim):
-                raise ValueError(
-                    f"Kraus operator shape {op.shape} does not match "
-                    f"({self.dst_dim}, {self.src_dim})"
-                )
-            if not np.all(np.isfinite(op)):
-                raise ValueError("Kraus operator contains non-finite entries")
-        if all(np.abs(op).max() == 0.0 for op in self.kraus):
+        shape = (self.dst_dim, self.src_dim)
+        try:
+            ops = np.stack(self.kraus)
+        except ValueError:
+            ops = None
+        if ops is None or ops.shape[1:] != shape:
+            raise ValueError(f"every Kraus operator must have shape {shape}")
+        if not np.isfinite(ops).all():
+            raise ValueError("Kraus operator contains non-finite entries")
+        if not ops.any():
             raise ValueError("all Kraus operators vanish")
 
 
@@ -88,11 +87,17 @@ def identity_map(dim: int) -> CpMap:
 
 
 def apply(T: CpMap, X: np.ndarray) -> np.ndarray:
-    """Evaluate ``T(X) = sum_i K_i X K_i*``."""
+    """Evaluate ``T(X) = sum_i K_i X K_i*`` on one input or a stack ``(n, k, k)``.
+
+    A stack runs one GEMM per input, as a single input does, so each image is
+    bit-for-bit the single-input one.  (One wide GEMM over the stack is not:
+    BLAS edge kernels change the last bits when ``k`` is not a multiple of
+    their width.)
+    """
     X = np.asarray(X, dtype=complex)
-    if X.shape != (T.src_dim, T.src_dim):
+    if X.ndim not in (2, 3) or X.shape[-2:] != (T.src_dim, T.src_dim):
         raise ValueError(f"input must be {T.src_dim} x {T.src_dim}, got {X.shape}")
-    out = np.zeros((T.dst_dim, T.dst_dim), dtype=complex)
+    out = np.zeros(X.shape[:-2] + (T.dst_dim, T.dst_dim), dtype=complex)
     for op in T.kraus:
         out += op @ X @ dagger(op)
     return out
@@ -163,6 +168,11 @@ def _corner_basis(V: Projection) -> np.ndarray:
     return np.einsum("ip,npq,jq->nij", b, small, b.conj())
 
 
+def _invariance_defect(images: np.ndarray, P: np.ndarray) -> float:
+    """Largest entry of ``Y - P Y P`` over a stack of images ``Y``."""
+    return float(np.abs(images - P @ images @ P).max())
+
+
 def leaves_invariant(
     T: CpMap, V: Projection, tol: Tolerances | None = None
 ) -> bool:
@@ -174,13 +184,8 @@ def leaves_invariant(
     tol = _tol(tol)
     if T.src_dim != T.dst_dim or T.src_dim != V.dim:
         return False
-    thresh = tol.idem * max(1.0, kraus_norm(T))
-    P = V.matrix
-    for b in _corner_basis(V):
-        tb = apply(T, b)
-        if np.abs(tb - P @ tb @ P).max() > thresh:
-            return False
-    return True
+    defect = _invariance_defect(apply(T, _corner_basis(V)), V.matrix)
+    return defect <= tol.idem * max(1.0, kraus_norm(T))
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,19 +217,14 @@ def corner_rep(
     loose ``1e-6`` of the map's norm bound; the strict contract lives in
     :func:`leaves_invariant`).
     """
-    tol = _tol(tol)
     if T.src_dim != T.dst_dim or T.src_dim != V.dim:
         raise ValueError("corner_rep requires a square map matching V")
     basis = _corner_basis(V)
-    s2 = basis.shape[0]
-    rep = np.zeros((s2, s2))
-    P = V.matrix
+    images = apply(T, basis)
     guard = 1e-6 * max(1.0, kraus_norm(T))
-    for j in range(s2):
-        tb = apply(T, basis[j])
-        if check and np.abs(tb - P @ tb @ P).max() > guard:
-            raise ValueError("corner is not invariant under the map")
-        rep[:, j] = np.real(np.einsum("nij,ij->n", basis.conj(), tb))
+    if check and _invariance_defect(images, V.matrix) > guard:
+        raise ValueError("corner is not invariant under the map")
+    rep = np.real(np.einsum("nij,mij->nm", basis.conj(), images))
     return CornerRep(V=V, basis=basis, matrix=rep)
 
 
@@ -237,29 +237,20 @@ def geometric_multiplicity(
     return n - rank_eps(mat - lam * np.eye(n), tol)
 
 
-def _top_eigenvalue(mat: np.ndarray, tol: Tolerances) -> float:
-    """Largest-modulus eigenvalue, asserted (nearly) real per Perron theory."""
-    n = mat.shape[0]
-    if n > 256:
-        # power iteration fallback for large corners (outside the desk scale)
-        x = np.ones(n) / np.sqrt(n)
-        lam = 0.0
-        for _ in range(tol.max_power_iters):
-            y = mat @ x
-            norm = np.linalg.norm(y)
-            if norm == 0.0:
-                return 0.0
-            x_new = y / norm
-            lam_new = float(x_new @ mat @ x_new)
-            if abs(lam_new - lam) < 1e-14 * max(1.0, abs(lam_new)):
-                return lam_new
-            x, lam = x_new, lam_new
-        return lam
+def _top_eigenvalue(mat: np.ndarray) -> float:
+    """Perron root: the real positive eigenvalue of maximal modulus.
+
+    A periodic map has several eigenvalues on its spectral circle (the roots
+    of unity times the radius); of those within ``1e-8`` of the radius the one
+    with the largest real part is the root, asserted (nearly) real.
+    """
     eigs = np.linalg.eigvals(mat)
-    idx = int(np.argmax(np.abs(eigs)))
-    lam = eigs[idx]
-    if abs(lam) == 0.0:
+    modulus = np.abs(eigs)
+    radius = modulus.max()
+    if radius == 0.0:
         return 0.0
+    peripheral = eigs[modulus >= radius * (1.0 - 1e-8)]
+    lam = peripheral[np.argmax(peripheral.real)]
     if abs(lam.imag) > 1e-8 * max(1.0, abs(lam)):
         raise ValueError(
             f"spectral radius eigenvalue is not real ({lam:.3e}); "
@@ -371,7 +362,7 @@ def spectral_radius_perron(
     scale = np.abs(rep.matrix).max()
     if scale == 0.0:
         raise ValueError("the map vanishes on this corner")
-    lam = _top_eigenvalue(rep.matrix, tol)
+    lam = _top_eigenvalue(rep.matrix)
     gamma = _perron_vector(rep, lam, tol)
     if gamma is None:
         raise ValueError("no PSD Perron eigenvector found in the top eigenspace")
@@ -406,7 +397,7 @@ def is_irreducible(T: CpMap, V: Projection, tol: Tolerances | None = None) -> bo
         return False
     if np.abs(rep.matrix).max() == 0.0:
         return False
-    lam = _top_eigenvalue(rep.matrix, tol)
+    lam = _top_eigenvalue(rep.matrix)
     if lam <= 0.0:
         return False
     if geometric_multiplicity(rep, lam, tol) != 1:

@@ -18,8 +18,8 @@ from scipy.spatial.transform import Rotation
 
 from .decide import OUTCOME_EQUIVALENT, Verdict
 from .linalg import (
-    DEFAULT_TOL,
     Tolerances,
+    _tol,
     dagger,
     hermitian_sqrt_pinv,
     identity_projection,
@@ -51,10 +51,6 @@ __all__ = [
     "pauli_coefficients",
     "check_2x2_inequality",
 ]
-
-
-def _tol(tol: Tolerances | None) -> Tolerances:
-    return DEFAULT_TOL if tol is None else tol
 
 
 class SingularMarginalError(RuntimeError):

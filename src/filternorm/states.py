@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    DEFAULT_TOL,
     Tolerances,
+    _tol,
     image_basis,
     mirror_hermitian,
     psd_check,
@@ -42,10 +42,6 @@ __all__ = [
     "operator_schmidt",
     "embed_rectangular",
 ]
-
-
-def _tol(tol: Tolerances | None) -> Tolerances:
-    return DEFAULT_TOL if tol is None else tol
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,8 +1,19 @@
 """Shared state generators for the test suite."""
 
+import os
+from pathlib import Path
+
 import numpy as np
 
+import filternorm
 from filternorm import BipartiteState, apply_filter, diagonal_state, is_ppt, random_state
+
+
+def cli_env() -> dict:
+    """Environment in which ``python -m filternorm.cli`` imports this package."""
+    src = str(Path(filternorm.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src if not path else src + os.pathsep + path}
 
 
 def separable_full_rank(k: int, rng: np.random.Generator) -> BipartiteState:

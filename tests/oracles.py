@@ -226,6 +226,56 @@ def objective_f_single_trace(kraus, s: int, X: np.ndarray) -> float:
     )))
 
 
+def quadratic_model_loop(kraus, s: int):
+    """Linear term and Gram matrix of f, one basis block (pair) at a time.
+
+    The real basis of (k-s) x s blocks is E_ab then i E_ab, row-major.  The
+    linear term differences f on +-b_j; the Gram matrix polarizes the
+    quadratic part q(x) = f(x) - f(0) - linear . x over all n^2 basis pairs.
+    """
+    k = kraus[0].shape[0]
+    rows = k - s
+    basis = []
+    for a in range(rows):
+        for b in range(s):
+            e = np.zeros((rows, s), dtype=complex)
+            e[a, b] = 1.0
+            basis += [e, 1j * e]
+    n = len(basis)
+    f0 = objective_f_expanded(kraus, s, np.zeros((rows, s)))
+    linear = np.array([
+        0.5 * (objective_f_expanded(kraus, s, bj) - objective_f_expanded(kraus, s, -bj))
+        for bj in basis
+    ])
+    quad = [objective_f_expanded(kraus, s, b) - f0 - linear[j] for j, b in enumerate(basis)]
+    gram = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            both = objective_f_expanded(kraus, s, basis[i] + basis[j])
+            gram[i, j] = 0.5 * (both - f0 - linear[i] - linear[j] - quad[i] - quad[j])
+    return linear, gram
+
+
+# ---------------------------------------------------------------------------
+# corner representation, one basis element at a time
+# ---------------------------------------------------------------------------
+
+def corner_rep_loop(kraus, basis: np.ndarray) -> np.ndarray:
+    """rep[i, j] = Re tr(b_i* T(b_j)), with T(b_j) = sum_K K b_j K* per element.
+
+    ``basis`` is the lifted Hermitian basis (n, k, k) of a corner; the Kraus
+    operators are summed in list order, one input matrix at a time.
+    """
+    n = basis.shape[0]
+    rep = np.zeros((n, n))
+    for j in range(n):
+        image = np.zeros_like(basis[j], dtype=complex)
+        for K in kraus:
+            image += K @ basis[j] @ K.conj().T
+        rep[:, j] = np.real(np.einsum("nij,ij->n", basis.conj(), image))
+    return rep
+
+
 # ---------------------------------------------------------------------------
 # rectangular embedding, assembled entrywise from the defining formula
 # ---------------------------------------------------------------------------

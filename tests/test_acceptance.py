@@ -36,6 +36,7 @@ from filternorm.decide import _coords_to_block
 from filternorm.linalg import projector_onto
 from helpers import (
     blocky_state,
+    cli_env,
     neq2_state,
     pattern_state,
     pattern_weights,
@@ -273,7 +274,8 @@ def test_criterion_9_fixed_seed_runs_are_byte_identical(tmp_path):
             "decide", str(path), "--seed", "11", "--json",
         ]
         runs = [
-            subprocess.run(cmd, capture_output=True).stdout for _ in range(3)
+            subprocess.run(cmd, capture_output=True, env=cli_env()).stdout
+            for _ in range(3)
         ]
         outputs.append(runs[0] == runs[1] == runs[2] and len(runs[0]) > 0)
         json.loads(runs[0])

@@ -18,7 +18,7 @@ from filternorm import (
 )
 from filternorm.cli import main
 from filternorm.stateio import NotPositiveError, StateFormatError
-from helpers import neq2_state, separable_full_rank
+from helpers import cli_env, neq2_state, separable_full_rank
 
 
 def write_state(tmp_path, state, name="state.json"):
@@ -283,7 +283,22 @@ def test_verdict_json_is_reproducible_for_a_fixed_seed(tmp_path):
     path = write_state(tmp_path, separable_full_rank(3, rng))
     cmd = [sys.executable, "-m", "filternorm.cli", "decide", path,
            "--seed", "7", "--json"]
-    first = subprocess.run(cmd, capture_output=True, check=True)
-    second = subprocess.run(cmd, capture_output=True, check=True)
+    first = subprocess.run(cmd, capture_output=True, check=True, env=cli_env())
+    second = subprocess.run(cmd, capture_output=True, check=True, env=cli_env())
     assert first.stdout == second.stdout
     assert first.returncode == 0
+
+
+def test_numerical_breakdown_exits_inconclusive(tmp_path, capsys, monkeypatch):
+    """A RuntimeError inside the decision exits 4 with a message, not 1."""
+    def broken(*args, **kwargs):
+        raise RuntimeError("no PSD Perron eigenvector in the top eigenspace")
+
+    monkeypatch.setattr("filternorm.cli.decide_equivalence", broken)
+    path = write_state(tmp_path, diagonal_state(np.diag([0.5, 0.5])))
+    capsys.readouterr()
+    assert main(["decide", path]) == 4
+    assert capsys.readouterr().err.startswith("filternorm: ")
+    out = str(tmp_path / "nf.json")
+    assert main(["normal-form", path, "--output", out]) == 4
+    assert capsys.readouterr().err.startswith("filternorm: ")

@@ -405,3 +405,14 @@ def test_decide_is_deterministic_for_a_fixed_seed():
     b = decide_equivalence(neq2_state(), rng=np.random.default_rng(42))
     assert a.witness.min_f == b.witness.min_f
     assert a.witness.gram_min_eig == b.witness.gram_min_eig
+
+
+@pytest.mark.parametrize("k, s", [(6, 2), (8, 4)])
+def test_quadratic_model_matches_the_pairwise_reference_loop(k, s):
+    """Gram matrix and linear term equal the n^2 loop over basis pairs."""
+    T1, s1 = normalized_t1(k, s, np.random.default_rng(8 + k))
+    model = adjoint_block_quadratic(T1, s1)
+    linear, gram = oracles.quadratic_model_loop(list(T1.kraus), s1)
+    scale = max(1.0, np.abs(gram).max())
+    assert np.abs(model.linear - linear).max() < 1e-9 * scale
+    assert np.abs(model.gram - gram).max() < 1e-9 * scale

@@ -36,7 +36,7 @@ def test_tolerances_reject_nonpositive_values():
     with pytest.raises(ValueError):
         Tolerances(psd_abs=-1e-9)
     with pytest.raises(ValueError):
-        Tolerances(max_power_iters=0)
+        Tolerances(sinkhorn_max_iters=0)
 
 
 def test_dagger_is_conjugate_transpose():

@@ -293,3 +293,58 @@ def test_is_irreducible_known_cases():
     w = np.array([[1.0, 0.0], [0.0, 1.0]])
     T = state_to_map(diagonal_state(w / w.sum()))
     assert not is_irreducible(T, identity_projection(2))
+
+
+def test_apply_on_a_stack_equals_single_inputs_bit_for_bit():
+    """A stack (n, k, k) maps to the stack of single-input images, exactly."""
+    rng = np.random.default_rng(15)
+    for k, m in [(2, 2), (3, 5), (6, 6), (7, 4)]:
+        T = random_cp_map(k, m, 4, rng)
+        X = rng.standard_normal((9, k, k)) + 1j * rng.standard_normal((9, k, k))
+        images = apply(T, X)
+        assert images.shape == (9, m, m)
+        assert all(np.array_equal(images[i], apply(T, X[i])) for i in range(9))
+    with pytest.raises(ValueError):
+        apply(T, np.zeros((2, 3, 7, 7)))
+
+
+def test_corner_rep_matches_the_per_element_kraus_loop():
+    """The stacked corner_rep equals the one-input-at-a-time reference."""
+    rng = np.random.default_rng(16)
+    T = CpMap(src_dim=12, dst_dim=12,
+              kraus=tuple(upper_triangular_map_kraus(12, 6, rng)))
+    q, _ = np.linalg.qr(rng.standard_normal((20, 20)) + 1j * rng.standard_normal((20, 20)))
+    full = projector_onto(q)
+    cases = [(T, lead_projection(12, 6)), (random_cp_map(20, 20, 3, rng), full)]
+    for T, V in cases:
+        rep = corner_rep(T, V)
+        assert rep.matrix.shape == (V.rank ** 2, V.rank ** 2)
+        want = oracles.corner_rep_loop(list(T.kraus), rep.basis)
+        assert np.abs(rep.matrix - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_non_invariant_corner_is_rejected():
+    """corner_rep raises and leaves_invariant says no when T leaves the corner."""
+    rng = np.random.default_rng(17)
+    T = random_cp_map(6, 6, 3, rng)
+    lead = lead_projection(6, 3)
+    assert not leaves_invariant(T, lead)
+    with pytest.raises(ValueError, match="not invariant"):
+        corner_rep(T, lead)
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 8, 17])
+def test_cyclic_shift_channel_has_perron_root_one(k):
+    """The classical k-cycle (Kraus E_{i+1,i}) is periodic, irreducible, unital.
+
+    Its spectral circle holds all k-th roots of unity; the Perron root is 1
+    with eigenvector Id/k.
+    """
+    eye = np.eye(k, dtype=complex)
+    ops = tuple(np.outer(eye[(i + 1) % k], eye[i]) for i in range(k))
+    T = CpMap(src_dim=k, dst_dim=k, kraus=ops)
+    V = identity_projection(k)
+    lam, gamma = spectral_radius_perron(T, V)
+    assert abs(lam - 1.0) < 1e-10
+    assert np.abs(gamma - eye / k).max() < 1e-10
+    assert is_irreducible(T, V)
