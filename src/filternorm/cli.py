@@ -205,14 +205,14 @@ def _cmd_decide(args: argparse.Namespace) -> int:
             _err("state is rectangular; pass --embed to square it first")
             return EXIT_BAD_STATE
         state = embed_rectangular(state, tol)
+    if not is_ppt(state, tol):
+        _err("state is not PPT")
+        return EXIT_BAD_STATE
     try:
         verdict = decide_equivalence(
             state, tol=tol, rng=np.random.default_rng(args.seed)
         )
-    except ValueError as exc:
-        _err(str(exc))
-        return EXIT_BAD_STATE
-    except RuntimeError as exc:
+    except (ValueError, RuntimeError) as exc:
         _err(f"decision broke down: {exc}")
         return EXIT_INCONCLUSIVE
 
@@ -269,10 +269,7 @@ def _cmd_normal_form(args: argparse.Namespace) -> int:
             verdict = decide_equivalence(
                 state, tol=tol, rng=np.random.default_rng(args.seed)
             )
-        except ValueError as exc:
-            _err(str(exc))
-            return EXIT_BAD_STATE
-        except RuntimeError as exc:
+        except (ValueError, RuntimeError) as exc:
             _err(f"decision broke down: {exc}")
             return EXIT_INCONCLUSIVE
         if verdict.outcome == OUTCOME_NOT_EQUIVALENT:

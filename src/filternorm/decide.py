@@ -35,8 +35,8 @@ from .linalg import (
     subspace_intersection,
 )
 from .maps import (
-    CornerRep,
     CpMap,
+    _corner_perron,
     _eigenspace,
     _invariance_defect,
     _perron_vector,
@@ -299,49 +299,28 @@ def find_irreducible_corner(
         raise ValueError("find_irreducible_corner requires a square map matching V")
     current = V
     for _ in range(4 * V.rank + 4):
-        # step 1: one-dimensional corners are irreducible when nonzero
+        # one-dimensional corners are irreducible when nonzero
         if current.rank == 1:
             rep = corner_rep(T, current, tol)
             lam = float(rep.matrix[0, 0])
             if lam <= tol.rank_rel:
                 raise ValueError("the map vanishes on a candidate corner")
             return current, lam
-
-        # step 2: Perron data of the current corner
-        lam = None
-        while True:
-            rep = corner_rep(T, current, tol)
-            if np.abs(rep.matrix).max() == 0.0:
-                raise ValueError("the map vanishes on a candidate corner")
-            lam = _top_eigenvalue(rep.matrix)
-            if lam <= 0.0:
-                raise ValueError("corner spectral radius is not positive")
-            space = _eigenspace(rep, lam, tol)
-            mult = space.shape[0]
-            gamma = _perron_vector(rep, lam, tol)
-            if gamma is None:
-                raise RuntimeError("no PSD Perron eigenvector in the top eigenspace")
-            gamma_rank = rank_eps(gamma, tol)
-            if mult == 1:
-                if gamma_rank < current.rank:
-                    current = projection_from_matrix(gamma, tol)
-                break
-            # degenerate top eigenvalue: shrink to the Perron image first,
-            # then walk to the cone boundary inside the eigenspace
-            if gamma_rank < current.rank:
-                current = projection_from_matrix(gamma, tol)
-                continue
+        rep, lam, space, gamma = _corner_perron(T, current, tol)
+        if gamma is None:
+            raise RuntimeError("no PSD Perron eigenvector in the top eigenspace")
+        # a rank-deficient Perron vector spans a smaller invariant corner
+        if rank_eps(gamma, tol) < current.rank:
+            current = projection_from_matrix(gamma, tol)
+            continue
+        # a degenerate root: walk to the cone boundary inside the eigenspace
+        if space.shape[0] > 1:
             boundary = _boundary_rank_drop(space, gamma, current, tol)
             current = projection_from_matrix(boundary, tol)
-
-        # step 3: compare against the Perron vector of the compressed adjoint.
-        # The corner may have shrunk since lam was computed; the spectral
-        # radius is preserved by the shrink, but recompute it on the fresh
-        # compression so downstream eigenspace cutoffs see consistent numbers.
-        rep = corner_rep(T, current, tol)
-        lam = _top_eigenvalue(rep.matrix)
-        rep_adj = CornerRep(V=rep.V, basis=rep.basis, matrix=rep.matrix.T)
-        delta = _perron_vector(rep_adj, lam, tol)
+            continue
+        # the compressed adjoint's Perron vector: full rank means irreducible,
+        # otherwise its kernel cuts out a smaller invariant corner
+        delta = _perron_vector(_eigenspace(rep, lam, tol, adjoint=True), tol)
         if delta is None:
             raise RuntimeError(
                 "compressed adjoint has no PSD eigenvector at the spectral radius"
@@ -378,8 +357,7 @@ def normalize_corner(
         raise ValueError("corner spectral radius must be positive")
     k = T.src_dim
     rep = corner_rep(T, V, tol)
-    rep_adj = CornerRep(V=rep.V, basis=rep.basis, matrix=rep.matrix.T)
-    delta = _perron_vector(rep_adj, lam, tol)
+    delta = _perron_vector(_eigenspace(rep, lam, tol, adjoint=True), tol)
     if delta is None or rank_eps(delta, tol) != V.rank:
         raise ValueError(
             "corner is not irreducible: adjoint Perron vector missing or rank-deficient"

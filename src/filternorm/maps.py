@@ -40,7 +40,6 @@ __all__ = [
     "restrict_to_corner",
     "leaves_invariant",
     "corner_rep",
-    "geometric_multiplicity",
     "spectral_radius_perron",
     "is_doubly_stochastic",
     "is_irreducible",
@@ -228,15 +227,6 @@ def corner_rep(
     return CornerRep(V=V, basis=basis, matrix=rep)
 
 
-def geometric_multiplicity(
-    rep: CornerRep | np.ndarray, lam: float, tol: Tolerances | None = None
-) -> int:
-    """Dimension of the eigenspace of ``lam`` for a corner rep matrix."""
-    mat = rep.matrix if isinstance(rep, CornerRep) else np.asarray(rep)
-    n = mat.shape[0]
-    return n - rank_eps(mat - lam * np.eye(n), tol)
-
-
 def _top_eigenvalue(mat: np.ndarray) -> float:
     """Perron root: the real positive eigenvalue of maximal modulus.
 
@@ -259,16 +249,20 @@ def _top_eigenvalue(mat: np.ndarray) -> float:
     return float(lam.real)
 
 
-def _eigenspace(rep: CornerRep, lam: float, tol: Tolerances) -> np.ndarray:
-    """Lifted Hermitian basis (d, k, k) of the ``lam``-eigenspace of ``rep.matrix``.
+def _eigenspace(
+    rep: CornerRep, lam: float, tol: Tolerances, adjoint: bool = False
+) -> np.ndarray:
+    """Lifted Hermitian basis (d, k, k) of the ``lam``-eigenspace of ``rep.matrix``,
+    or of ``rep.matrix.T`` (the compressed adjoint) with ``adjoint``.
 
     The kernel cutoff is scaled by ``max(sigma_max(rep - lam), |lam|)`` rather
     than by the shifted matrix alone, so an eigenvalue passed in from an
     equivalent corner (equal up to roundoff) still recovers the eigenspace
     even when the shifted matrix is numerically zero.
     """
-    n = rep.matrix.shape[0]
-    shifted = rep.matrix - lam * np.eye(n)
+    mat = rep.matrix.T if adjoint else rep.matrix
+    n = mat.shape[0]
+    shifted = mat - lam * np.eye(n)
     _, sv, vh = np.linalg.svd(shifted)
     scale = max(float(sv[0]) if sv.size else 0.0, abs(lam))
     if scale <= 0.0:
@@ -333,9 +327,8 @@ def _psd_in_span(mats: np.ndarray, tol: Tolerances) -> np.ndarray | None:
     return None
 
 
-def _perron_vector(rep: CornerRep, lam: float, tol: Tolerances) -> np.ndarray | None:
-    """PSD trace-one eigenvector of ``rep`` at ``lam`` (lifted to k x k), if found."""
-    space = _eigenspace(rep, lam, tol)
+def _perron_vector(space: np.ndarray, tol: Tolerances) -> np.ndarray | None:
+    """PSD trace-one element of an eigenspace from :func:`_eigenspace`, if found."""
     if space.shape[0] == 0:
         return None
     if space.shape[0] == 1:
@@ -349,21 +342,35 @@ def _perron_vector(rep: CornerRep, lam: float, tol: Tolerances) -> np.ndarray | 
     return _psd_in_span(space, tol)
 
 
+def _corner_perron(
+    T: CpMap, V: Projection, tol: Tolerances
+) -> tuple[CornerRep, float, np.ndarray, np.ndarray | None]:
+    """Perron analysis of ``T`` on the corner of ``V``.
+
+    Returns the corner representation, the Perron root, its eigenspace (its
+    length is the root's geometric multiplicity) and a PSD trace-one Perron
+    vector in it, or ``None``.  Raises ``ValueError`` when the corner is not
+    invariant, the map vanishes on it, or the root is not positive.
+    """
+    rep = corner_rep(T, V, tol)
+    if np.abs(rep.matrix).max() == 0.0:
+        raise ValueError("the map vanishes on this corner")
+    lam = _top_eigenvalue(rep.matrix)
+    if lam <= 0.0:
+        raise ValueError("corner spectral radius is not positive")
+    space = _eigenspace(rep, lam, tol)
+    return rep, lam, space, _perron_vector(space, tol)
+
+
 def spectral_radius_perron(
     T: CpMap, V: Projection, tol: Tolerances | None = None
 ) -> tuple[float, np.ndarray]:
     """Spectral radius and a PSD trace-one Perron eigenvector of ``T`` on a corner.
 
-    Raises ``ValueError`` when the corner map vanishes or when no PSD
-    eigenvector can be located in the top eigenspace.
+    Raises ``ValueError`` when the corner map vanishes or has spectral radius
+    zero, or when no PSD eigenvector can be located in the top eigenspace.
     """
-    tol = _tol(tol)
-    rep = corner_rep(T, V, tol)
-    scale = np.abs(rep.matrix).max()
-    if scale == 0.0:
-        raise ValueError("the map vanishes on this corner")
-    lam = _top_eigenvalue(rep.matrix)
-    gamma = _perron_vector(rep, lam, tol)
+    _, lam, _, gamma = _corner_perron(T, V, _tol(tol))
     if gamma is None:
         raise ValueError("no PSD Perron eigenvector found in the top eigenspace")
     return lam, gamma
@@ -392,19 +399,10 @@ def is_irreducible(T: CpMap, V: Projection, tol: Tolerances | None = None) -> bo
     """
     tol = _tol(tol)
     try:
-        rep = corner_rep(T, V, tol)
+        rep, lam, space, gamma = _corner_perron(T, V, tol)
     except ValueError:
         return False
-    if np.abs(rep.matrix).max() == 0.0:
+    if space.shape[0] != 1 or gamma is None or rank_eps(gamma, tol) != V.rank:
         return False
-    lam = _top_eigenvalue(rep.matrix)
-    if lam <= 0.0:
-        return False
-    if geometric_multiplicity(rep, lam, tol) != 1:
-        return False
-    gamma = _perron_vector(rep, lam, tol)
-    if gamma is None or rank_eps(gamma, tol) != V.rank:
-        return False
-    rep_adj = CornerRep(V=rep.V, basis=rep.basis, matrix=rep.matrix.T)
-    delta = _perron_vector(rep_adj, lam, tol)
+    delta = _perron_vector(_eigenspace(rep, lam, tol, adjoint=True), tol)
     return delta is not None and rank_eps(delta, tol) == V.rank

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.transform import Rotation
 
 from .decide import OUTCOME_EQUIVALENT, Verdict
 from .linalg import (
@@ -268,8 +267,25 @@ def check_2x2_inequality(lams: np.ndarray, atol: float = 1e-9) -> bool:
 
 
 def _su2_from_rotation(O: np.ndarray) -> np.ndarray:
-    """The SU(2) element ``u`` with ``u sigma_a u* = sum_b O[b, a] sigma_b``."""
-    x, y, z, w = Rotation.from_matrix(O).as_quat()
+    """The SU(2) element ``u`` with ``u sigma_a u* = sum_b O[b, a] sigma_b``.
+
+    ``u = w Id - i (x sigma_x + y sigma_y + z sigma_z)`` for the unit quaternion
+    ``(w, x, y, z)`` of the rotation ``O``, read off by Shepperd's method: the
+    largest of ``x^2, y^2, z^2, w^2`` comes from the diagonal, the other three
+    from sums and differences of mirrored entries.
+    """
+    trace = O[0, 0] + O[1, 1] + O[2, 2]
+    i = int(np.argmax([O[0, 0], O[1, 1], O[2, 2], trace]))
+    q = np.empty(4)  # (x, y, z, w) times a positive factor
+    if i == 3:
+        q[:] = O[2, 1] - O[1, 2], O[0, 2] - O[2, 0], O[1, 0] - O[0, 1], 1.0 + trace
+    else:
+        j, k = (i + 1) % 3, (i + 2) % 3
+        q[i] = 1.0 - trace + 2.0 * O[i, i]
+        q[j] = O[j, i] + O[i, j]
+        q[k] = O[k, i] + O[i, k]
+        q[3] = O[k, j] - O[j, k]
+    x, y, z, w = q / np.linalg.norm(q)
     return w * _PAULI[0] - 1j * (x * _PAULI[1] + y * _PAULI[2] + z * _PAULI[3])
 
 

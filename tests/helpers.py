@@ -6,7 +6,14 @@ from pathlib import Path
 import numpy as np
 
 import filternorm
-from filternorm import BipartiteState, apply_filter, diagonal_state, is_ppt, random_state
+from filternorm import (
+    BipartiteState,
+    CpMap,
+    apply_filter,
+    diagonal_state,
+    is_ppt,
+    random_state,
+)
 
 
 def cli_env() -> dict:
@@ -101,3 +108,14 @@ def upper_triangular_map_kraus(k: int, s: int, rng: np.random.Generator, nops: i
         K[s:, :s] = 0.0
         ops.append(K)
     return ops
+
+
+def unitary_mixture(k: int, nops: int, rng: np.random.Generator) -> CpMap:
+    """Convex mixture of unitary conjugations: doubly stochastic by design."""
+    p = rng.dirichlet(np.ones(nops))
+    ops = []
+    for i in range(nops):
+        g = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+        q, _ = np.linalg.qr(g)
+        ops.append(np.sqrt(p[i]) * q)
+    return CpMap(src_dim=k, dst_dim=k, kraus=tuple(ops))

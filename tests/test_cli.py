@@ -290,15 +290,19 @@ def test_verdict_json_is_reproducible_for_a_fixed_seed(tmp_path):
 
 
 def test_numerical_breakdown_exits_inconclusive(tmp_path, capsys, monkeypatch):
-    """A RuntimeError inside the decision exits 4 with a message, not 1."""
-    def broken(*args, **kwargs):
-        raise RuntimeError("no PSD Perron eigenvector in the top eigenspace")
-
-    monkeypatch.setattr("filternorm.cli.decide_equivalence", broken)
+    """A decision error on a PPT state exits 4 with a message, not 1 or 3."""
     path = write_state(tmp_path, diagonal_state(np.diag([0.5, 0.5])))
-    capsys.readouterr()
-    assert main(["decide", path]) == 4
-    assert capsys.readouterr().err.startswith("filternorm: ")
     out = str(tmp_path / "nf.json")
-    assert main(["normal-form", path, "--output", out]) == 4
-    assert capsys.readouterr().err.startswith("filternorm: ")
+    for error in (
+        RuntimeError("no PSD Perron eigenvector in the top eigenspace"),
+        ValueError("corner is not invariant under the map"),
+    ):
+        def broken(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr("filternorm.cli.decide_equivalence", broken)
+        capsys.readouterr()
+        assert main(["decide", path]) == 4
+        assert capsys.readouterr().err.startswith("filternorm: decision broke down: ")
+        assert main(["normal-form", path, "--output", out]) == 4
+        assert capsys.readouterr().err.startswith("filternorm: decision broke down: ")

@@ -16,6 +16,7 @@ from filternorm import (
     anchor_transform,
     apply,
     apply_filter,
+    corner_rep,
     decide_equivalence,
     diagonal_state,
     find_irreducible_corner,
@@ -40,8 +41,10 @@ from helpers import (
     hidden_blocky,
     neq2_state,
     pattern_state,
+    pattern_weights,
     random_invertible,
     separable_full_rank,
+    unitary_mixture,
     upper_triangular_map_kraus,
 )
 
@@ -118,12 +121,58 @@ def test_find_irreducible_corner_neq2():
 
 
 def test_find_irreducible_corner_keeps_irreducible_corners():
-    """An already irreducible map comes back unchanged."""
+    """An already irreducible map comes back unchanged, and only such a map.
+
+    On every input the search returns the whole corner exactly when
+    ``is_irreducible`` holds there: both read the same Perron root, eigenspace
+    and multiplicity.
+    """
     T = state_to_map(diagonal_state(np.ones((2, 2)) / 4.0))
     V, lam = find_irreducible_corner(T, identity_projection(2))
     assert same_subspace(V, identity_projection(2))
     assert is_irreducible(T, V)
     assert abs(lam - 0.5) < 1e-9
+
+    rng = np.random.default_rng(5)
+    maps = [unitary_mixture(k, 3, rng) for k in (2, 3, 4)]
+    for k, s in ((3, 1), (4, 2), (5, 3)):
+        ops = tuple(upper_triangular_map_kraus(k, s, rng))
+        maps.append(CpMap(src_dim=k, dst_dim=k, kraus=ops))
+    weights = [np.array([[1.0, 1.0], [0.0, 1.0]]), np.eye(3),
+               np.eye(3) + np.roll(np.eye(3), 1, axis=1)]
+    weights += [pattern_weights(k, k, rng) + np.eye(k) for k in (3, 4, 5)]
+    maps += [state_to_map(pattern_state(w)) for w in weights]
+    for k in (3, 4, 5, 8):
+        eye = np.eye(k, dtype=complex)
+        shift = tuple(np.outer(eye[(i + 1) % k], eye[i]) for i in range(k))
+        maps.append(CpMap(src_dim=k, dst_dim=k, kraus=shift))
+    seen = set()
+    for T in maps:
+        whole = identity_projection(T.src_dim)
+        V, _ = find_irreducible_corner(T, whole)
+        kept = same_subspace(V, whole)
+        assert kept == is_irreducible(T, whole)
+        seen.add(kept)
+    assert seen == {True, False}
+
+
+def test_find_irreducible_corner_analyses_an_irreducible_corner_once(monkeypatch):
+    """An irreducible corner costs one corner representation, not two."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1].rank)
+        return corner_rep(*args, **kwargs)
+
+    monkeypatch.setattr("filternorm.maps.corner_rep", counted)
+    monkeypatch.setattr("filternorm.decide.corner_rep", counted)
+    rng = np.random.default_rng(3)
+    for k in (2, 4, 6):
+        T = unitary_mixture(k, 3, rng)
+        calls.clear()
+        V, _ = find_irreducible_corner(T, identity_projection(k))
+        assert V.rank == k
+        assert calls == [k]
 
 
 def test_find_irreducible_corner_output_contract():

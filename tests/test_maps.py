@@ -21,7 +21,7 @@ from filternorm import (
     transform,
 )
 from filternorm.linalg import identity_projection, projector_onto, psd_check
-from helpers import upper_triangular_map_kraus
+from helpers import unitary_mixture, upper_triangular_map_kraus
 
 
 def random_cp_map(k, m, nops, rng):
@@ -29,17 +29,6 @@ def random_cp_map(k, m, nops, rng):
     ops = tuple(rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k))
                 for _ in range(nops))
     return CpMap(src_dim=k, dst_dim=m, kraus=ops)
-
-
-def unitary_mixture(k, nops, rng):
-    """Doubly stochastic map: mixture of unitary conjugations."""
-    ops = []
-    p = rng.dirichlet(np.ones(nops))
-    for i in range(nops):
-        g = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
-        q, _ = np.linalg.qr(g)
-        ops.append(np.sqrt(p[i]) * q)
-    return CpMap(src_dim=k, dst_dim=k, kraus=tuple(ops))
 
 
 def lead_projection(k, s):

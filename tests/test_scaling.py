@@ -1,5 +1,8 @@
 """Operator Sinkhorn scaling, filter normal forms, and the two-qubit test."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -25,18 +28,14 @@ from filternorm import (
     scale_to_doubly_stochastic,
     state_to_map,
 )
-from helpers import neq2_state, random_invertible, separable_full_rank
-
-
-def unitary_mixture(k, nops, rng):
-    """Convex mixture of unitary conjugations: doubly stochastic by design."""
-    p = rng.dirichlet(np.ones(nops))
-    ops = []
-    for i in range(nops):
-        g = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
-        q, _ = np.linalg.qr(g)
-        ops.append(np.sqrt(p[i]) * q)
-    return CpMap(src_dim=k, dst_dim=k, kraus=tuple(ops))
+from filternorm.scaling import _PAULI, _su2_from_rotation
+from helpers import (
+    cli_env,
+    neq2_state,
+    random_invertible,
+    separable_full_rank,
+    unitary_mixture,
+)
 
 
 def marginal_residual(T):
@@ -213,3 +212,32 @@ def test_2x2_inequality_truth_table():
     assert not check_2x2_inequality(np.array([0.5, 0.5, 0.5, -0.5]))
     assert check_2x2_inequality(np.array([0.5, 0.5, 5e-10, 0.0]))
     assert not check_2x2_inequality(np.array([0.5, 0.5, 1e-6, 0.0]))
+
+
+def test_su2_from_rotation_covers_so3():
+    """``u sigma_a u* = sum_b O[b, a] sigma_b`` with ``det u = 1``.
+
+    The identity and the three half turns take each of the four branches of
+    the quaternion read-off; random rotations cover the rest.
+    """
+    rng = np.random.default_rng(11)
+    rotations = [np.eye(3), np.diag([1.0, -1.0, -1.0]), np.diag([-1.0, 1.0, -1.0]),
+                 np.diag([-1.0, -1.0, 1.0])]
+    for _ in range(200):
+        q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        rotations.append(q * np.linalg.det(q))
+    for O in rotations:
+        u = _su2_from_rotation(O)
+        assert abs(np.linalg.det(u) - 1.0) < 1e-12
+        for a in range(3):
+            image = u @ _PAULI[a + 1] @ u.conj().T
+            want = sum(O[b, a] * _PAULI[b + 1] for b in range(3))
+            assert np.abs(image - want).max() < 1e-12
+
+
+def test_import_does_not_load_scipy():
+    """scipy is a test dependency only: importing the package leaves it out."""
+    code = "import sys, filternorm; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=cli_env())
+    assert out.stdout.strip() == "False"
