@@ -12,7 +12,7 @@ minimum of the objective — no paired block at all).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from .linalg import (
     orthogonal_complement,
     projection_from_matrix,
     projector_onto,
-    psd_check,
     rank_eps,
     same_subspace,
     subspace_intersection,
@@ -216,73 +215,37 @@ def anchor_transform(
 # ---------------------------------------------------------------------------
 
 
-def _psd_boundary_eps(
-    gamma_s: np.ndarray, gamma_p: np.ndarray, tol: Tolerances
-) -> float | None:
-    """``sup { eps >= 0 : gamma_s - eps * gamma_p is PSD }`` by bisection.
-
-    The cone test runs with a near-machine floor rather than the working
-    ``psd_abs`` slack: with the loose slack the walk overshoots the true
-    boundary by about ``psd_abs``, which is exactly the order of the rank
-    cutoff, and the intended rank drop becomes invisible downstream.
-
-    Returns ``None`` when the ray never leaves the cone (within a huge cap).
-    """
-    strict = replace(tol, psd_abs=1e-13)
-    hi = 1.0
-    lo = 0.0
-    while psd_check(gamma_s - hi * gamma_p, strict):
-        lo = hi
-        hi *= 2.0
-        if hi > 1e14:
-            return None
-    for _ in range(200):
-        if hi - lo <= 1e-13 * (1.0 + hi):
-            break
-        mid = 0.5 * (lo + hi)
-        if psd_check(gamma_s - mid * gamma_p, strict):
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
 def _boundary_rank_drop(
     space: np.ndarray, gamma: np.ndarray, V: Projection, tol: Tolerances
 ) -> np.ndarray:
-    """Walk from the Perron vector to the PSD boundary inside its eigenspace.
+    """Step from a full-rank Perron vector to the PSD boundary of its eigenspace.
 
-    Works in corner coordinates (``s x s``); returns the boundary matrix,
-    lifted back to the ambient space, whose rank strictly dropped.
+    In corner coordinates (``s x s``) ``gamma`` is positive definite.  For an
+    eigenspace direction ``h`` trace-orthogonal to it, ``r = gamma^(1/2)``
+    and ``m = r^-1 h r^-1`` give ``gamma - t h = r (Id - t m) r``; since
+    ``tr(gamma h) = 0``, ``m`` has eigenvalues of both signs and the ray
+    leaves the cone at ``t = 1/mu`` for the largest one.  Returns that
+    boundary point, PSD of rank below ``s``, lifted back to the ambient space.
     """
     vb = V.basis
-    gamma_s = vb.conj().T @ gamma @ vb
-    space_s = np.einsum("pi,nij,jq->npq", vb.conj().T, space, vb)
+    gamma_s = dagger(vb) @ gamma @ vb
+    space_s = dagger(vb) @ space @ vb
     d = space_s.shape[0]
     # coefficients of gamma in the (trace-orthonormal) eigenspace basis
     g = np.real(np.einsum("nij,ij->n", space_s.conj(), gamma_s))
     g_norm = np.linalg.norm(g)
     if g_norm < 1e-14:
         raise RuntimeError("Perron vector fell outside its own eigenspace")
-    g = g / g_norm
-    # orthonormal directions perpendicular to gamma inside the eigenspace
-    q, _ = np.linalg.qr(np.concatenate([g[:, None], np.eye(d)], axis=1))
-    base_rank = rank_eps(gamma_s, tol)
-    for col in range(1, d):
-        direction = np.einsum("n,nij->ij", q[:, col], space_s)
-        for sign in (1.0, -1.0):
-            gp = sign * direction
-            eps = _psd_boundary_eps(gamma_s, gp, tol)
-            if eps is None or eps <= 1e-12:
-                continue
-            cand = mirror_hermitian(gamma_s - eps * gp)
-            eigs, vecs = np.linalg.eigh(cand)
-            cand = vecs @ np.diag(np.clip(eigs, 0.0, None)) @ vecs.conj().T
-            if rank_eps(cand, tol) < base_rank:
-                return vb @ cand @ vb.conj().T
-    raise RuntimeError(
-        "no rank-dropping boundary direction found in the Perron eigenspace"
-    )
+    # a direction perpendicular to gamma inside the eigenspace
+    q, _ = np.linalg.qr(np.concatenate([g[:, None] / g_norm, np.eye(d)], axis=1))
+    h = np.einsum("n,nij->ij", q[:, 1], space_s)
+    r, r_inv = hermitian_sqrt_pinv(gamma_s, tol)
+    mu, u = np.linalg.eigh(r_inv @ h @ r_inv)
+    if mu[-1] <= 0.0:
+        raise RuntimeError("eigenspace direction never leaves the PSD cone")
+    weights = 1.0 - mu / mu[-1]  # the last one is exactly zero
+    lifted = vb @ r @ u
+    return (lifted * weights) @ dagger(lifted)
 
 
 def find_irreducible_corner(
@@ -309,14 +272,14 @@ def find_irreducible_corner(
         rep, lam, space, gamma = _corner_perron(T, current, tol)
         if gamma is None:
             raise RuntimeError("no PSD Perron eigenvector in the top eigenspace")
+        full = rank_eps(gamma, tol) == current.rank
+        # a degenerate root: step to the cone boundary inside the eigenspace
+        if full and space.shape[0] > 1:
+            gamma = _boundary_rank_drop(space, gamma, current, tol)
+            full = False
         # a rank-deficient Perron vector spans a smaller invariant corner
-        if rank_eps(gamma, tol) < current.rank:
+        if not full:
             current = projection_from_matrix(gamma, tol)
-            continue
-        # a degenerate root: walk to the cone boundary inside the eigenspace
-        if space.shape[0] > 1:
-            boundary = _boundary_rank_drop(space, gamma, current, tol)
-            current = projection_from_matrix(boundary, tol)
             continue
         # the compressed adjoint's Perron vector: full rank means irreducible,
         # otherwise its kernel cuts out a smaller invariant corner

@@ -56,20 +56,21 @@ class CpMap:
         Dimension ``k`` of the input matrices.
     dst_dim : int
         Dimension ``m`` of the output matrices.
-    kraus : tuple of ndarray
-        Operators of shape ``(m, k)``; at least one must be nonzero.
+    kraus : ndarray (r, m, k), complex
+        The Kraus operators as one stack; at least one must be nonzero.  Any
+        sequence of ``(m, k)`` operators is accepted and stacked.
     """
 
     src_dim: int
     dst_dim: int
-    kraus: tuple[np.ndarray, ...]
+    kraus: np.ndarray
 
     def __post_init__(self) -> None:
-        if not self.kraus:
+        if len(self.kraus) == 0:
             raise ValueError("CpMap needs at least one Kraus operator")
         shape = (self.dst_dim, self.src_dim)
         try:
-            ops = np.stack(self.kraus)
+            ops = np.asarray(self.kraus, dtype=complex)
         except ValueError:
             ops = None
         if ops is None or ops.shape[1:] != shape:
@@ -78,11 +79,12 @@ class CpMap:
             raise ValueError("Kraus operator contains non-finite entries")
         if not ops.any():
             raise ValueError("all Kraus operators vanish")
+        object.__setattr__(self, "kraus", ops)
 
 
 def identity_map(dim: int) -> CpMap:
     """The identity map on ``dim x dim`` matrices."""
-    return CpMap(src_dim=dim, dst_dim=dim, kraus=(np.eye(dim, dtype=complex),))
+    return CpMap(src_dim=dim, dst_dim=dim, kraus=np.eye(dim, dtype=complex)[None])
 
 
 def apply(T: CpMap, X: np.ndarray) -> np.ndarray:
@@ -104,11 +106,7 @@ def apply(T: CpMap, X: np.ndarray) -> np.ndarray:
 
 def adjoint(T: CpMap) -> CpMap:
     """Adjoint map in the trace inner product: Kraus operators get daggered."""
-    return CpMap(
-        src_dim=T.dst_dim,
-        dst_dim=T.src_dim,
-        kraus=tuple(dagger(op) for op in T.kraus),
-    )
+    return CpMap(src_dim=T.dst_dim, dst_dim=T.src_dim, kraus=dagger(T.kraus))
 
 
 def transform(T: CpMap, left: np.ndarray, right: np.ndarray) -> CpMap:
@@ -118,8 +116,9 @@ def transform(T: CpMap, left: np.ndarray, right: np.ndarray) -> CpMap:
     """
     left = np.asarray(left, dtype=complex)
     right = np.asarray(right, dtype=complex)
-    kraus = tuple(left @ op @ right for op in T.kraus)
-    return CpMap(src_dim=right.shape[1], dst_dim=left.shape[0], kraus=kraus)
+    return CpMap(
+        src_dim=right.shape[1], dst_dim=left.shape[0], kraus=left @ T.kraus @ right
+    )
 
 
 def conjugate(
@@ -153,11 +152,7 @@ def restrict_to_corner(T: CpMap, V: Projection) -> CpMap:
     if T.src_dim != T.dst_dim or T.src_dim != V.dim:
         raise ValueError("corner restriction requires a square map matching V")
     b = V.basis
-    return CpMap(
-        src_dim=V.rank,
-        dst_dim=V.rank,
-        kraus=tuple(dagger(b) @ op @ b for op in T.kraus),
-    )
+    return CpMap(src_dim=V.rank, dst_dim=V.rank, kraus=dagger(b) @ T.kraus @ b)
 
 
 def _corner_basis(V: Projection) -> np.ndarray:
@@ -207,9 +202,7 @@ class CornerRep:
     matrix: np.ndarray
 
 
-def corner_rep(
-    T: CpMap, V: Projection, tol: Tolerances | None = None, check: bool = True
-) -> CornerRep:
+def corner_rep(T: CpMap, V: Projection, tol: Tolerances | None = None) -> CornerRep:
     """Real representation of ``T`` on the corner of ``V``.
 
     Raises ``ValueError`` when invariance fails badly (guard threshold is a
@@ -221,7 +214,7 @@ def corner_rep(
     basis = _corner_basis(V)
     images = apply(T, basis)
     guard = 1e-6 * max(1.0, kraus_norm(T))
-    if check and _invariance_defect(images, V.matrix) > guard:
+    if _invariance_defect(images, V.matrix) > guard:
         raise ValueError("corner is not invariant under the map")
     rep = np.real(np.einsum("nij,mij->nm", basis.conj(), images))
     return CornerRep(V=V, basis=basis, matrix=rep)

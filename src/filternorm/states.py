@@ -17,6 +17,7 @@ import numpy as np
 from .linalg import (
     Tolerances,
     _tol,
+    hermitian_basis,
     image_basis,
     mirror_hermitian,
     psd_check,
@@ -212,12 +213,10 @@ def state_to_map(state: BipartiteState, tol: Tolerances | None = None) -> CpMap:
     top = float(eigs.max(initial=0.0))
     if top <= 0.0:
         raise ValueError("the zero state has no associated map")
-    kraus = []
-    for i in range(eigs.size):
-        if eigs[i] > tol.rank_rel * top:
-            coeff = vec_to_matrix(np.sqrt(eigs[i]) * vecs[:, i], state.k, state.m)
-            kraus.append(coeff.T.copy())
-    return CpMap(src_dim=state.k, dst_dim=state.m, kraus=tuple(kraus))
+    keep = eigs > tol.rank_rel * top
+    coeffs = (np.sqrt(eigs[keep]) * vecs[:, keep]).T.reshape(-1, state.k, state.m)
+    kraus = np.ascontiguousarray(coeffs.swapaxes(1, 2))
+    return CpMap(src_dim=state.k, dst_dim=state.m, kraus=kraus)
 
 
 def apply_filter(
@@ -265,8 +264,6 @@ def operator_schmidt(
     out exactly Hermitian.  Weights below ``rank_rel`` of the largest are
     dropped.
     """
-    from .linalg import hermitian_basis  # local import keeps module load light
-
     tol = _tol(tol)
     k, m = state.k, state.m
     pk = hermitian_basis(k)

@@ -119,3 +119,29 @@ def unitary_mixture(k: int, nops: int, rng: np.random.Generator) -> CpMap:
         q, _ = np.linalg.qr(g)
         ops.append(np.sqrt(p[i]) * q)
     return CpMap(src_dim=k, dst_dim=k, kraus=tuple(ops))
+
+
+def random_unitary(k: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-random unitary (QR of a complex Gaussian matrix, phases fixed)."""
+    q, r = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
+    d = np.diag(r)
+    return q * (d / np.abs(d))
+
+
+def repeated_block_state(copies: int, d: int, rng: np.random.Generator) -> BipartiteState:
+    """``copies`` equal separable d x d blocks on the diagonal, hidden by ``U (x) conj(U)``.
+
+    The map is a direct sum of identical irreducible blocks, so its Perron
+    root on the whole space has multiplicity ``copies``; the hiding unitary
+    keeps the maximally entangled vector, so anchoring keeps the degeneracy.
+    """
+    block = blocky_state(d, [d], rng).rho.reshape(d, d, d, d)
+    k = copies * d
+    rho = np.zeros((k, k, k, k), dtype=complex)
+    for j in range(copies):
+        sel = slice(j * d, (j + 1) * d)
+        rho[sel, sel, sel, sel] = block
+    U = random_unitary(k, rng)
+    F = np.kron(U, U.conj())
+    rho = F @ rho.reshape(k * k, k * k) @ F.conj().T
+    return BipartiteState(k=k, m=k, rho=rho / np.trace(rho).real)

@@ -29,13 +29,17 @@ from filternorm import (
     spectral_radius_perron,
     state_to_map,
 )
-from filternorm.decide import _coords_to_block
+from filternorm.decide import _boundary_rank_drop, _coords_to_block
 from filternorm.linalg import (
+    DEFAULT_TOL,
     identity_projection,
+    projection_from_matrix,
     projector_onto,
+    psd_check,
     rank_eps,
     same_subspace,
 )
+from filternorm.maps import _corner_perron
 from helpers import (
     blocky_state,
     hidden_blocky,
@@ -43,6 +47,8 @@ from helpers import (
     pattern_state,
     pattern_weights,
     random_invertible,
+    random_unitary,
+    repeated_block_state,
     separable_full_rank,
     unitary_mixture,
     upper_triangular_map_kraus,
@@ -173,6 +179,28 @@ def test_find_irreducible_corner_analyses_an_irreducible_corner_once(monkeypatch
         V, _ = find_irreducible_corner(T, identity_projection(k))
         assert V.rank == k
         assert calls == [k]
+
+
+def test_boundary_rank_drop_lands_on_a_smaller_invariant_corner():
+    """On ``c`` copies of an irreducible block the closed-form boundary step
+    returns a PSD Perron eigenvector of lower rank whose image is invariant."""
+    rng = np.random.default_rng(8)
+    for c in (2, 3):
+        for s in (2, 3, 4):
+            U = random_unitary(c * s, rng)
+            ops = [rng.standard_normal((s, s)) + 1j * rng.standard_normal((s, s))
+                   for _ in range(3)]
+            kraus = [U @ np.kron(np.eye(c), K) @ U.conj().T for K in ops]
+            T = CpMap(src_dim=c * s, dst_dim=c * s, kraus=kraus)
+            V = identity_projection(c * s)
+            _, lam, space, gamma = _corner_perron(T, V, DEFAULT_TOL)
+            assert space.shape[0] == c * c
+            assert rank_eps(gamma) == V.rank
+            B = _boundary_rank_drop(space, gamma, V, DEFAULT_TOL)
+            assert psd_check(B)
+            assert np.linalg.norm(apply(T, B) - lam * B) <= 1e-10 * np.linalg.norm(B)
+            assert 0 < rank_eps(B) < V.rank
+            assert leaves_invariant(T, projection_from_matrix(B))
 
 
 def test_find_irreducible_corner_output_contract():
@@ -353,6 +381,15 @@ def test_decide_hidden_block_structure():
     assert verdict.outcome == OUTCOME_EQUIVALENT
     assert sorted(V.rank for V, _ in verdict.blocks) == [1, 2]
     assert verdict.iterations <= 3
+
+
+def test_decide_repeated_blocks_hidden_by_local_unitaries():
+    """Equal blocks give a degenerate Perron root; each copy is found as a block."""
+    rng = np.random.default_rng(12)
+    for copies, d in [(2, 2), (3, 2), (2, 3), (3, 3)]:
+        verdict = decide_equivalence(repeated_block_state(copies, d, rng))
+        assert verdict.outcome == OUTCOME_EQUIVALENT
+        assert [V.rank for V, _ in verdict.blocks] == [d] * copies
 
 
 def test_decide_certificate_structure():

@@ -15,12 +15,13 @@ from filternorm import (
     is_doubly_stochastic,
     is_irreducible,
     leaves_invariant,
+    random_state,
     restrict_to_corner,
     spectral_radius_perron,
     state_to_map,
     transform,
 )
-from filternorm.linalg import identity_projection, projector_onto, psd_check
+from filternorm.linalg import dagger, identity_projection, projector_onto, psd_check
 from helpers import unitary_mixture, upper_triangular_map_kraus
 
 
@@ -101,6 +102,27 @@ def test_transform_realizes_two_sided_congruence():
     got = apply(transform(T, L, R), X)
     want = L @ apply(T, R @ X @ R.conj().T) @ L.conj().T
     assert np.abs(got - want).max() < 1e-12
+
+
+def test_stacked_kraus_operations_match_the_per_operator_loop():
+    """Each stacked Kraus operation is bit-for-bit the one-operator-at-a-time loop."""
+    rng = np.random.default_rng(18)
+    T = random_cp_map(4, 4, 3, rng)
+    assert T.kraus.shape == (3, 4, 4) and T.kraus.dtype == complex
+    L = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+    R = rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5))
+    b = projector_onto(np.linalg.qr(rng.standard_normal((4, 2)))[0]).basis
+    st = random_state(3, 2, rank=4, rng=rng)
+    eigs, vecs = np.linalg.eigh(st.rho)
+    cases = [
+        (adjoint(T), [dagger(K) for K in T.kraus]),
+        (transform(T, L, R), [L @ K @ R for K in T.kraus]),
+        (restrict_to_corner(T, projector_onto(b)), [dagger(b) @ K @ b for K in T.kraus]),
+        (state_to_map(st), [(np.sqrt(e) * v).reshape(3, 2).T
+                            for e, v in zip(eigs[-4:], vecs[:, -4:].T)]),
+    ]
+    for got, want in cases:
+        assert np.array_equal(got.kraus, np.stack(want))
 
 
 def test_conjugate_round_trip():
