@@ -32,13 +32,7 @@ from .decide import (
     decide_equivalence,
 )
 from .linalg import DEFAULT_TOL, Tolerances, rank_eps
-from .scaling import (
-    ScalingConvergenceError,
-    SingularMarginalError,
-    check_2x2_inequality,
-    filter_normal_form,
-    pauli_coefficients,
-)
+from .scaling import check_2x2_inequality, filter_normal_form, pauli_coefficients
 from .states import (
     embed_rectangular,
     find_full_rank_vector,
@@ -281,8 +275,9 @@ def _cmd_normal_form(args: argparse.Namespace) -> int:
 
     try:
         result = filter_normal_form(state, verdict, tol)
-    except (SingularMarginalError, ScalingConvergenceError) as exc:
-        _err(str(exc))
+    except (ValueError, RuntimeError) as exc:
+        # the input passed every check above, so this is a numerical breakdown
+        _err(f"scaling broke down: {exc}")
         return EXIT_INCONCLUSIVE
 
     save_state(result.state, args.output)

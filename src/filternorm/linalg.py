@@ -10,6 +10,7 @@ package so a caller can tighten or relax the whole pipeline coherently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -84,7 +85,7 @@ def _as_matrix(mat: np.ndarray, name: str = "matrix") -> np.ndarray:
     arr = np.asarray(mat)
     if arr.ndim != 2:
         raise ValueError(f"{name} must be 2-dimensional, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr.astype(complex, copy=False)
 
@@ -94,17 +95,29 @@ def dagger(mat: np.ndarray) -> np.ndarray:
     return np.asarray(mat).conj().swapaxes(-1, -2)
 
 
+@lru_cache(maxsize=64)
+def _strict_lower(n: int) -> np.ndarray:
+    """Read-only mask of the entries below the diagonal of an ``n x n`` matrix."""
+    mask = np.tri(n, n, -1, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
 def mirror_hermitian(mat: np.ndarray) -> np.ndarray:
     """Return the matrix with its lower triangle mirrored onto the upper one.
 
     The result is exactly conjugate-symmetric by construction (the diagonal is
     replaced by its real part), which keeps downstream eigensolvers honest.
+    Adding ``0.0`` turns every negative zero positive, so the bits are those
+    of ``tril(A, -1) + tril(A, -1)* + diag(Re diag A)``.
     """
     arr = _as_matrix(mat, "hermitian matrix")
-    if arr.shape[0] != arr.shape[1]:
+    n = arr.shape[0]
+    if arr.shape[1] != n:
         raise ValueError("hermitian matrix must be square")
-    low = np.tril(arr, -1)
-    return low + dagger(low) + np.diag(np.real(np.diag(arr)))
+    out = np.where(_strict_lower(n), arr, arr.conj().T) + 0.0
+    out.imag.flat[:: n + 1] = 0.0
+    return out
 
 
 def hermitian_basis(dim: int) -> np.ndarray:

@@ -20,18 +20,10 @@ from .linalg import (
     Tolerances,
     _tol,
     dagger,
-    hermitian_sqrt_pinv,
     identity_projection,
     mirror_hermitian,
 )
-from .maps import (
-    CpMap,
-    adjoint,
-    apply,
-    is_doubly_stochastic,
-    restrict_to_corner,
-    transform,
-)
+from .maps import CpMap, restrict_to_corner
 from .states import (
     BipartiteState,
     apply_filter,
@@ -70,16 +62,29 @@ class ScalingResult:
     iterations: int
 
 
+def _marginal(kraus: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """``sum_i K_i X K_i*``, added in the stored order of the operators.
+
+    The stacked product runs one GEMM per operator, and ``accumulate`` adds
+    strictly in order (``sum`` switches to pairwise addition when the
+    operators are ``1 x 1``), so the bits are those of :func:`maps.apply`.
+    """
+    return np.add.accumulate(kraus @ X @ dagger(kraus), axis=0)[-1]
+
+
 def _inverse_sqrt_marginal(G: np.ndarray, s: int, tol: Tolerances) -> np.ndarray:
-    """``s^{-1/4} G^{-1/2}``, raising when the marginal is numerically singular."""
-    G = mirror_hermitian(G)
-    eigs = np.linalg.eigvalsh(G)
+    """``s^{-1/4} G^{-1/2}``, raising when the marginal is numerically singular.
+
+    One ``eigh`` serves both: once the collapse check passes the marginal is
+    positive definite, so every eigenvalue enters the inverse root.
+    """
+    eigs, vecs = np.linalg.eigh(mirror_hermitian(G))
     if eigs[-1] <= 0.0 or eigs[0] <= tol.rank_rel * eigs[-1]:
         raise SingularMarginalError(
             f"marginal collapsed during scaling (eigenvalues in "
             f"[{eigs[0]:.3e}, {eigs[-1]:.3e}])"
         )
-    _, inv_sqrt = hermitian_sqrt_pinv(G, tol)
+    inv_sqrt = mirror_hermitian(vecs @ np.diag(1.0 / np.sqrt(eigs)) @ vecs.conj().T)
     return s ** (-0.25) * inv_sqrt
 
 
@@ -95,30 +100,41 @@ def scale_to_doubly_stochastic(
     after zero iterations.  Raises :class:`SingularMarginalError` when a
     marginal degenerates and :class:`ScalingConvergenceError` at the
     ``sinkhorn_max_iters`` cap.
+
+    The loop works on the Kraus stack itself and computes each marginal once:
+    the forward marginal of the stopping check is the one the output filter
+    inverts, and the adjoint marginal is needed for the check only once the
+    forward one passes.
     """
     tol = _tol(tol)
     if T.src_dim != T.dst_dim:
         raise ValueError("scaling requires a square map")
     s = T.src_dim
     ident = np.eye(s, dtype=complex) / np.sqrt(s)
-    eye = np.eye(s, dtype=complex)
-    left = eye.copy()
-    right = eye.copy()
-    current = T
+    left = np.eye(s, dtype=complex)
+    right = np.eye(s, dtype=complex)
+    kraus = T.kraus
     iterations = 0
-    while not is_doubly_stochastic(current, tol):
+    while True:
+        fwd = _marginal(kraus, ident)
+        res = np.abs(fwd - ident).max()
+        if res <= tol.sinkhorn_residual:
+            bwd = np.abs(_marginal(dagger(kraus), ident) - ident).max()
+            if max(res, bwd) <= tol.sinkhorn_residual:
+                break
         if iterations >= tol.sinkhorn_max_iters:
             raise ScalingConvergenceError(
                 f"scaling did not converge after {iterations} iterations"
             )
-        L = _inverse_sqrt_marginal(apply(current, ident), s, tol)
-        current = transform(current, L, eye)
+        L = _inverse_sqrt_marginal(fwd, s, tol)
+        kraus = L @ kraus
         left = L @ left
-        R = _inverse_sqrt_marginal(apply(adjoint(current), ident), s, tol)
-        current = transform(current, eye, R)
+        R = _inverse_sqrt_marginal(_marginal(dagger(kraus), ident), s, tol)
+        kraus = kraus @ R
         right = right @ R
         iterations += 1
-    return ScalingResult(left=left, right=right, scaled=current, iterations=iterations)
+    scaled = CpMap(src_dim=s, dst_dim=s, kraus=kraus)
+    return ScalingResult(left=left, right=right, scaled=scaled, iterations=iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +246,12 @@ _PAULI = (
     np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
     np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
 )
+# The products the two-qubit expansion takes traces against, built once:
+# ``gamma_a (x) gamma_b`` with ``gamma = sigma / sqrt(2)``, and
+# ``sigma_a (x) sigma_b`` for the three non-identity Paulis.
+_GAMMA = [p / np.sqrt(2.0) for p in _PAULI]
+_GAMMA_PAIRS = np.array([[np.kron(ga, gb) for gb in _GAMMA] for ga in _GAMMA])
+_SIGMA_PAIRS = np.array([[np.kron(sa, sb) for sb in _PAULI[1:]] for sa in _PAULI[1:]])
 
 
 def pauli_coefficients(state: BipartiteState) -> tuple[np.ndarray, float]:
@@ -243,13 +265,10 @@ def pauli_coefficients(state: BipartiteState) -> tuple[np.ndarray, float]:
     """
     if state.k != 2 or state.m != 2:
         raise ValueError("Pauli coefficients are defined for two-qubit states")
-    gammas = [p / np.sqrt(2.0) for p in _PAULI]
     coeff = np.zeros((4, 4))
     for a in range(4):
         for b in range(4):
-            coeff[a, b] = float(
-                np.real(np.trace(state.rho @ np.kron(gammas[a], gammas[b])))
-            )
+            coeff[a, b] = float(np.real(np.trace(state.rho @ _GAMMA_PAIRS[a, b])))
     lams = np.diag(coeff).copy()
     cross = coeff - np.diag(np.diag(coeff))
     return lams, float(np.linalg.norm(cross))
@@ -294,9 +313,7 @@ def _pauli_rotations(state: BipartiteState) -> tuple[np.ndarray, np.ndarray]:
     t = np.zeros((3, 3))
     for a in range(3):
         for b in range(3):
-            t[a, b] = float(
-                np.real(np.trace(state.rho @ np.kron(_PAULI[a + 1], _PAULI[b + 1])))
-            ) / 2.0
+            t[a, b] = float(np.real(np.trace(state.rho @ _SIGMA_PAIRS[a, b]))) / 2.0
     U, _, Vh = np.linalg.svd(t)
     V = Vh.T
     O1 = U @ np.diag([1.0, 1.0, float(np.linalg.det(U))])

@@ -306,3 +306,25 @@ def test_numerical_breakdown_exits_inconclusive(tmp_path, capsys, monkeypatch):
         assert capsys.readouterr().err.startswith("filternorm: decision broke down: ")
         assert main(["normal-form", path, "--output", out]) == 4
         assert capsys.readouterr().err.startswith("filternorm: decision broke down: ")
+
+
+def test_scaling_breakdown_exits_inconclusive(tmp_path, capsys, monkeypatch):
+    """Any numerical error out of the normal form exits 4, never 1 (not equivalent)."""
+    from filternorm.scaling import ScalingConvergenceError, SingularMarginalError
+
+    path = write_state(tmp_path, diagonal_state(np.diag([0.5, 0.5])))
+    out = str(tmp_path / "nf.json")
+    for error in (
+        SingularMarginalError("marginal collapsed during scaling"),
+        ScalingConvergenceError("scaling did not converge after 3 iterations"),
+        RuntimeError("normal form residual 1.00e-03 is too large"),
+        RuntimeError("scaled state has nonpositive trace"),
+        ValueError("state matrix is not Hermitian"),
+    ):
+        def broken(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr("filternorm.cli.filter_normal_form", broken)
+        capsys.readouterr()
+        assert main(["normal-form", path, "--output", out]) == 4
+        assert capsys.readouterr().err == f"filternorm: scaling broke down: {error}\n"

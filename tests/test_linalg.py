@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from filternorm import DEFAULT_TOL, Tolerances
 from filternorm.linalg import (
     dagger,
@@ -52,6 +53,41 @@ def test_mirror_hermitian_is_exactly_symmetric():
         m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         h = mirror_hermitian(m)
         assert np.abs(h - h.conj().T).max() == 0.0
+
+
+def test_mirror_hermitian_keeps_the_bits_of_the_triangle_formula():
+    """Every size from 1 to 20 gives the bytes of ``tril + tril* + Re diag``.
+
+    Signed zeros are drawn on purpose: the formula turns each negative zero
+    positive, and the byte comparison sees what ``array_equal`` would not.
+    """
+    rng = np.random.default_rng(13)
+    specials = np.array([0.0, -0.0, 1.5, -2.25, 1e-300, -5e-324])
+    for n in range(1, 21):
+        for trial in range(6):
+            parts = [rng.choice(specials, size=(n, n)) if trial % 2 else
+                     rng.standard_normal((n, n)) for _ in range(2)]
+            m = np.empty((n, n), dtype=complex)
+            m.real, m.imag = parts
+            want = oracles.mirror_tril(m)
+            got = mirror_hermitian(m)
+            assert np.array_equal(got, want)
+            assert got.tobytes() == want.tobytes()
+        real = rng.standard_normal((n, n))
+        assert mirror_hermitian(real).tobytes() == oracles.mirror_tril(real + 0j).tobytes()
+
+
+def test_mirror_hermitian_rejects_bad_input():
+    """Non-finite entries, non-square and non-matrix inputs raise ValueError."""
+    for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.nan)):
+        m = np.eye(3, dtype=complex)
+        m[0, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            mirror_hermitian(m)
+    with pytest.raises(ValueError, match="square"):
+        mirror_hermitian(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="2-dimensional"):
+        mirror_hermitian(np.ones((2, 2, 2)))
 
 
 def test_hermitian_basis_trace_orthonormal():

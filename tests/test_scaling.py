@@ -13,6 +13,7 @@ from filternorm import (
     ScalingConvergenceError,
     SingularMarginalError,
     Tolerances,
+    adjoint,
     apply,
     apply_filter,
     check_2x2_inequality,
@@ -25,14 +26,17 @@ from filternorm import (
     partial_trace_first,
     partial_trace_second,
     pauli_coefficients,
+    restrict_to_corner,
     scale_to_doubly_stochastic,
     state_to_map,
 )
 from filternorm.scaling import _PAULI, _su2_from_rotation
 from helpers import (
     cli_env,
+    hidden_blocky,
     neq2_state,
     random_invertible,
+    random_unitary,
     separable_full_rank,
     unitary_mixture,
 )
@@ -42,8 +46,6 @@ def marginal_residual(T):
     """Largest deviation of the two marginals from Id/sqrt(dim)."""
     s = T.src_dim
     ident = np.eye(s, dtype=complex) / np.sqrt(s)
-    from filternorm import adjoint
-
     return max(
         np.abs(apply(T, ident) - ident).max(),
         np.abs(apply(adjoint(T), ident) - ident).max(),
@@ -113,6 +115,83 @@ def test_scaling_raises_on_a_singular_marginal():
     T = CpMap(src_dim=2, dst_dim=2, kraus=(K,))
     with pytest.raises(SingularMarginalError):
         scale_to_doubly_stochastic(T)
+
+
+def _random_map(k, nops, rng):
+    """Square map with ``nops`` complex Gaussian Kraus operators."""
+    kraus = rng.standard_normal((nops, k, k)) + 1j * rng.standard_normal((nops, k, k))
+    return CpMap(src_dim=k, dst_dim=k, kraus=kraus)
+
+
+def _oracle_maps():
+    """Maps for the bit-for-bit comparison with the one-operator-at-a-time loop."""
+    rng = np.random.default_rng(12)
+    maps = {"s=1": _random_map(1, 12, rng)}
+    boundary = diagonal_state(np.array([[1.0, 1.0], [1e-4, 1.0]]) / (3.0 + 1e-4))
+    turned = apply_filter(boundary, random_unitary(2, rng), random_unitary(2, rng))
+    maps["boundary eps=1e-4"] = state_to_map(turned)
+    for k in (2, 3, 5):
+        maps[f"random k={k}"] = _random_map(k, k * k, rng)
+    # the adjoint's Kraus stack is a transposed view, not a contiguous array
+    maps["adjoint of random k=3"] = adjoint(maps["random k=3"])
+    cert = decide_equivalence(hidden_blocky(6, [3, 3], rng)).certificate
+    for i, (V, _) in enumerate(cert.blocks):
+        maps[f"hidden-block corner {i}"] = restrict_to_corner(cert.final_map, V)
+    maps["singular marginal"] = CpMap(
+        src_dim=2, dst_dim=2, kraus=(np.diag([1.0, 0.0]).astype(complex),))
+    return maps
+
+
+def _run_both(T, tol):
+    """The package's result and the oracle's, or each one's exception."""
+    try:
+        got = scale_to_doubly_stochastic(T, tol)
+    except (SingularMarginalError, ScalingConvergenceError) as exc:
+        got = exc
+    try:
+        want = oracles.sinkhorn_loop(T.kraus, tol.rank_rel, tol.sinkhorn_residual,
+                                     tol.sinkhorn_max_iters)
+    except oracles.SinkhornStop as exc:
+        want = exc
+    return got, want
+
+
+def test_scaling_is_bit_for_bit_the_per_operator_loop():
+    """Filters, scaled Kraus operators and iteration counts equal the oracle's bits."""
+    tol = Tolerances()
+    iterations = {}
+    for name, T in _oracle_maps().items():
+        got, want = _run_both(T, tol)
+        if isinstance(want, oracles.SinkhornStop):
+            assert want.kind == "singular" and isinstance(got, SingularMarginalError), name
+            assert str(got) == str(want), name
+            continue
+        left, right, kraus, its = want
+        assert got.iterations == its, name
+        assert np.array_equal(got.left, left), name
+        assert np.array_equal(got.right, right), name
+        assert np.array_equal(got.scaled.kraus, kraus), name
+        iterations[name] = its
+    assert iterations["s=1"] == 1
+    assert 300 < iterations["boundary eps=1e-4"] < 450
+    assert min(iterations.values()) >= 1
+
+
+def test_scaling_fails_like_the_per_operator_loop():
+    """At a cap of three rounds both loops stop with the same error and message."""
+    tol = Tolerances(sinkhorn_max_iters=3)
+    kinds = {"singular": SingularMarginalError, "cap": ScalingConvergenceError}
+    stops = set()
+    for name, T in _oracle_maps().items():
+        got, want = _run_both(T, tol)
+        if isinstance(want, oracles.SinkhornStop):
+            assert type(got) is kinds[want.kind], name
+            assert str(got) == str(want), name
+            stops.add(want.kind)
+        else:
+            assert got.iterations == want[3], name
+            assert np.array_equal(got.left, want[0]), name
+    assert stops == {"singular", "cap"}
 
 
 def test_normal_form_requires_a_square_state():
