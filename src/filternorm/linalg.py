@@ -45,6 +45,10 @@ class Tolerances:
         Relative singular-value cutoff for rank decisions.  Also serves as the
         relative positive-definiteness threshold for the quadratic model's Gram
         matrix (both default to 1e-9; they are deliberately the same knob).
+        Its square root is the relative cutoff for principal angles in
+        :func:`subspace_intersection` and for the second-smallest singular
+        value of the Newton system in the scaling loop, below which Newton
+        steps are refused for the rest of the run.
     psd_abs : float
         Absolute eigenvalue floor (scaled by the spectral magnitude) below
         which a Hermitian matrix still counts as positive semidefinite.
@@ -56,7 +60,8 @@ class Tolerances:
     sinkhorn_residual : float
         Doubly-stochastic residual target for the operator scaling loop.
     sinkhorn_max_iters : int
-        Iteration cap for the operator scaling loop.
+        Iteration cap for the operator scaling loop; Sinkhorn rounds and
+        Newton steps each count as one iteration.
     """
 
     rank_rel: float = 1e-9

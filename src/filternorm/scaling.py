@@ -7,6 +7,13 @@ block scalings assemble into local filters that bring the original state to
 its normal form: unit trace, both partial traces proportional to the
 identity.  For two qubits a final pair of local unitaries additionally kills
 every cross term in the Pauli expansion.
+
+Near the boundary of the scalable maps Sinkhorn needs about ``eps^(-1/2)``
+rounds for a block ``eps`` away from losing total support.  Once a round
+fails to halve the residual, the loop takes Newton steps on both filters
+instead, which need about ten steps there; a well-conditioned Newton system
+is their precondition, so maps without a normal form still fail as plain
+Sinkhorn fails on them.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ from .linalg import (
     Tolerances,
     _tol,
     dagger,
+    hermitian_basis,
     identity_projection,
     mirror_hermitian,
 )
@@ -88,6 +96,65 @@ def _inverse_sqrt_marginal(G: np.ndarray, s: int, tol: Tolerances) -> np.ndarray
     return s ** (-0.25) * inv_sqrt
 
 
+def _hermitian_exp(H: np.ndarray) -> np.ndarray:
+    """``exp(H)`` of a Hermitian matrix, from one ``eigh``."""
+    eigs, vecs = np.linalg.eigh(H)
+    return (vecs * np.exp(eigs)) @ vecs.conj().T
+
+
+def _newton_filters(
+    kraus: np.ndarray, fwd: np.ndarray, bwd: np.ndarray, tol: Tolerances
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Filters ``(e^{h/2}, e^{g/2})`` of one Newton step on both marginals.
+
+    ``K -> e^{h/2} K e^{g/2}`` moves ``T(Id)`` by ``{h, T(Id)}/2 + T(g)`` and
+    ``T*(Id)`` by ``T*(h) + {g, T*(Id)}/2`` to first order.  In the
+    coordinates of :func:`hermitian_basis` this is a real symmetric
+    ``2s^2 x 2s^2`` system ``J``; its ``T`` block comes from the
+    superoperator ``sum K (x) conj(K)``, one GEMM of the flattened stack, and
+    the ``T*`` block is its transpose.  ``(Id, -Id)`` spans the null space
+    (it rescales both sides against each other), so ``lstsq`` returns the
+    minimum-norm step.  ``fwd`` and ``bwd`` are the marginals of
+    ``Id/sqrt(s)``.
+
+    Returns ``None`` when the second-smallest singular value of ``J`` is
+    below ``sqrt(rank_rel)`` times the largest: the step is then ill-posed,
+    as on maps without total support, whose filters diverge.
+    """
+    r, s, _ = kraus.shape
+    n = s * s
+    stack = hermitian_basis(s)
+    basis = stack.reshape(n, n)
+    flat = kraus.reshape(r, n)
+    realigned = (flat.T @ flat.conj()).reshape(s, s, s, s)
+    superop = realigned.transpose(0, 2, 1, 3).reshape(n, n)
+
+    def coords(images: np.ndarray) -> np.ndarray:
+        """Real matrix of a map on Hermitian matrices from its basis images."""
+        return np.real(basis.conj() @ images.reshape(n, n).T)
+
+    fwd_id, bwd_id = np.sqrt(s) * fwd, np.sqrt(s) * bwd
+    jac = np.empty((2 * n, 2 * n))
+    jac[:n, :n] = coords(stack @ fwd_id + fwd_id @ stack) / 2.0
+    jac[:n, n:] = coords(basis @ superop.T)
+    jac[n:, :n] = jac[:n, n:].T
+    jac[n:, n:] = coords(stack @ bwd_id + bwd_id @ stack) / 2.0
+    eye = np.eye(s)
+    gaps = np.stack([eye - fwd_id, eye - bwd_id]).reshape(2, n)
+    rhs = np.real(gaps @ basis.conj().T).reshape(2 * n)
+    step, _, _, sv = np.linalg.lstsq(jac, rhs)
+    if sv[-2] < np.sqrt(tol.rank_rel) * sv[0]:
+        return None
+    h, g = (step.reshape(2, n) @ basis).reshape(2, s, s)
+    return _hermitian_exp(h / 2.0), _hermitian_exp(g / 2.0)
+
+
+def _residual(kraus: np.ndarray, ident: np.ndarray) -> float:
+    """Larger deviation of the two marginals of ``Id/sqrt(s)`` from it."""
+    return max(np.abs(_marginal(kraus, ident) - ident).max(),
+               np.abs(_marginal(dagger(kraus), ident) - ident).max())
+
+
 def scale_to_doubly_stochastic(
     T: CpMap, tol: Tolerances | None = None
 ) -> ScalingResult:
@@ -101,10 +168,22 @@ def scale_to_doubly_stochastic(
     marginal degenerates and :class:`ScalingConvergenceError` at the
     ``sinkhorn_max_iters`` cap.
 
-    The loop works on the Kraus stack itself and computes each marginal once:
-    the forward marginal of the stopping check is the one the output filter
-    inverts, and the adjoint marginal is needed for the check only once the
-    forward one passes.
+    The loop works on the Kraus stack itself, and a Sinkhorn round computes
+    each marginal once: the forward marginal of the stopping check is the one
+    the output filter inverts, and the adjoint marginal is needed for the
+    check only once the forward one passes.
+
+    Near the boundary of the scalable maps a round shrinks the residual by a
+    factor close to one.  When a round fails to halve the forward residual
+    (a stall), the loop switches to Newton steps on both filters
+    (:func:`_newton_filters`) and keeps taking them while each one lowers the
+    larger of the two residuals; a step that does not is dropped for a
+    Sinkhorn round, and a later stall tries Newton again.  Newton is refused
+    once the second-smallest singular value of its system falls below
+    ``sqrt(rank_rel)`` times the largest, as it does while the filters
+    diverge on a map without total support; the rest of that run is plain
+    Sinkhorn.  Maps that never stall get the Sinkhorn iterates bit for bit.
+    ``iterations`` counts both kinds of step.
     """
     tol = _tol(tol)
     if T.src_dim != T.dst_dim:
@@ -115,24 +194,42 @@ def scale_to_doubly_stochastic(
     right = np.eye(s, dtype=complex)
     kraus = T.kraus
     iterations = 0
+    last = np.inf  # forward residual before the latest Sinkhorn round
+    newton = False  # the latest step was an accepted Newton step
+    refused = False  # the Newton guard refused once
     while True:
         fwd = _marginal(kraus, ident)
         res = np.abs(fwd - ident).max()
+        bwd = None
         if res <= tol.sinkhorn_residual:
-            bwd = np.abs(_marginal(dagger(kraus), ident) - ident).max()
-            if max(res, bwd) <= tol.sinkhorn_residual:
+            bwd = _marginal(dagger(kraus), ident)
+            if max(res, np.abs(bwd - ident).max()) <= tol.sinkhorn_residual:
                 break
         if iterations >= tol.sinkhorn_max_iters:
             raise ScalingConvergenceError(
                 f"scaling did not converge after {iterations} iterations"
             )
+        iterations += 1
+        if not refused and (newton or res > 0.5 * last):
+            if bwd is None:
+                bwd = _marginal(dagger(kraus), ident)
+            filters = _newton_filters(kraus, fwd, bwd, tol)
+            refused = filters is None
+            if not refused:
+                L, R = filters
+                trial = L @ kraus @ R
+                if _residual(trial, ident) < max(res, np.abs(bwd - ident).max()):
+                    kraus, left, right = trial, L @ left, right @ R
+                    newton = True
+                    continue
+            newton = False
+        last = res
         L = _inverse_sqrt_marginal(fwd, s, tol)
         kraus = L @ kraus
         left = L @ left
         R = _inverse_sqrt_marginal(_marginal(dagger(kraus), ident), s, tol)
         kraus = kraus @ R
         right = right @ R
-        iterations += 1
     scaled = CpMap(src_dim=s, dst_dim=s, kraus=kraus)
     return ScalingResult(left=left, right=right, scaled=scaled, iterations=iterations)
 
@@ -147,8 +244,8 @@ class NormalFormResult:
     """Filters and the filtered state ``(left (x) right) rho (left (x) right)*``.
 
     The state has unit trace and both partial traces within ``residual`` of
-    ``Id/k``; ``iterations`` is the largest Sinkhorn iteration count over the
-    scaled blocks.
+    ``Id/k``; ``iterations`` is the largest scaling iteration count (Sinkhorn
+    rounds plus Newton steps) over the scaled blocks.
     """
 
     left: np.ndarray
@@ -265,10 +362,7 @@ def pauli_coefficients(state: BipartiteState) -> tuple[np.ndarray, float]:
     """
     if state.k != 2 or state.m != 2:
         raise ValueError("Pauli coefficients are defined for two-qubit states")
-    coeff = np.zeros((4, 4))
-    for a in range(4):
-        for b in range(4):
-            coeff[a, b] = float(np.real(np.trace(state.rho @ _GAMMA_PAIRS[a, b])))
+    coeff = np.real(np.einsum("xy,abyx->ab", state.rho, _GAMMA_PAIRS))
     lams = np.diag(coeff).copy()
     cross = coeff - np.diag(np.diag(coeff))
     return lams, float(np.linalg.norm(cross))
@@ -310,10 +404,7 @@ def _su2_from_rotation(O: np.ndarray) -> np.ndarray:
 
 def _pauli_rotations(state: BipartiteState) -> tuple[np.ndarray, np.ndarray]:
     """Local unitaries diagonalizing the sigma-sigma correlation matrix."""
-    t = np.zeros((3, 3))
-    for a in range(3):
-        for b in range(3):
-            t[a, b] = float(np.real(np.trace(state.rho @ _SIGMA_PAIRS[a, b]))) / 2.0
+    t = np.real(np.einsum("xy,abyx->ab", state.rho, _SIGMA_PAIRS)) / 2.0
     U, _, Vh = np.linalg.svd(t)
     V = Vh.T
     O1 = U @ np.diag([1.0, 1.0, float(np.linalg.det(U))])

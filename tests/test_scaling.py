@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -30,6 +31,8 @@ from filternorm import (
     scale_to_doubly_stochastic,
     state_to_map,
 )
+from filternorm import scaling
+from filternorm.linalg import dagger
 from filternorm.scaling import _PAULI, _su2_from_rotation
 from helpers import (
     cli_env,
@@ -156,24 +159,53 @@ def _run_both(T, tol):
     return got, want
 
 
-def test_scaling_is_bit_for_bit_the_per_operator_loop():
-    """Filters, scaled Kraus operators and iteration counts equal the oracle's bits."""
+def _trace_normalized(gram):
+    return gram / np.trace(gram).real
+
+
+def test_scaling_is_bit_for_bit_the_per_operator_loop(monkeypatch):
+    """Maps that never stall take no Newton step and equal the oracle's bits.
+
+    The stalled boundary map switches to Newton steps: it reaches the residual
+    in a few steps, its result is consistent with its filters, and the filter
+    Grams (unique up to scale on this irreducible map) are the oracle's.
+    """
     tol = Tolerances()
+    newton_calls = []
+    newton_filters = scaling._newton_filters
+
+    def counted(*args):
+        newton_calls.append(1)
+        return newton_filters(*args)
+
+    monkeypatch.setattr(scaling, "_newton_filters", counted)
     iterations = {}
     for name, T in _oracle_maps().items():
+        newton_calls.clear()
         got, want = _run_both(T, tol)
         if isinstance(want, oracles.SinkhornStop):
             assert want.kind == "singular" and isinstance(got, SingularMarginalError), name
             assert str(got) == str(want), name
             continue
         left, right, kraus, its = want
+        iterations[name] = got.iterations
+        if name == "boundary eps=1e-4":
+            assert newton_calls, name
+            assert marginal_residual(got.scaled) <= tol.sinkhorn_residual
+            rebuilt = got.left @ T.kraus @ got.right
+            assert np.abs(got.scaled.kraus - rebuilt).max() < 1e-12 * np.abs(rebuilt).max()
+            for g, w in ((dagger(got.left) @ got.left, dagger(left) @ left),
+                         (got.right @ dagger(got.right), right @ dagger(right))):
+                assert np.abs(_trace_normalized(g) - _trace_normalized(w)).max() < 1e-6
+            continue
+        assert not newton_calls, name
         assert got.iterations == its, name
         assert np.array_equal(got.left, left), name
         assert np.array_equal(got.right, right), name
         assert np.array_equal(got.scaled.kraus, kraus), name
-        iterations[name] = its
+    assert len(iterations) == 8
     assert iterations["s=1"] == 1
-    assert 300 < iterations["boundary eps=1e-4"] < 450
+    assert iterations["boundary eps=1e-4"] <= 20
     assert min(iterations.values()) >= 1
 
 
@@ -192,6 +224,80 @@ def test_scaling_fails_like_the_per_operator_loop():
             assert got.iterations == want[3], name
             assert np.array_equal(got.left, want[0]), name
     assert stops == {"singular", "cap"}
+
+
+BOUNDARY_EPS = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)
+
+
+def _boundary_map(eps, rng=None):
+    """Map of ``diag([[1, 1], [eps, 1]])``, turned by local unitaries if ``rng``."""
+    state = diagonal_state(np.array([[1.0, 1.0], [eps, 1.0]]) / (3.0 + eps))
+    if rng is not None:
+        state = apply_filter(state, random_unitary(2, rng), random_unitary(2, rng))
+    return state_to_map(state)
+
+
+def _doubly_stochastic_limit(eps):
+    """``t = sqrt(eps) / (1 + sqrt(eps))``: the limit is ``[[1-t, t], [t, 1-t]]``."""
+    return np.sqrt(eps) / (1.0 + np.sqrt(eps))
+
+
+def test_boundary_maps_scale_to_the_closed_form_limit_in_few_steps():
+    """Near the boundary the scaled transfer matrix is the classical limit.
+
+    Sinkhorn alone needs about ``eps^(-1/2)`` rounds here (25,625 at 1e-8).
+    """
+    for eps in BOUNDARY_EPS:
+        result = scale_to_doubly_stochastic(_boundary_map(eps))
+        t = _doubly_stochastic_limit(eps)
+        got = np.array([[apply(result.scaled, np.diag(e).astype(complex))[j, j].real
+                         for e in ([1.0, 0.0], [0.0, 1.0])] for j in range(2)])
+        assert np.abs(got - np.array([[1 - t, t], [t, 1 - t]])).max() < 1e-8, eps
+        assert result.iterations <= 20, eps
+
+
+def test_boundary_maps_scale_alike_under_local_unitaries():
+    """Local unitaries change the bases of the limit, not its transfer matrix.
+
+    The limit measures in one orthonormal basis and prepares in another, so
+    its superoperator ``sum K (x) conj(K)`` has the transfer matrix's singular
+    values, ``1`` and ``1 - 2t``, and two zeros.
+    """
+    rng = np.random.default_rng(13)
+    for eps in BOUNDARY_EPS:
+        result = scale_to_doubly_stochastic(_boundary_map(eps, rng))
+        K = result.scaled.kraus
+        superop = np.einsum("nac,nbd->abcd", K, K.conj()).reshape(4, 4)
+        t = _doubly_stochastic_limit(eps)
+        sv = np.linalg.svd(superop, compute_uv=False)
+        assert np.abs(sv - [1.0, 1.0 - 2.0 * t, 0.0, 0.0]).max() < 1e-8, eps
+        assert result.iterations <= 20, eps
+
+
+def test_boundary_map_at_eps_1e8_scales_within_half_a_second():
+    """Sinkhorn alone took 25,625 rounds and several seconds on this map."""
+    T = _boundary_map(1e-8)
+    start = time.perf_counter()
+    result = scale_to_doubly_stochastic(T)
+    assert time.perf_counter() - start < 0.5
+    assert marginal_residual(result.scaled) <= Tolerances().sinkhorn_residual
+
+
+def test_newton_guard_leaves_unscalable_maps_to_fail():
+    """Ill-posed Newton systems are refused, so no normal form appears.
+
+    ``neq2`` has no total support, and at ``eps = 1e-12`` the two filters'
+    condition numbers multiply to about ``eps^(-1/2) = 1e6``: the Newton
+    system's second-smallest singular value falls as the filters grow, the
+    guard refuses it, and plain Sinkhorn runs into the cap.  Without the
+    guard Newton returns a "normal form" of ``neq2`` whose filters'
+    condition numbers multiply to about ``7e7``.
+    """
+    tol = Tolerances(sinkhorn_max_iters=2000)
+    with pytest.raises(ScalingConvergenceError):
+        scale_to_doubly_stochastic(_boundary_map(1e-12), tol)
+    with pytest.raises(ScalingConvergenceError):
+        filter_normal_form(neq2_state(), None, tol)
 
 
 def test_normal_form_requires_a_square_state():
