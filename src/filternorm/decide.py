@@ -19,16 +19,18 @@ import numpy as np
 from .linalg import (
     Projection,
     Tolerances,
+    _psd_spectrum,
     _tol,
     dagger,
+    gap_split,
     hermitian_sqrt_pinv,
     identity_projection,
     image_basis,
-    kernel_basis,
     mirror_hermitian,
     orthogonal_complement,
     projection_from_matrix,
     projector_onto,
+    psd_check,
     rank_eps,
     same_subspace,
     subspace_intersection,
@@ -46,13 +48,15 @@ from .maps import (
     corner_rep,
     is_irreducible,
     kraus_norm,
+    transform,
 )
 from .states import (
     BipartiteState,
+    _full_rank_vector,
+    _range,
+    _spectral_map,
     apply_filter,
-    find_full_rank_vector,
-    is_ppt,
-    state_to_map,
+    partial_transpose,
     vec_to_matrix,
 )
 
@@ -197,17 +201,23 @@ def anchor_transform(
     tol = _tol(tol)
     if state.k != state.m:
         raise ValueError("anchoring requires a square state")
-    k = state.k
+    _, basis = _range(*np.linalg.eigh(state.rho), tol)
+    P = _anchor_filter(v, basis, state.k, tol)
+    return P, apply_filter(state, P, np.eye(state.k, dtype=complex), tol)
+
+
+def _anchor_filter(
+    v: np.ndarray, basis: np.ndarray, k: int, tol: Tolerances
+) -> np.ndarray:
+    """The filter ``P`` of :func:`anchor_transform`, given an orthonormal range basis."""
     v = np.asarray(v, dtype=complex).reshape(-1)
     coeff = vec_to_matrix(v, k, k)
     if rank_eps(coeff, tol) < k:
         raise ValueError("anchor vector does not have full tensor rank")
-    basis = image_basis(state.rho, tol)
     resid = np.linalg.norm(basis @ (basis.conj().T @ v) - v)
     if resid > 1e-8 * max(1.0, np.linalg.norm(v)):
         raise ValueError("anchor vector is not in the range of the state")
-    P = np.linalg.inv(coeff)
-    return P, apply_filter(state, P, np.eye(k, dtype=complex), tol)
+    return np.linalg.inv(coeff)
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +274,7 @@ def find_irreducible_corner(
     for _ in range(4 * V.rank + 4):
         # one-dimensional corners are irreducible when nonzero
         if current.rank == 1:
-            rep = corner_rep(T, current, tol)
-            lam = float(rep.matrix[0, 0])
+            lam = float(corner_rep(T, current, tol).matrix[0, 0])
             if lam <= tol.rank_rel:
                 raise ValueError("the map vanishes on a candidate corner")
             return current, lam
@@ -277,9 +286,9 @@ def find_irreducible_corner(
         if full and space.shape[0] > 1:
             gamma = _boundary_rank_drop(space, gamma, current, tol)
             full = False
-        # a rank-deficient Perron vector spans a smaller invariant corner
+        # a rank-deficient Perron vector spans a smaller corner (cut at its widest gap)
         if not full:
-            current = projection_from_matrix(gamma, tol)
+            current = projector_onto(gap_split(gamma, tol)[0], tol)
             continue
         # the compressed adjoint's Perron vector: full rank means irreducible,
         # otherwise its kernel cuts out a smaller invariant corner
@@ -290,7 +299,7 @@ def find_irreducible_corner(
             )
         if rank_eps(delta, tol) == current.rank:
             return current, float(lam)
-        shared = subspace_intersection(kernel_basis(delta, tol), current.basis, tol)
+        shared = subspace_intersection(gap_split(delta, tol)[1], current.basis, tol)
         if shared.shape[1] == 0:
             raise RuntimeError("irreducibility search produced an empty corner")
         current = projector_onto(shared, tol)
@@ -334,16 +343,15 @@ def normalize_corner(
     s = V.rank
 
     # postconditions (loose guards; failures indicate a broken precondition)
-    v1 = np.zeros((k, k), dtype=complex)
-    v1[:s, :s] = np.eye(s)
-    fixed = v1 @ apply(adjoint(T1), v1) @ v1
-    if np.abs(fixed - v1).max() > 1e-8 * max(1.0, kraus_norm(T1)):
-        raise RuntimeError("corner normalization failed: adjoint fixed point is off")
     lead = projector_onto(np.eye(k, dtype=complex)[:, :s], tol)
     rep1 = corner_rep(T1, lead, tol)
     lam1 = _top_eigenvalue(rep1.matrix)
     if abs(lam1 - 1.0) > 1e-8:
         raise RuntimeError("corner normalization failed: spectral radius is not one")
+    v1 = lead.matrix
+    fixed = v1 @ apply(adjoint(T1), v1) @ v1
+    if np.abs(fixed - v1).max() > 1e-8 * max(1.0, kraus_norm(T1)):
+        raise RuntimeError("corner normalization failed: adjoint fixed point is off")
     return Q, T1, s
 
 
@@ -377,9 +385,10 @@ def adjoint_block_quadratic(
         f(X) = tr( T_1*([[Id, X*], [X, X X*]]) . [[X*X, -X*], [-X, Id]] )
 
     collapses to a real quadratic.  The constant comes from the expansion's
-    X-free term, the linear part from differencing ``f`` on the stacked basis
-    blocks, and the Gram matrix from the associated bilinear form, contracted
-    over all basis pairs at once.  Both the quadratic expansion and the
+    X-free term, the linear part from the upper-right blocks of
+    ``T_1(low)`` and ``T_1*(V_1)`` (no map evaluation per basis block), and
+    the Gram matrix from the associated bilinear form, contracted over all
+    basis pairs at once.  Both the quadratic expansion and the
     original expression above are re-evaluated at 30 random points as a
     mandatory cross-check (RuntimeError on mismatch — it means ``T_1``
     violates the normalization preconditions).
@@ -391,13 +400,12 @@ def adjoint_block_quadratic(
     n = 2 * s * ns
     T1a = adjoint(T1)
 
-    v1 = np.zeros((k, k), dtype=complex)
-    v1[:s, :s] = np.eye(s)
-    low = np.zeros((k, k), dtype=complex)
-    low[s:, s:] = np.eye(ns)
+    v1 = np.diag(np.arange(k) < s).astype(complex)
+    low = np.eye(k) - v1
 
     A = mirror_hermitian(apply(T1a, v1))
-    lam_low = apply(T1, low)[s:, s:]
+    image_low = apply(T1, low)
+    lam_low = image_low[s:, s:]
     constant = float(np.real(np.trace(A[s:, s:])))
 
     if n == 0:
@@ -434,20 +442,23 @@ def adjoint_block_quadratic(
         return np.real(_trace(apply(T1a, lead @ dagger(lead)) @ (trail @ dagger(trail))))
 
     basis = _real_block_basis(ns, s)
-    # linear term by differencing the direct expansion on the basis blocks
-    f_pm = f_direct(np.concatenate([basis, -basis]))
-    linear = 0.5 * (f_pm[:n] - f_pm[n:])
+    # linear term -tr(A_up X) - tr(A_low X*) + tr(T1*(off X)[low]); the adjoint pairing
+    # makes the last tr(T1(low) off X), so it is 2 Re tr(M X), M = (T1(low) - A)_up
+    M = (image_low - A)[:s, s:]
+    linear = 2.0 * np.real(np.einsum("iab,ba->i", basis, M))
 
     # Gram matrix from the bilinear form of the quadratic part, entry (i, j)
     #   tr(A_lead b_i* b_j) + tr(b_i b_j* Lam_low) + tr(b_i* C_j[low]) + tr(b_i C_j[up])
     # with C_j = T1(-off(b_j)).  Every basis block has a single unit entry, so
-    # each contraction picks one matrix entry and is exact in floating point.
-    cache = apply(T1, -off(basis))
+    # each contraction picks one matrix entry and is exact in floating point;
+    # the last two are -conj(E) S E^t, E_j = off(b_j) flattened: two entries each.
     t1 = np.einsum("iap,jap->ij", basis.conj() @ A[:s, :s].T, basis)
     t2 = np.einsum("icb,jcb->ij", lam_low @ basis, basis.conj())
-    t3 = np.einsum("iab,jab->ij", basis.conj(), cache[:, s:, :s]) + np.einsum(
-        "iab,jba->ij", basis, cache[:, :s, s:]
-    )
+    E = off(basis).reshape(n, k * k)
+    pos = np.nonzero(E)[1].reshape(n, 2)
+    coef = E[np.arange(n)[:, None], pos]
+    entries = T1.superop[pos[:, :, None, None], pos]
+    t3 = -np.einsum("ip,jq,ipjq->ij", coef.conj(), coef, entries)
     raw = np.real(t1 + t2 + t3)
     gram = 0.5 * (raw + raw.T)
 
@@ -495,37 +506,22 @@ def solve_adjoint_block(
     model = adjoint_block_quadratic(T1, s, tol)
 
     if model.n == 0:
-        if model.constant <= tol.zero_f:
-            W = identity_projection(k)
-            return AdjointBlockResult(
-                W=W,
-                min_f=model.constant,
-                gram_min_eig=None,
-                model=model,
-                argmin=np.zeros(0),
-            )
+        found = model.constant <= tol.zero_f
         return AdjointBlockResult(
-            W=None,
-            min_f=model.constant,
-            gram_min_eig=None,
-            model=model,
-            argmin=None,
+            W=identity_projection(k) if found else None, min_f=model.constant,
+            gram_min_eig=None, model=model, argmin=np.zeros(0) if found else None,
         )
 
-    eigs = np.linalg.eigvalsh(model.gram)
-    gram_min = float(eigs[0])
-    gram_max = float(eigs[-1])
+    gram_min, gram_max = map(float, np.linalg.eigvalsh(model.gram)[[0, -1]])
     if gram_max <= 0.0 or gram_min <= tol.rank_rel * gram_max:
-        return AdjointBlockResult(
-            W=None, min_f=None, gram_min_eig=gram_min, model=model, argmin=None
-        )
+        return AdjointBlockResult(W=None, min_f=None, gram_min_eig=gram_min, model=model,
+                                  argmin=None)
 
     x_star = -0.5 * np.linalg.solve(model.gram, model.linear)
     min_f = model.evaluate(x_star)
     if min_f > tol.zero_f:
-        return AdjointBlockResult(
-            W=None, min_f=min_f, gram_min_eig=gram_min, model=model, argmin=x_star
-        )
+        return AdjointBlockResult(W=None, min_f=min_f, gram_min_eig=gram_min, model=model,
+                                  argmin=x_star)
 
     S = _coords_to_block(x_star, k - s, s)
     stacked = np.concatenate([np.eye(s, dtype=complex), S], axis=0)
@@ -626,29 +622,25 @@ def decide_equivalence(
         raise ValueError(
             "decision requires a square state; embed rectangular states first"
         )
-    if not is_ppt(state, tol):
+    # one eigendecomposition of rho: its PSD check, range and Kraus operators
+    eigs, vecs = np.linalg.eigh(state.rho)
+    if not (_psd_spectrum(eigs, tol) and psd_check(partial_transpose(state), tol)):
         raise ValueError("state is not PPT")
     k = state.k
     rng = np.random.default_rng(0) if rng is None else rng
+    eigs, basis = _range(eigs, vecs, tol)
 
     if v is None:
-        v = find_full_rank_vector(state, attempts=attempts, rng=rng, tol=tol)
+        v = _full_rank_vector(basis, k, k, attempts, rng, tol)
         if v is None:
-            witness = FailureWitness(
-                stage=STAGE_NO_FULL_RANK_VECTOR,
-                projection=None,
-                min_f=None,
-                gram_min_eig=None,
-            )
-            return Verdict(
-                outcome=OUTCOME_INCONCLUSIVE,
-                blocks=(),
-                iterations=0,
-                witness=witness,
-            )
+            witness = FailureWitness(stage=STAGE_NO_FULL_RANK_VECTOR, projection=None,
+                                     min_f=None, gram_min_eig=None)
+            return Verdict(outcome=OUTCOME_INCONCLUSIVE, blocks=(), iterations=0,
+                           witness=witness)
 
-    prefilter, anchored = anchor_transform(state, v, tol)
-    T = state_to_map(anchored, tol)
+    # anchoring filters the Kraus operators, K -> K P^t; rho is never rebuilt
+    prefilter = _anchor_filter(v, basis, k, tol)
+    T = transform(_spectral_map(eigs, basis, k, k), np.eye(k), prefilter.T)
     Vprime = identity_projection(k)
     accumulated = np.eye(k, dtype=complex)
     blocks: list[tuple[Projection, float]] = []
@@ -662,33 +654,19 @@ def decide_equivalence(
         if same_subspace(V, Vprime):
             blocks.append((V, lam))
             certificate = BlockCertificate(
-                blocks=tuple(blocks),
-                accumulated_transform=accumulated,
-                final_map=T,
+                blocks=tuple(blocks), accumulated_transform=accumulated, final_map=T,
                 prefilter=prefilter,
             )
-            return Verdict(
-                outcome=OUTCOME_EQUIVALENT,
-                blocks=tuple(blocks),
-                iterations=iterations,
-                certificate=certificate,
-            )
+            return Verdict(outcome=OUTCOME_EQUIVALENT, blocks=tuple(blocks),
+                           iterations=iterations, certificate=certificate)
 
         result = solve_adjoint_block(T, V, lam, tol)
         if result.W is None:
             stage = STAGE_GRAM_NOT_PD if result.min_f is None else STAGE_F_MIN_POSITIVE
-            witness = FailureWitness(
-                stage=stage,
-                projection=V,
-                min_f=result.min_f,
-                gram_min_eig=result.gram_min_eig,
-            )
-            return Verdict(
-                outcome=OUTCOME_NOT_EQUIVALENT,
-                blocks=tuple(blocks),
-                iterations=iterations,
-                witness=witness,
-            )
+            witness = FailureWitness(stage=stage, projection=V, min_f=result.min_f,
+                                     gram_min_eig=result.gram_min_eig)
+            return Verdict(outcome=OUTCOME_NOT_EQUIVALENT, blocks=tuple(blocks),
+                           iterations=iterations, witness=witness)
 
         W = result.W
         inside = np.abs(Vprime.matrix @ W.matrix - W.matrix).max()

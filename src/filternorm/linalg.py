@@ -24,6 +24,7 @@ __all__ = [
     "rank_eps",
     "image_basis",
     "kernel_basis",
+    "gap_split",
     "subspace_intersection",
     "projector_onto",
     "projection_from_matrix",
@@ -191,6 +192,32 @@ def kernel_basis(mat: np.ndarray, tol: Tolerances | None = None) -> np.ndarray:
     return vh[r:].conj().T.reshape(n, n - r)
 
 
+def gap_split(
+    mat: np.ndarray, tol: Tolerances | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal bases ``(image, kernel)`` of a matrix cut at its widest gap.
+
+    The cut rank ``r`` is at most the numerical rank of :func:`rank_eps`.  A
+    matrix of full numerical rank is not cut; otherwise ``r`` maximizes the
+    gap ``sv[r-1] / sv[r]`` among the cuts whose tail ``sv[r]`` is at most
+    ``sqrt(rank_rel)`` times ``sv[0]``, the angle cutoff of
+    :func:`subspace_intersection`.  Singular values 1, .7, .03, 3e-9, 3e-9,
+    1e-13 thus cut at rank 3, where the ``rank_rel`` rank is 5.
+    """
+    tol = _tol(tol)
+    arr = _as_matrix(mat)
+    u, sv, vh = np.linalg.svd(arr, full_matrices=True)
+    r = int(np.count_nonzero(sv > tol.rank_rel * sv[0])) if sv.size and sv[0] > 0 else 0
+    if 0 < r < sv.size:
+        cuts = np.arange(1, r + 1)
+        tails = np.abs(sv[cuts])  # LAPACK may return -0.0
+        allowed = (tails <= np.sqrt(tol.rank_rel) * sv[0]) | (cuts == r)
+        with np.errstate(divide="ignore"):
+            gaps = np.where(allowed, sv[cuts - 1] / tails, 0.0)
+        r = int(cuts[np.argmax(gaps)])
+    return u[:, :r], vh[r:].conj().T
+
+
 def subspace_intersection(
     basis_a: np.ndarray, basis_b: np.ndarray, tol: Tolerances | None = None
 ) -> np.ndarray:
@@ -295,11 +322,15 @@ def psd_check(mat: np.ndarray, tol: Tolerances | None = None) -> bool:
     The minimum eigenvalue may dip to ``-psd_abs * (1 + |spectrum|_max)``
     before the verdict flips, which absorbs round-off from congruences.
     """
-    tol = _tol(tol)
     arr = mirror_hermitian(mat)
     if arr.shape[0] == 0:
         return True
-    eigs = np.linalg.eigvalsh(arr)
+    return _psd_spectrum(np.linalg.eigvalsh(arr), tol)
+
+
+def _psd_spectrum(eigs: np.ndarray, tol: Tolerances | None = None) -> bool:
+    """The test of :func:`psd_check` on the eigenvalues of a Hermitian matrix."""
+    tol = _tol(tol)
     scale = 1.0 + float(np.abs(eigs).max(initial=0.0))
     return bool(eigs.min() >= -tol.psd_abs * scale)
 

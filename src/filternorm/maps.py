@@ -1,9 +1,9 @@
 """Completely positive maps in Kraus form and their corner representations.
 
 A map ``T(X) = sum_i K_i X K_i*`` acts from ``k x k`` to ``m x m`` matrices.
-It is evaluated on a whole stack of inputs ``(n, k, k)`` at once, summing over
-the Kraus operators in their stored order, so each stacked image is bit-for-bit
-the image of that input alone.
+It is stored as its Kraus stack and evaluated through its superoperator
+``S = sum_i K_i (x) conj(K_i)``, an ``m^2 x k^2`` matrix built once per map:
+a stack of inputs ``(n, k, k)`` maps to its images by one matrix product.
 Most of the decision machinery lives on *corners*: for a projection ``V`` the
 compression ``V M V`` is an invariant subalgebra when ``T(V X V)`` stays inside
 it, and ``T`` restricted there is encoded as a real matrix over an orthonormal
@@ -14,6 +14,7 @@ the irreducibility tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -81,6 +82,20 @@ class CpMap:
             raise ValueError("all Kraus operators vanish")
         object.__setattr__(self, "kraus", ops)
 
+    @cached_property
+    def superop(self) -> np.ndarray:
+        """``sum_i K_i (x) conj(K_i)``: ``vec(T(X)) = superop @ vec(X)``, row-major."""
+        return _superop(self.kraus)
+
+
+def _superop(kraus: np.ndarray) -> np.ndarray:
+    """``sum_i K_i (x) conj(K_i)`` of an ``(r, m, k)`` Kraus stack, ``m^2 x k^2``:
+    one GEMM of the flattened stack, the realigned Choi matrix, re-indexed."""
+    r, m, k = kraus.shape
+    flat = kraus.reshape(r, m * k)
+    realigned = (flat.T @ flat.conj()).reshape(m, k, m, k)
+    return realigned.transpose(0, 2, 1, 3).reshape(m * m, k * k)
+
 
 def identity_map(dim: int) -> CpMap:
     """The identity map on ``dim x dim`` matrices."""
@@ -90,35 +105,42 @@ def identity_map(dim: int) -> CpMap:
 def apply(T: CpMap, X: np.ndarray) -> np.ndarray:
     """Evaluate ``T(X) = sum_i K_i X K_i*`` on one input or a stack ``(n, k, k)``.
 
-    A stack runs one GEMM per input, as a single input does, so each image is
-    bit-for-bit the single-input one.  (One wide GEMM over the stack is not:
-    BLAS edge kernels change the last bits when ``k`` is not a multiple of
-    their width.)
+    One GEMM of the flattened inputs with the superoperator.  A stacked image
+    agrees with the single-input one to rounding, not bit for bit: BLAS
+    blocks the two products differently.
     """
     X = np.asarray(X, dtype=complex)
-    if X.ndim not in (2, 3) or X.shape[-2:] != (T.src_dim, T.src_dim):
-        raise ValueError(f"input must be {T.src_dim} x {T.src_dim}, got {X.shape}")
-    out = np.zeros(X.shape[:-2] + (T.dst_dim, T.dst_dim), dtype=complex)
-    for op in T.kraus:
-        out += op @ X @ dagger(op)
-    return out
+    k, m = T.src_dim, T.dst_dim
+    if X.ndim not in (2, 3) or X.shape[-2:] != (k, k):
+        raise ValueError(f"input must be {k} x {k}, got {X.shape}")
+    images = X.reshape(-1, k * k) @ T.superop.T
+    return images.reshape(X.shape[:-2] + (m, m))
 
 
 def adjoint(T: CpMap) -> CpMap:
-    """Adjoint map in the trace inner product: Kraus operators get daggered."""
-    return CpMap(src_dim=T.dst_dim, dst_dim=T.src_dim, kraus=dagger(T.kraus))
+    """Adjoint in the trace inner product: Kraus operators (and superoperator) daggered."""
+    Ta = CpMap(src_dim=T.dst_dim, dst_dim=T.src_dim, kraus=dagger(T.kraus))
+    if "superop" in vars(T):
+        vars(Ta)["superop"] = T.superop.conj().T
+    return Ta
 
 
 def transform(T: CpMap, left: np.ndarray, right: np.ndarray) -> CpMap:
     """Two-sided Kraus transform ``K -> left @ K @ right``.
 
-    Realizes ``X -> left T(right X right*) left*``.
+    Realizes ``X -> left T(right X right*) left*``.  A superoperator ``T`` has
+    already built passes on as ``(left (x) conj left) S (right (x) conj right)``:
+    four one-index contractions, cheaper than a rebuild from many Kraus operators.
     """
     left = np.asarray(left, dtype=complex)
     right = np.asarray(right, dtype=complex)
-    return CpMap(
-        src_dim=right.shape[1], dst_dim=left.shape[0], kraus=left @ T.kraus @ right
-    )
+    (p, m), (k, q) = left.shape, right.shape
+    out = CpMap(src_dim=q, dst_dim=p, kraus=left @ T.kraus @ right)
+    if "superop" in vars(T):
+        S = (left @ T.superop.reshape(m, -1)).reshape(p, m, k * k)
+        S = (left.conj() @ S).reshape(p * p * k, k) @ right.conj()
+        vars(out)["superop"] = (right.T @ S.reshape(p * p, k, q)).reshape(p * p, q * q)
+    return out
 
 
 def conjugate(
@@ -141,7 +163,7 @@ def conjugate(
 
 def kraus_norm(T: CpMap) -> float:
     """Sum of squared Frobenius norms of the Kraus operators (bounds ``||T||``)."""
-    return float(sum(np.linalg.norm(op) ** 2 for op in T.kraus))
+    return float(np.vdot(T.kraus, T.kraus).real)
 
 
 def restrict_to_corner(T: CpMap, V: Projection) -> CpMap:
@@ -157,9 +179,8 @@ def restrict_to_corner(T: CpMap, V: Projection) -> CpMap:
 
 def _corner_basis(V: Projection) -> np.ndarray:
     """Lifted orthonormal Hermitian basis of ``V M V`` (shape ``(s^2, k, k)``)."""
-    small = hermitian_basis(V.rank)
     b = V.basis
-    return np.einsum("ip,npq,jq->nij", b, small, b.conj())
+    return b @ hermitian_basis(V.rank) @ dagger(b)
 
 
 def _invariance_defect(images: np.ndarray, P: np.ndarray) -> float:
@@ -216,7 +237,9 @@ def corner_rep(T: CpMap, V: Projection, tol: Tolerances | None = None) -> Corner
     guard = 1e-6 * max(1.0, kraus_norm(T))
     if _invariance_defect(images, V.matrix) > guard:
         raise ValueError("corner is not invariant under the map")
-    rep = np.real(np.einsum("nij,mij->nm", basis.conj(), images))
+    n = len(basis)
+    # Re tr(b* Y) is the real dot product of the (re, im) pairs of b and Y
+    rep = basis.reshape(n, -1).view(float) @ images.reshape(n, -1).view(float).T
     return CornerRep(V=V, basis=basis, matrix=rep)
 
 
@@ -288,9 +311,7 @@ def _psd_in_span(mats: np.ndarray, tol: Tolerances) -> np.ndarray | None:
         return vecs @ np.diag(eigs) @ vecs.conj().T
 
     starts = [project_span(np.eye(k, dtype=complex))]
-    for i in range(d):
-        starts.append(mats[i])
-        starts.append(-mats[i])
+    starts += [sign * mat for mat in mats for sign in (1.0, -1.0)]
 
     for start in starts:
         X = np.array(start, dtype=complex)

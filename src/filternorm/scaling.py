@@ -31,7 +31,7 @@ from .linalg import (
     identity_projection,
     mirror_hermitian,
 )
-from .maps import CpMap, restrict_to_corner
+from .maps import CpMap, _superop, restrict_to_corner
 from .states import (
     BipartiteState,
     apply_filter,
@@ -75,7 +75,8 @@ def _marginal(kraus: np.ndarray, X: np.ndarray) -> np.ndarray:
 
     The stacked product runs one GEMM per operator, and ``accumulate`` adds
     strictly in order (``sum`` switches to pairwise addition when the
-    operators are ``1 x 1``), so the bits are those of :func:`maps.apply`.
+    operators are ``1 x 1``), so the bits are those of the one-operator-at-a-time
+    loop ``out += K X K*``.
     """
     return np.add.accumulate(kraus @ X @ dagger(kraus), axis=0)[-1]
 
@@ -121,13 +122,11 @@ def _newton_filters(
     below ``sqrt(rank_rel)`` times the largest: the step is then ill-posed,
     as on maps without total support, whose filters diverge.
     """
-    r, s, _ = kraus.shape
+    s = kraus.shape[1]
     n = s * s
     stack = hermitian_basis(s)
     basis = stack.reshape(n, n)
-    flat = kraus.reshape(r, n)
-    realigned = (flat.T @ flat.conj()).reshape(s, s, s, s)
-    superop = realigned.transpose(0, 2, 1, 3).reshape(n, n)
+    superop = _superop(kraus)
 
     def coords(images: np.ndarray) -> np.ndarray:
         """Real matrix of a map on Hermitian matrices from its basis images."""

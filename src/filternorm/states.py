@@ -18,7 +18,6 @@ from .linalg import (
     Tolerances,
     _tol,
     hermitian_basis,
-    image_basis,
     mirror_hermitian,
     psd_check,
     rank_eps,
@@ -172,13 +171,38 @@ def find_full_rank_vector(
     """
     tol = _tol(tol)
     rng = np.random.default_rng(0) if rng is None else rng
-    basis = image_basis(state.rho, tol)
+    _, basis = _range(*np.linalg.eigh(state.rho), tol)
+    return _full_rank_vector(basis, state.k, state.m, attempts, rng, tol)
+
+
+def _range(
+    eigs: np.ndarray, vecs: np.ndarray, tol: Tolerances
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues above ``rank_rel`` of the top one, and their eigenvectors.
+
+    From the ``eigh`` of a state, this is its range and spectral expansion;
+    one factorization serves :func:`find_full_rank_vector`, the anchor's
+    range check and :func:`state_to_map`.
+    """
+    keep = eigs > tol.rank_rel * float(eigs.max(initial=0.0))
+    return eigs[keep], vecs[:, keep]
+
+
+def _full_rank_vector(
+    basis: np.ndarray,
+    k: int,
+    m: int,
+    attempts: int,
+    rng: np.random.Generator,
+    tol: Tolerances,
+) -> np.ndarray | None:
+    """The search of :func:`find_full_rank_vector` in an orthonormal range basis."""
     r = basis.shape[1]
     if r == 0:
         return None
-    target = min(state.k, state.m)
-    if state.k == state.m:
-        u = np.eye(state.k, dtype=complex).reshape(state.k * state.k)
+    target = min(k, m)
+    if k == m:
+        u = np.eye(k, dtype=complex).reshape(k * k)
         u = u / np.linalg.norm(u)
         residual = u - basis @ (basis.conj().T @ u)
         if np.linalg.norm(residual) <= 1e-10:
@@ -192,7 +216,7 @@ def find_full_rank_vector(
         if norm < 1e-14:
             continue
         v = v / norm
-        sv = np.linalg.svd(vec_to_matrix(v, state.k, state.m), compute_uv=False)
+        sv = np.linalg.svd(vec_to_matrix(v, k, m), compute_uv=False)
         if sv[0] <= 0.0:
             continue
         if int(np.count_nonzero(sv > tol.rank_rel * sv[0])) == target:
@@ -208,15 +232,16 @@ def state_to_map(state: BipartiteState, tol: Tolerances | None = None) -> CpMap:
     Kraus operators are the transposed coefficient matrices of the spectral
     vectors (eigenvalues below ``rank_rel`` of the top are dropped).
     """
-    tol = _tol(tol)
-    eigs, vecs = np.linalg.eigh(state.rho)
-    top = float(eigs.max(initial=0.0))
-    if top <= 0.0:
+    eigs, vecs = _range(*np.linalg.eigh(state.rho), _tol(tol))
+    return _spectral_map(eigs, vecs, state.k, state.m)
+
+
+def _spectral_map(eigs: np.ndarray, vecs: np.ndarray, k: int, m: int) -> CpMap:
+    """The map of :func:`state_to_map` from the spectrum kept by :func:`_range`."""
+    if eigs.size == 0:
         raise ValueError("the zero state has no associated map")
-    keep = eigs > tol.rank_rel * top
-    coeffs = (np.sqrt(eigs[keep]) * vecs[:, keep]).T.reshape(-1, state.k, state.m)
-    kraus = np.ascontiguousarray(coeffs.swapaxes(1, 2))
-    return CpMap(src_dim=state.k, dst_dim=state.m, kraus=kraus)
+    coeffs = (np.sqrt(eigs) * vecs).T.reshape(-1, k, m)
+    return CpMap(src_dim=k, dst_dim=m, kraus=np.ascontiguousarray(coeffs.swapaxes(1, 2)))
 
 
 def apply_filter(

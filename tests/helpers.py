@@ -79,6 +79,18 @@ def pattern_state(w: np.ndarray) -> BipartiteState:
     return diagonal_state(w / w.sum())
 
 
+def hidden_upper_triangular(k: int, rng: np.random.Generator) -> BipartiteState:
+    """Upper-triangular weight pattern with a positive diagonal, under random filters.
+
+    Only the identity permutation avoids the zeros, so the pattern has no
+    total support: the decision must answer not equivalent, with a positive
+    minimum of the quadratic objective.
+    """
+    w = np.triu(rng.uniform(0.2, 2.0, size=(k, k)))
+    out = apply_filter(pattern_state(w), random_invertible(k, rng), random_invertible(k, rng))
+    return BipartiteState(k=k, m=k, rho=out.rho / np.trace(out.rho).real)
+
+
 def random_ppt_2x2(rng: np.random.Generator) -> BipartiteState:
     """Rejection-sample a full-rank PPT 2x2 state."""
     while True:

@@ -25,6 +25,7 @@ from filternorm import (
     leaves_invariant,
     maximally_entangled,
     normalize_corner,
+    partial_transpose,
     solve_adjoint_block,
     spectral_radius_perron,
     state_to_map,
@@ -43,6 +44,7 @@ from filternorm.maps import _corner_perron
 from helpers import (
     blocky_state,
     hidden_blocky,
+    hidden_upper_triangular,
     neq2_state,
     pattern_state,
     pattern_weights,
@@ -502,3 +504,98 @@ def test_quadratic_model_matches_the_pairwise_reference_loop(k, s):
     scale = max(1.0, np.abs(gram).max())
     assert np.abs(model.linear - linear).max() < 1e-9 * scale
     assert np.abs(model.gram - gram).max() < 1e-9 * scale
+
+
+def test_decide_factors_the_state_once(monkeypatch):
+    """One decision runs one eigendecomposition of the k^2 x k^2 state.
+
+    Its PSD check, the range the anchor is sampled from, the anchor's range
+    check and the Kraus operators all read that ``eigh``; the anchored map is
+    the Kraus stack times ``P^t``, so no filtered state is built and factored.
+    The only other k^2 x k^2 factorization is the PPT check of the partial
+    transpose.  (Corner representations are real, so they are not counted.)
+    """
+    calls = []
+    for name in ("eigh", "eigvalsh", "svd", "eig", "eigvals", "qr"):
+        def counted(a, *args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
+            if np.iscomplexobj(a) and np.shape(a) == (16, 16):
+                calls.append((_name, np.array(a)))
+            return _fn(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    rng = np.random.default_rng(9)
+    for st in (hidden_blocky(4, [2, 2], rng), hidden_upper_triangular(4, rng)):
+        calls.clear()
+        decide_equivalence(st)
+        assert [name for name, _ in calls] == ["eigh", "eigvalsh"]
+        assert np.array_equal(calls[0][1], st.rho)
+        assert np.abs(calls[1][1] - partial_transpose(st)).max() == 0.0
+
+
+def test_decide_does_not_reject_a_valid_ill_filtered_state():
+    """Two-block states under local filters of condition number 1e6 are valid
+    PPT inputs.  Rebuilding the anchored state ``(P (x) Id) rho (P (x) Id)*``
+    made them fail its Hermiticity check ("state matrix is not Hermitian");
+    anchoring the Kraus operators builds no state.  The decision may still
+    break down numerically here, but it neither rejects the input nor answers
+    wrongly."""
+    rejections = ("not Hermitian", "positive semidefinite", "not PPT")
+    for seed in range(3):
+        rng = np.random.default_rng(1000 + seed)
+        base = blocky_state(6, [3, 3], rng)
+        ill = [random_unitary(6, rng) @ np.diag(np.logspace(0, 6, 6)) @ random_unitary(6, rng)
+               for _ in range(2)]
+        F = np.kron(*ill)
+        rho = F @ base.rho @ F.conj().T
+        rho = (rho + rho.conj().T) / 2.0
+        st = BipartiteState(k=6, m=6, rho=rho / np.trace(rho).real)
+        try:
+            verdict = decide_equivalence(st)
+        except (RuntimeError, ValueError) as exc:
+            assert not any(text in str(exc) for text in rejections), str(exc)
+        else:
+            assert verdict.outcome != OUTCOME_NOT_EQUIVALENT
+
+
+def test_gap_cut_keeps_the_corner_search_on_invariant_corners():
+    """Seed 256 of the scrambled upper-triangular k=12 draws.
+
+    A Perron vector of the search has singular values .54, .34, .12, 5e-9,
+    6e-10, 4e-10, ...: its ``rank_rel`` rank is 5, and the image cut there is
+    not invariant under the map ("corner is not invariant under the map").
+    The widest gap lies after the third value, and the cut there leads to the
+    verdict the construction implies.
+    """
+    st = hidden_upper_triangular(12, np.random.default_rng(256))
+    verdict = decide_equivalence(st)
+    assert verdict.outcome == OUTCOME_NOT_EQUIVALENT
+    assert verdict.witness.stage == STAGE_F_MIN_POSITIVE
+
+
+# ``_perron_vector``'s PSD check still fails on some ill-conditioned draws
+PSD_PERRON_ERRORS = (
+    "no PSD Perron eigenvector in the top eigenspace",
+    "compressed adjoint has no PSD eigenvector at the spectral radius",
+)
+
+
+def test_upper_triangular_k12_sweep(record_property):
+    """40 scrambled upper-triangular k=12 draws, seeds 0-39.
+
+    Every draw has no total support, so the answer must be not equivalent
+    with a positive minimum.  A wrong or missing verdict fails, and so does
+    any raise except the PSD-Perron breakdowns above, whose count is
+    reported.
+    """
+    breakdowns = []
+    for seed in range(40):
+        st = hidden_upper_triangular(12, np.random.default_rng(seed))
+        try:
+            verdict = decide_equivalence(st)
+        except RuntimeError as exc:
+            assert str(exc) in PSD_PERRON_ERRORS, f"seed {seed}: {exc}"
+            breakdowns.append(seed)
+            continue
+        assert verdict.outcome == OUTCOME_NOT_EQUIVALENT, f"seed {seed}"
+        assert verdict.witness.stage == STAGE_F_MIN_POSITIVE, f"seed {seed}"
+    record_property("psd_perron_breakdowns", len(breakdowns))
+    print(f"PSD-Perron breakdowns: {len(breakdowns)} of 40 (seeds {breakdowns})")

@@ -7,6 +7,7 @@ import oracles
 from filternorm import DEFAULT_TOL, Tolerances
 from filternorm.linalg import (
     dagger,
+    gap_split,
     hermitian_basis,
     hermitian_sqrt_pinv,
     identity_projection,
@@ -250,3 +251,25 @@ def test_rank_respects_relative_cutoff():
     m = np.diag([1.0, 1e-6, 1e-12])
     assert rank_eps(m) == 2
     assert rank_eps(m, Tolerances(rank_rel=1e-15)) == 3
+
+
+def test_gap_split_cuts_at_the_widest_gap_below_the_numerical_rank():
+    """A PSD spectrum 1, .7, .03, 3e-9, 3e-9, 1e-13 cuts at rank 3, not at its
+    rank_rel rank 5; a full-rank matrix is not cut, and an exact (even
+    negative) zero is a gap like any other."""
+    rng = np.random.default_rng(19)
+    U, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+    for spectrum, want in [
+        ([1.0, 0.7, 0.03, 3e-9, 3e-9, 1e-13], 3),
+        ([1.0, 0.5, 1e-6, 1e-7, 1e-8, 2e-9], 6),
+        ([0.8, 0.2, 0.0, 0.0, 0.0, 0.0], 2),
+        ([1.0, 1e-3, 1e-10, 1e-11, 0.0, 0.0], 2),
+    ]:
+        mat = (U * np.array(spectrum)) @ U.conj().T
+        assert rank_eps(mat) >= want
+        image, kernel = gap_split(mat)
+        assert image.shape == (6, want) and kernel.shape == (6, 6 - want)
+        assert np.abs(image.conj().T @ kernel).max(initial=0.0) < 1e-12
+        assert np.abs(image @ image.conj().T - U[:, :want] @ U[:, :want].conj().T).max() < 1e-9
+    image, kernel = gap_split(np.diag([0.8, 0.2, -0.0]).astype(complex))
+    assert image.shape[1] == 2 and kernel.shape[1] == 1

@@ -93,15 +93,21 @@ def test_adjoint_matches_kraus_contraction_oracle():
 
 
 def test_transform_realizes_two_sided_congruence():
-    """transform(T, L, R)(X) == L T(R X R*) L*."""
+    """transform(T, L, R)(X) == L T(R X R*) L*, whether or not T's
+    superoperator was built before: a built one is handed on, to transforms
+    and adjoints alike, and equals the one built from their Kraus stacks."""
     rng = np.random.default_rng(4)
     T = random_cp_map(2, 3, 2, rng)
-    L = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    R = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    X = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    got = apply(transform(T, L, R), X)
+    L = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+    R = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+    X = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    fresh = transform(T, L, R)
     want = L @ apply(T, R @ X @ R.conj().T) @ L.conj().T
-    assert np.abs(got - want).max() < 1e-12
+    handed_on = transform(T, L, R)
+    for U in (fresh, handed_on):
+        assert np.abs(apply(U, X) - want).max() < 1e-12
+    for U, V in ((handed_on, fresh), (adjoint(T), adjoint(CpMap(2, 3, T.kraus)))):
+        assert np.abs(U.superop - V.superop).max() <= 1e-13 * np.abs(V.superop).max()
 
 
 def test_stacked_kraus_operations_match_the_per_operator_loop():
@@ -306,17 +312,42 @@ def test_is_irreducible_known_cases():
     assert not is_irreducible(T, identity_projection(2))
 
 
-def test_apply_on_a_stack_equals_single_inputs_bit_for_bit():
-    """A stack (n, k, k) maps to the stack of single-input images, exactly."""
+def choi_of(T):
+    """The state whose map is T: rho = sum_i vec(K_i^t) vec(K_i^t)*, row-major."""
+    vecs = T.kraus.swapaxes(1, 2).reshape(len(T.kraus), -1)
+    return vecs.T @ vecs.conj()
+
+
+def test_apply_on_a_stack_matches_single_inputs_and_the_state_oracle():
+    """A stack (n, k, k) maps to the single-input images and to the direct
+    contraction of the state's entries, within 1e-13 relative."""
     rng = np.random.default_rng(15)
     for k, m in [(2, 2), (3, 5), (6, 6), (7, 4)]:
         T = random_cp_map(k, m, 4, rng)
         X = rng.standard_normal((9, k, k)) + 1j * rng.standard_normal((9, k, k))
         images = apply(T, X)
         assert images.shape == (9, m, m)
-        assert all(np.array_equal(images[i], apply(T, X[i])) for i in range(9))
+        rho = choi_of(T)
+        for i in range(9):
+            want = oracles.apply_gmap_direct(rho, k, m, X[i])
+            scale = np.abs(want).max()
+            assert np.abs(images[i] - apply(T, X[i])).max() <= 1e-13 * scale
+            assert np.abs(images[i] - want).max() <= 1e-13 * scale
     with pytest.raises(ValueError):
         apply(T, np.zeros((2, 3, 7, 7)))
+
+
+def test_superoperator_is_the_realigned_state():
+    """S[(j, l), (i, i')] = rho[(i, j), (i', l)]: the superoperator of a
+    state's map is its realigned Choi matrix, the paper's G_A read as a matrix."""
+    rng = np.random.default_rng(18)
+    for k, m in [(2, 2), (3, 4), (5, 3)]:
+        st = random_state(k, m, rng=rng)
+        T = random_cp_map(k, m, 3, rng)
+        for rho, mapping in [(st.rho, state_to_map(st)), (choi_of(T), T)]:
+            want = rho.reshape(k, m, k, m).transpose(1, 3, 0, 2).reshape(m * m, k * k)
+            assert mapping.superop.shape == (m * m, k * k)
+            assert np.abs(mapping.superop - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_corner_rep_matches_the_per_element_kraus_loop():
