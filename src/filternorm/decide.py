@@ -274,7 +274,8 @@ def find_irreducible_corner(
     for _ in range(4 * V.rank + 4):
         # one-dimensional corners are irreducible when nonzero
         if current.rank == 1:
-            lam = float(corner_rep(T, current, tol).matrix[0, 0])
+            rep = corner_rep(T, current, tol)
+            lam = float(rep.matrix[0, 0])
             if lam <= tol.rank_rel:
                 raise ValueError("the map vanishes on a candidate corner")
             return current, lam
@@ -506,22 +507,37 @@ def solve_adjoint_block(
     model = adjoint_block_quadratic(T1, s, tol)
 
     if model.n == 0:
-        found = model.constant <= tol.zero_f
+        if model.constant <= tol.zero_f:
+            W = identity_projection(k)
+            return AdjointBlockResult(
+                W=W,
+                min_f=model.constant,
+                gram_min_eig=None,
+                model=model,
+                argmin=np.zeros(0),
+            )
         return AdjointBlockResult(
-            W=identity_projection(k) if found else None, min_f=model.constant,
-            gram_min_eig=None, model=model, argmin=np.zeros(0) if found else None,
+            W=None,
+            min_f=model.constant,
+            gram_min_eig=None,
+            model=model,
+            argmin=None,
         )
 
-    gram_min, gram_max = map(float, np.linalg.eigvalsh(model.gram)[[0, -1]])
+    eigs = np.linalg.eigvalsh(model.gram)
+    gram_min = float(eigs[0])
+    gram_max = float(eigs[-1])
     if gram_max <= 0.0 or gram_min <= tol.rank_rel * gram_max:
-        return AdjointBlockResult(W=None, min_f=None, gram_min_eig=gram_min, model=model,
-                                  argmin=None)
+        return AdjointBlockResult(
+            W=None, min_f=None, gram_min_eig=gram_min, model=model, argmin=None
+        )
 
     x_star = -0.5 * np.linalg.solve(model.gram, model.linear)
     min_f = model.evaluate(x_star)
     if min_f > tol.zero_f:
-        return AdjointBlockResult(W=None, min_f=min_f, gram_min_eig=gram_min, model=model,
-                                  argmin=x_star)
+        return AdjointBlockResult(
+            W=None, min_f=min_f, gram_min_eig=gram_min, model=model, argmin=x_star
+        )
 
     S = _coords_to_block(x_star, k - s, s)
     stacked = np.concatenate([np.eye(s, dtype=complex), S], axis=0)
@@ -633,10 +649,18 @@ def decide_equivalence(
     if v is None:
         v = _full_rank_vector(basis, k, k, attempts, rng, tol)
         if v is None:
-            witness = FailureWitness(stage=STAGE_NO_FULL_RANK_VECTOR, projection=None,
-                                     min_f=None, gram_min_eig=None)
-            return Verdict(outcome=OUTCOME_INCONCLUSIVE, blocks=(), iterations=0,
-                           witness=witness)
+            witness = FailureWitness(
+                stage=STAGE_NO_FULL_RANK_VECTOR,
+                projection=None,
+                min_f=None,
+                gram_min_eig=None,
+            )
+            return Verdict(
+                outcome=OUTCOME_INCONCLUSIVE,
+                blocks=(),
+                iterations=0,
+                witness=witness,
+            )
 
     # anchoring filters the Kraus operators, K -> K P^t; rho is never rebuilt
     prefilter = _anchor_filter(v, basis, k, tol)
@@ -654,19 +678,33 @@ def decide_equivalence(
         if same_subspace(V, Vprime):
             blocks.append((V, lam))
             certificate = BlockCertificate(
-                blocks=tuple(blocks), accumulated_transform=accumulated, final_map=T,
+                blocks=tuple(blocks),
+                accumulated_transform=accumulated,
+                final_map=T,
                 prefilter=prefilter,
             )
-            return Verdict(outcome=OUTCOME_EQUIVALENT, blocks=tuple(blocks),
-                           iterations=iterations, certificate=certificate)
+            return Verdict(
+                outcome=OUTCOME_EQUIVALENT,
+                blocks=tuple(blocks),
+                iterations=iterations,
+                certificate=certificate,
+            )
 
         result = solve_adjoint_block(T, V, lam, tol)
         if result.W is None:
             stage = STAGE_GRAM_NOT_PD if result.min_f is None else STAGE_F_MIN_POSITIVE
-            witness = FailureWitness(stage=stage, projection=V, min_f=result.min_f,
-                                     gram_min_eig=result.gram_min_eig)
-            return Verdict(outcome=OUTCOME_NOT_EQUIVALENT, blocks=tuple(blocks),
-                           iterations=iterations, witness=witness)
+            witness = FailureWitness(
+                stage=stage,
+                projection=V,
+                min_f=result.min_f,
+                gram_min_eig=result.gram_min_eig,
+            )
+            return Verdict(
+                outcome=OUTCOME_NOT_EQUIVALENT,
+                blocks=tuple(blocks),
+                iterations=iterations,
+                witness=witness,
+            )
 
         W = result.W
         inside = np.abs(Vprime.matrix @ W.matrix - W.matrix).max()

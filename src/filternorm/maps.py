@@ -128,19 +128,13 @@ def adjoint(T: CpMap) -> CpMap:
 def transform(T: CpMap, left: np.ndarray, right: np.ndarray) -> CpMap:
     """Two-sided Kraus transform ``K -> left @ K @ right``.
 
-    Realizes ``X -> left T(right X right*) left*``.  A superoperator ``T`` has
-    already built passes on as ``(left (x) conj left) S (right (x) conj right)``:
-    four one-index contractions, cheaper than a rebuild from many Kraus operators.
+    Realizes ``X -> left T(right X right*) left*``.
     """
     left = np.asarray(left, dtype=complex)
     right = np.asarray(right, dtype=complex)
-    (p, m), (k, q) = left.shape, right.shape
-    out = CpMap(src_dim=q, dst_dim=p, kraus=left @ T.kraus @ right)
-    if "superop" in vars(T):
-        S = (left @ T.superop.reshape(m, -1)).reshape(p, m, k * k)
-        S = (left.conj() @ S).reshape(p * p * k, k) @ right.conj()
-        vars(out)["superop"] = (right.T @ S.reshape(p * p, k, q)).reshape(p * p, q * q)
-    return out
+    return CpMap(
+        src_dim=right.shape[1], dst_dim=left.shape[0], kraus=left @ T.kraus @ right
+    )
 
 
 def conjugate(
@@ -311,7 +305,9 @@ def _psd_in_span(mats: np.ndarray, tol: Tolerances) -> np.ndarray | None:
         return vecs @ np.diag(eigs) @ vecs.conj().T
 
     starts = [project_span(np.eye(k, dtype=complex))]
-    starts += [sign * mat for mat in mats for sign in (1.0, -1.0)]
+    for i in range(d):
+        starts.append(mats[i])
+        starts.append(-mats[i])
 
     for start in starts:
         X = np.array(start, dtype=complex)

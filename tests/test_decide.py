@@ -559,8 +559,8 @@ def test_decide_does_not_reject_a_valid_ill_filtered_state():
 def test_gap_cut_keeps_the_corner_search_on_invariant_corners():
     """Seed 256 of the scrambled upper-triangular k=12 draws.
 
-    A Perron vector of the search has singular values .54, .34, .12, 5e-9,
-    6e-10, 4e-10, ...: its ``rank_rel`` rank is 5, and the image cut there is
+    A Perron vector of the search has singular values .54, .34, .12, 6e-9,
+    8e-10, 5e-10, ...: its ``rank_rel`` rank is 5, and the image cut there is
     not invariant under the map ("corner is not invariant under the map").
     The widest gap lies after the third value, and the cut there leads to the
     verdict the construction implies.
@@ -569,6 +569,29 @@ def test_gap_cut_keeps_the_corner_search_on_invariant_corners():
     verdict = decide_equivalence(st)
     assert verdict.outcome == OUTCOME_NOT_EQUIVALENT
     assert verdict.witness.stage == STAGE_F_MIN_POSITIVE
+
+
+def test_gap_cut_on_a_nearly_invariant_corner_gives_no_verdict():
+    """Seed 475 of the scrambled upper-triangular k=12 draws.
+
+    The first Perron vector has singular values (relative) 1, ..., 4e-4,
+    4e-7, 5e-8, 5e-9, 7e-10, 1e-14.  Cut at its widest gap (rank 7) the
+    corner's invariance defect is 2e-7 of the map's norm, inside
+    ``corner_rep``'s 1e-6 guard; the ``rank_rel`` cut (rank 10) fails that
+    guard.  Neither corner is invariant to the precision the quadratic
+    model needs, and its cross-check is what stops a verdict.  Certified
+    verdicts (ROADMAP item 1) should turn the raise into ``inconclusive``;
+    a wrong verdict fails here either way.
+    """
+    st = hidden_upper_triangular(12, np.random.default_rng(475))
+    try:
+        verdict = decide_equivalence(st)
+    except RuntimeError as exc:
+        assert str(exc).startswith("quadratic model cross-check failed"), str(exc)
+    else:
+        assert verdict.outcome in (OUTCOME_NOT_EQUIVALENT, OUTCOME_INCONCLUSIVE)
+        if verdict.outcome == OUTCOME_NOT_EQUIVALENT:
+            assert verdict.witness.stage == STAGE_F_MIN_POSITIVE
 
 
 # ``_perron_vector``'s PSD check still fails on some ill-conditioned draws

@@ -93,21 +93,27 @@ def test_adjoint_matches_kraus_contraction_oracle():
 
 
 def test_transform_realizes_two_sided_congruence():
-    """transform(T, L, R)(X) == L T(R X R*) L*, whether or not T's
-    superoperator was built before: a built one is handed on, to transforms
-    and adjoints alike, and equals the one built from their Kraus stacks."""
+    """transform(T, L, R)(X) == L T(R X R*) L*, rectangular filters included."""
     rng = np.random.default_rng(4)
     T = random_cp_map(2, 3, 2, rng)
     L = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
     R = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
     X = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    fresh = transform(T, L, R)
+    got = apply(transform(T, L, R), X)
     want = L @ apply(T, R @ X @ R.conj().T) @ L.conj().T
-    handed_on = transform(T, L, R)
-    for U in (fresh, handed_on):
-        assert np.abs(apply(U, X) - want).max() < 1e-12
-    for U, V in ((handed_on, fresh), (adjoint(T), adjoint(CpMap(2, 3, T.kraus)))):
-        assert np.abs(U.superop - V.superop).max() <= 1e-13 * np.abs(V.superop).max()
+    assert np.abs(got - want).max() < 1e-12
+
+
+def test_adjoint_hands_on_a_built_superoperator():
+    """The adjoint of a map whose superoperator is built takes its conjugate
+    transpose, which equals the one built from the daggered Kraus stack."""
+    T = random_cp_map(2, 3, 2, np.random.default_rng(4))
+    assert T.superop.shape == (9, 4)
+    handed_on = adjoint(T)
+    fresh = adjoint(CpMap(2, 3, T.kraus))
+    assert "superop" in vars(handed_on) and "superop" not in vars(fresh)
+    scale = np.abs(fresh.superop).max()
+    assert np.abs(handed_on.superop - fresh.superop).max() <= 1e-13 * scale
 
 
 def test_stacked_kraus_operations_match_the_per_operator_loop():
