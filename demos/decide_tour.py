@@ -31,10 +31,10 @@ def describe(name, weights):
     print(f"anchoring filter P (P (x) Id moves the state):\n{np.round(prefilter, 4)}")
 
     T = state_to_map(anchored)
-    corner, lam = find_irreducible_corner(T, identity_projection(state.k))
+    corner, lam, delta = find_irreducible_corner(T, identity_projection(state.k))
     print(f"irreducible corner: rank {corner.rank}, spectral radius {lam:.6g}")
 
-    block = solve_adjoint_block(T, corner, lam)
+    block = solve_adjoint_block(T, corner, lam, delta)
     if block.W is None:
         print(f"no matching adjoint corner: quadratic minimum {block.min_f:.6g}, "
               f"smallest Gram eigenvalue {block.gram_min_eig:.6g}")

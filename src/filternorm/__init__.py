@@ -13,17 +13,12 @@ from .decide import (
     STAGE_F_MIN_POSITIVE,
     STAGE_GRAM_NOT_PD,
     STAGE_NO_FULL_RANK_VECTOR,
-    AdjointBlockResult,
     BlockCertificate,
     FailureWitness,
-    QuadraticModel,
     Verdict,
-    adjoint_block_quadratic,
-    alignment_transform,
     anchor_transform,
     decide_equivalence,
     find_irreducible_corner,
-    normalize_corner,
     solve_adjoint_block,
 )
 from .linalg import DEFAULT_TOL, Projection, Tolerances

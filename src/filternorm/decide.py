@@ -38,9 +38,7 @@ from .linalg import (
 from .maps import (
     CpMap,
     _corner_perron,
-    _eigenspace,
     _invariance_defect,
-    _perron_vector,
     _top_eigenvalue,
     adjoint,
     apply,
@@ -260,26 +258,29 @@ def _boundary_rank_drop(
 
 def find_irreducible_corner(
     T: CpMap, V: Projection, tol: Tolerances | None = None
-) -> tuple[Projection, float]:
+) -> tuple[Projection, float, np.ndarray]:
     """Shrink an invariant corner until the restricted map is irreducible.
 
-    Returns the final corner and the spectral radius of the map on it.  The
-    rank strictly decreases at every shrink, so the search terminates after
-    at most ``rank(V)`` rounds.
+    Returns the final corner, the spectral radius of the map on it and the
+    full-rank PSD trace-one Perron vector ``delta`` of the compressed adjoint
+    there, which :func:`solve_adjoint_block` takes.  The rank strictly
+    decreases at every shrink, so the search terminates after at most
+    ``rank(V)`` rounds.
     """
     tol = _tol(tol)
     if T.src_dim != T.dst_dim or T.src_dim != V.dim:
         raise ValueError("find_irreducible_corner requires a square map matching V")
     current = V
     for _ in range(4 * V.rank + 4):
-        # one-dimensional corners are irreducible when nonzero
+        # one-dimensional corners are irreducible when nonzero; the projector
+        # is the compressed adjoint's trace-one Perron vector there
         if current.rank == 1:
             rep = corner_rep(T, current, tol)
             lam = float(rep.matrix[0, 0])
             if lam <= tol.rank_rel:
                 raise ValueError("the map vanishes on a candidate corner")
-            return current, lam
-        rep, lam, space, gamma = _corner_perron(T, current, tol)
+            return current, lam, current.matrix
+        lam, space, gamma, delta = _corner_perron(T, current, tol)
         if gamma is None:
             raise RuntimeError("no PSD Perron eigenvector in the top eigenspace")
         full = rank_eps(gamma, tol) == current.rank
@@ -293,13 +294,12 @@ def find_irreducible_corner(
             continue
         # the compressed adjoint's Perron vector: full rank means irreducible,
         # otherwise its kernel cuts out a smaller invariant corner
-        delta = _perron_vector(_eigenspace(rep, lam, tol, adjoint=True), tol)
         if delta is None:
             raise RuntimeError(
                 "compressed adjoint has no PSD eigenvector at the spectral radius"
             )
         if rank_eps(delta, tol) == current.rank:
-            return current, float(lam)
+            return current, lam, delta
         shared = subspace_intersection(gap_split(delta, tol)[1], current.basis, tol)
         if shared.shape[1] == 0:
             raise RuntimeError("irreducibility search produced an empty corner")
@@ -313,13 +313,14 @@ def find_irreducible_corner(
 
 
 def normalize_corner(
-    T: CpMap, V: Projection, lam: float, tol: Tolerances | None = None
+    T: CpMap, V: Projection, lam: float, delta: np.ndarray, tol: Tolerances | None = None
 ) -> tuple[np.ndarray, CpMap, int]:
     """Rotate an irreducible corner to the leading block and fix the adjoint.
 
-    Builds ``Q = U* (sqrt(delta) + V_perp)`` where ``delta`` is the Perron
-    eigenvector of the compressed adjoint and ``U`` stacks a corner basis
-    before a complement basis.  The conjugated, ``1/lam``-scaled map ``T_1``
+    Builds ``Q = U* (sqrt(delta) + V_perp)`` where ``delta`` is the full-rank
+    Perron eigenvector of the compressed adjoint on the corner (as
+    :func:`find_irreducible_corner` returns it) and ``U`` stacks a corner
+    basis before a complement basis.  The conjugated, ``1/lam``-scaled map ``T_1``
     then leaves the leading ``s x s`` block invariant, has corner spectral
     radius one there, and satisfies ``V_1 T_1*(V_1) V_1 = V_1``.
 
@@ -329,11 +330,9 @@ def normalize_corner(
     if lam <= 0:
         raise ValueError("corner spectral radius must be positive")
     k = T.src_dim
-    rep = corner_rep(T, V, tol)
-    delta = _perron_vector(_eigenspace(rep, lam, tol, adjoint=True), tol)
-    if delta is None or rank_eps(delta, tol) != V.rank:
+    if rank_eps(delta, tol) != V.rank:
         raise ValueError(
-            "corner is not irreducible: adjoint Perron vector missing or rank-deficient"
+            "corner is not irreducible: adjoint Perron vector is rank-deficient"
         )
     sqrt_delta, _ = hermitian_sqrt_pinv(delta, tol)
     perp = orthogonal_complement(V, tol)
@@ -346,7 +345,7 @@ def normalize_corner(
     # postconditions (loose guards; failures indicate a broken precondition)
     lead = projector_onto(np.eye(k, dtype=complex)[:, :s], tol)
     rep1 = corner_rep(T1, lead, tol)
-    lam1 = _top_eigenvalue(rep1.matrix)
+    lam1 = _top_eigenvalue(rep1.matrix, tol)
     if abs(lam1 - 1.0) > 1e-8:
         raise RuntimeError("corner normalization failed: spectral radius is not one")
     v1 = lead.matrix
@@ -491,9 +490,12 @@ def _coords_to_block(x: np.ndarray, rows: int, cols: int) -> np.ndarray:
 
 
 def solve_adjoint_block(
-    T: CpMap, V: Projection, lam: float, tol: Tolerances | None = None
+    T: CpMap, V: Projection, lam: float, delta: np.ndarray, tol: Tolerances | None = None
 ) -> AdjointBlockResult:
     """Find the unique adjoint-invariant block paired with an irreducible corner.
+
+    ``V``, ``lam`` and ``delta`` are what :func:`find_irreducible_corner`
+    returns.
 
     Minimizes the quadratic objective; a positive-definite Gram matrix with a
     (numerically) zero minimum yields the block ``W`` as the image of
@@ -503,7 +505,7 @@ def solve_adjoint_block(
     """
     tol = _tol(tol)
     k = T.src_dim
-    Q, T1, s = normalize_corner(T, V, lam, tol)
+    Q, T1, s = normalize_corner(T, V, lam, delta, tol)
     model = adjoint_block_quadratic(T1, s, tol)
 
     if model.n == 0:
@@ -674,7 +676,7 @@ def decide_equivalence(
         iterations += 1
         if iterations > k:
             raise RuntimeError("decision loop exceeded the dimension bound")
-        V, lam = find_irreducible_corner(T, Vprime, tol)
+        V, lam, delta = find_irreducible_corner(T, Vprime, tol)
         if same_subspace(V, Vprime):
             blocks.append((V, lam))
             certificate = BlockCertificate(
@@ -690,7 +692,7 @@ def decide_equivalence(
                 certificate=certificate,
             )
 
-        result = solve_adjoint_block(T, V, lam, tol)
+        result = solve_adjoint_block(T, V, lam, delta, tol)
         if result.W is None:
             stage = STAGE_GRAM_NOT_PD if result.min_f is None else STAGE_F_MIN_POSITIVE
             witness = FailureWitness(

@@ -237,12 +237,15 @@ def corner_rep(T: CpMap, V: Projection, tol: Tolerances | None = None) -> Corner
     return CornerRep(V=V, basis=basis, matrix=rep)
 
 
-def _top_eigenvalue(mat: np.ndarray) -> float:
+def _top_eigenvalue(mat: np.ndarray, tol: Tolerances) -> float:
     """Perron root: the real positive eigenvalue of maximal modulus.
 
     A periodic map has several eigenvalues on its spectral circle (the roots
     of unity times the radius); of those within ``1e-8`` of the radius the one
-    with the largest real part is the root, asserted (nearly) real.
+    with the largest real part is the root.  ``eigvals`` splits a defective
+    root into a small cluster around it, so the root is the mean of the
+    eigenvalues within ``sqrt(rank_rel)`` of the radius from that one (exact
+    to rounding), asserted (nearly) real.
     """
     eigs = np.linalg.eigvals(mat)
     modulus = np.abs(eigs)
@@ -250,38 +253,14 @@ def _top_eigenvalue(mat: np.ndarray) -> float:
     if radius == 0.0:
         return 0.0
     peripheral = eigs[modulus >= radius * (1.0 - 1e-8)]
-    lam = peripheral[np.argmax(peripheral.real)]
+    top = peripheral[np.argmax(peripheral.real)]
+    lam = eigs[np.abs(eigs - top) <= np.sqrt(tol.rank_rel) * radius].mean()
     if abs(lam.imag) > 1e-8 * max(1.0, abs(lam)):
         raise ValueError(
             f"spectral radius eigenvalue is not real ({lam:.3e}); "
             "the map does not look positivity-preserving"
         )
     return float(lam.real)
-
-
-def _eigenspace(
-    rep: CornerRep, lam: float, tol: Tolerances, adjoint: bool = False
-) -> np.ndarray:
-    """Lifted Hermitian basis (d, k, k) of the ``lam``-eigenspace of ``rep.matrix``,
-    or of ``rep.matrix.T`` (the compressed adjoint) with ``adjoint``.
-
-    The kernel cutoff is scaled by ``max(sigma_max(rep - lam), |lam|)`` rather
-    than by the shifted matrix alone, so an eigenvalue passed in from an
-    equivalent corner (equal up to roundoff) still recovers the eigenspace
-    even when the shifted matrix is numerically zero.
-    """
-    mat = rep.matrix.T if adjoint else rep.matrix
-    n = mat.shape[0]
-    shifted = mat - lam * np.eye(n)
-    _, sv, vh = np.linalg.svd(shifted)
-    scale = max(float(sv[0]) if sv.size else 0.0, abs(lam))
-    if scale <= 0.0:
-        coeffs = np.eye(n)
-    else:
-        r = int(np.count_nonzero(sv > tol.rank_rel * scale))
-        coeffs = vh[r:].conj().T
-    coeffs = np.real(coeffs)
-    return np.einsum("nd,nij->dij", coeffs, rep.basis)
 
 
 def _psd_in_span(mats: np.ndarray, tol: Tolerances) -> np.ndarray | None:
@@ -337,39 +316,50 @@ def _psd_in_span(mats: np.ndarray, tol: Tolerances) -> np.ndarray | None:
     return None
 
 
-def _perron_vector(space: np.ndarray, tol: Tolerances) -> np.ndarray | None:
-    """PSD trace-one element of an eigenspace from :func:`_eigenspace`, if found."""
-    if space.shape[0] == 0:
+def _psd_normalized(X: np.ndarray, tol: Tolerances) -> np.ndarray | None:
+    """``X`` or ``-X`` made Hermitian and trace one, if that is PSD, else ``None``."""
+    X = mirror_hermitian(X)
+    trace = float(np.real(np.trace(X)))
+    if trace < 0:
+        X, trace = -X, -trace
+    if trace <= 1e-12 or not psd_check(X / trace, tol):
         return None
-    if space.shape[0] == 1:
-        cand = mirror_hermitian(space[0])
-        trace = float(np.real(np.trace(cand)))
-        if trace < 0:
-            cand, trace = -cand, -trace
-        if trace <= 1e-12 or not psd_check(cand / max(trace, 1e-12), tol):
-            return None
-        return cand / trace
-    return _psd_in_span(space, tol)
+    return X / trace
 
 
 def _corner_perron(
     T: CpMap, V: Projection, tol: Tolerances
-) -> tuple[CornerRep, float, np.ndarray, np.ndarray | None]:
+) -> tuple[float, np.ndarray, np.ndarray | None, np.ndarray | None]:
     """Perron analysis of ``T`` on the corner of ``V``.
 
-    Returns the corner representation, the Perron root, its eigenspace (its
-    length is the root's geometric multiplicity) and a PSD trace-one Perron
-    vector in it, or ``None``.  Raises ``ValueError`` when the corner is not
-    invariant, the map vanishes on it, or the root is not positive.
+    Returns ``(lam, space, gamma, delta)``: the Perron root, its lifted
+    eigenspace (its length is the root's geometric multiplicity), a PSD
+    trace-one Perron vector in it, and, for a simple root, the PSD trace-one
+    Perron vector of the compressed adjoint ``X -> V T*(X) V``.  A vector
+    that is not found is ``None``, and so is ``delta`` for a degenerate root.
+    Raises ``ValueError`` when the corner is not invariant, the map vanishes
+    on it, or the root is not positive.
+
+    One SVD of ``rep - lam`` serves both maps: the adjoint is represented by
+    ``rep.T``, so the right null vectors span the map's eigenspace and the
+    left ones the adjoint's.  The kernel cutoff is scaled by
+    ``max(sigma_max(rep - lam), lam)``, so a root off by roundoff still finds
+    the eigenspace when the shifted matrix is numerically zero.
     """
     rep = corner_rep(T, V, tol)
     if np.abs(rep.matrix).max() == 0.0:
         raise ValueError("the map vanishes on this corner")
-    lam = _top_eigenvalue(rep.matrix)
+    lam = _top_eigenvalue(rep.matrix, tol)
     if lam <= 0.0:
         raise ValueError("corner spectral radius is not positive")
-    space = _eigenspace(rep, lam, tol)
-    return rep, lam, space, _perron_vector(space, tol)
+    n = rep.matrix.shape[0]
+    u, sv, vh = np.linalg.svd(rep.matrix - lam * np.eye(n))
+    r = int(np.count_nonzero(sv > tol.rank_rel * max(float(sv[0]), lam)))
+    space = np.einsum("dn,nij->dij", vh[r:], rep.basis)
+    if n - r != 1:
+        return lam, space, _psd_in_span(space, tol), None
+    delta = np.einsum("n,nij->ij", u[:, r], rep.basis)
+    return lam, space, _psd_normalized(space[0], tol), _psd_normalized(delta, tol)
 
 
 def spectral_radius_perron(
@@ -380,7 +370,7 @@ def spectral_radius_perron(
     Raises ``ValueError`` when the corner map vanishes or has spectral radius
     zero, or when no PSD eigenvector can be located in the top eigenspace.
     """
-    _, lam, _, gamma = _corner_perron(T, V, _tol(tol))
+    lam, _, gamma, _ = _corner_perron(T, V, _tol(tol))
     if gamma is None:
         raise ValueError("no PSD Perron eigenvector found in the top eigenspace")
     return lam, gamma
@@ -409,10 +399,9 @@ def is_irreducible(T: CpMap, V: Projection, tol: Tolerances | None = None) -> bo
     """
     tol = _tol(tol)
     try:
-        rep, lam, space, gamma = _corner_perron(T, V, tol)
+        _, space, gamma, delta = _corner_perron(T, V, tol)
     except ValueError:
         return False
-    if space.shape[0] != 1 or gamma is None or rank_eps(gamma, tol) != V.rank:
-        return False
-    delta = _perron_vector(_eigenspace(rep, lam, tol, adjoint=True), tol)
-    return delta is not None and rank_eps(delta, tol) == V.rank
+    return space.shape[0] == 1 and all(
+        x is not None and rank_eps(x, tol) == V.rank for x in (gamma, delta)
+    )

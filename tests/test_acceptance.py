@@ -24,16 +24,14 @@ from filternorm import (
     decide_equivalence,
     embed_rectangular,
     filter_normal_form,
-    normalize_corner,
     partial_trace_first,
     partial_trace_second,
     pauli_coefficients,
     save_state,
-    spectral_radius_perron,
 )
-from filternorm import adjoint_block_quadratic
-from filternorm.decide import _coords_to_block
-from filternorm.linalg import projector_onto
+from filternorm.decide import _coords_to_block, adjoint_block_quadratic, normalize_corner
+from filternorm.linalg import DEFAULT_TOL, projector_onto
+from filternorm.maps import _corner_perron
 from helpers import (
     blocky_state,
     cli_env,
@@ -164,8 +162,8 @@ def test_criterion_5_quadratic_model_matches_trace_formula():
             kraus=tuple(upper_triangular_map_kraus(k, s, rng)),
         )
         lead = projector_onto(np.eye(k, dtype=complex)[:, :s])
-        lam, _ = spectral_radius_perron(T, lead)
-        _, T1, s1 = normalize_corner(T, lead, lam)
+        lam, _, _, delta = _corner_perron(T, lead, DEFAULT_TOL)
+        _, T1, s1 = normalize_corner(T, lead, lam, delta)
         model = adjoint_block_quadratic(T1, s1)
         kraus = list(T1.kraus)
         for _ in range(30):

@@ -12,7 +12,6 @@ from filternorm import (
     STAGE_NO_FULL_RANK_VECTOR,
     BipartiteState,
     CpMap,
-    adjoint_block_quadratic,
     anchor_transform,
     apply,
     apply_filter,
@@ -24,13 +23,17 @@ from filternorm import (
     is_irreducible,
     leaves_invariant,
     maximally_entangled,
-    normalize_corner,
     partial_transpose,
     solve_adjoint_block,
     spectral_radius_perron,
     state_to_map,
 )
-from filternorm.decide import _boundary_rank_drop, _coords_to_block
+from filternorm.decide import (
+    _boundary_rank_drop,
+    _coords_to_block,
+    adjoint_block_quadratic,
+    normalize_corner,
+)
 from filternorm.linalg import (
     DEFAULT_TOL,
     identity_projection,
@@ -65,8 +68,8 @@ def normalized_t1(k, s, rng):
     T = CpMap(src_dim=k, dst_dim=k,
               kraus=tuple(upper_triangular_map_kraus(k, s, rng)))
     lead = projector_onto(np.eye(k, dtype=complex)[:, :s])
-    lam, _ = spectral_radius_perron(T, lead)
-    Q, T1, s1 = normalize_corner(T, lead, lam)
+    lam, _, _, delta = _corner_perron(T, lead, DEFAULT_TOL)
+    Q, T1, s1 = normalize_corner(T, lead, lam, delta)
     return T1, s1
 
 
@@ -114,7 +117,7 @@ def test_anchored_map_does_not_shrink_images():
 
 def test_find_irreducible_corner_identity_map():
     """The identity map is maximally reducible: a rank-1 corner with value 1."""
-    V, lam = find_irreducible_corner(identity_map(2), identity_projection(2))
+    V, lam, _ = find_irreducible_corner(identity_map(2), identity_projection(2))
     assert V.rank == 1
     assert abs(lam - 1.0) < 1e-9
 
@@ -122,7 +125,7 @@ def test_find_irreducible_corner_identity_map():
 def test_find_irreducible_corner_neq2():
     """The anchored map of the (1,1,0,1)/3 state shrinks to the second axis."""
     _, A = anchor_transform(neq2_state(), U2)
-    V, lam = find_irreducible_corner(state_to_map(A), identity_projection(2))
+    V, lam, _ = find_irreducible_corner(state_to_map(A), identity_projection(2))
     e22 = projector_onto(np.eye(2, dtype=complex)[:, [1]])
     assert same_subspace(V, e22)
     assert abs(lam - 1.0 / 3.0) < 1e-9
@@ -136,7 +139,7 @@ def test_find_irreducible_corner_keeps_irreducible_corners():
     and multiplicity.
     """
     T = state_to_map(diagonal_state(np.ones((2, 2)) / 4.0))
-    V, lam = find_irreducible_corner(T, identity_projection(2))
+    V, lam, _ = find_irreducible_corner(T, identity_projection(2))
     assert same_subspace(V, identity_projection(2))
     assert is_irreducible(T, V)
     assert abs(lam - 0.5) < 1e-9
@@ -157,7 +160,7 @@ def test_find_irreducible_corner_keeps_irreducible_corners():
     seen = set()
     for T in maps:
         whole = identity_projection(T.src_dim)
-        V, _ = find_irreducible_corner(T, whole)
+        V, _, _ = find_irreducible_corner(T, whole)
         kept = same_subspace(V, whole)
         assert kept == is_irreducible(T, whole)
         seen.add(kept)
@@ -165,22 +168,39 @@ def test_find_irreducible_corner_keeps_irreducible_corners():
 
 
 def test_find_irreducible_corner_analyses_an_irreducible_corner_once(monkeypatch):
-    """An irreducible corner costs one corner representation, not two."""
-    calls = []
+    """An irreducible corner costs one corner representation and one SVD of it,
+    not two: the search hands the adjoint Perron vector on, so
+    ``solve_adjoint_block`` builds no representation of the corner again."""
+    corners, svds = [], []
 
-    def counted(*args, **kwargs):
-        calls.append(args[1].rank)
+    def counted_rep(*args, **kwargs):
+        corners.append(args[1])
         return corner_rep(*args, **kwargs)
 
-    monkeypatch.setattr("filternorm.maps.corner_rep", counted)
-    monkeypatch.setattr("filternorm.decide.corner_rep", counted)
+    def counted_svd(a, *args, _svd=np.linalg.svd, **kwargs):
+        svds.append(np.shape(a))
+        return _svd(a, *args, **kwargs)
+
+    monkeypatch.setattr("filternorm.maps.corner_rep", counted_rep)
+    monkeypatch.setattr("filternorm.decide.corner_rep", counted_rep)
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
     rng = np.random.default_rng(3)
     for k in (2, 4, 6):
         T = unitary_mixture(k, 3, rng)
-        calls.clear()
-        V, _ = find_irreducible_corner(T, identity_projection(k))
+        corners.clear()
+        svds.clear()
+        V, lam, delta = find_irreducible_corner(T, identity_projection(k))
         assert V.rank == k
-        assert calls == [k]
+        assert [P.rank for P in corners] == [k]
+        assert svds.count((k * k, k * k)) == 1
+        solve_adjoint_block(T, V, lam, delta)
+        assert not any(P is V for P in corners[1:])
+    _, A = anchor_transform(neq2_state(), U2)
+    T = state_to_map(A)
+    V, lam, delta = find_irreducible_corner(T, identity_projection(2))
+    corners.clear()
+    assert solve_adjoint_block(T, V, lam, delta).W is None
+    assert not any(P is V for P in corners)
 
 
 def test_boundary_rank_drop_lands_on_a_smaller_invariant_corner():
@@ -195,7 +215,7 @@ def test_boundary_rank_drop_lands_on_a_smaller_invariant_corner():
             kraus = [U @ np.kron(np.eye(c), K) @ U.conj().T for K in ops]
             T = CpMap(src_dim=c * s, dst_dim=c * s, kraus=kraus)
             V = identity_projection(c * s)
-            _, lam, space, gamma = _corner_perron(T, V, DEFAULT_TOL)
+            lam, space, gamma, _ = _corner_perron(T, V, DEFAULT_TOL)
             assert space.shape[0] == c * c
             assert rank_eps(gamma) == V.rank
             B = _boundary_rank_drop(space, gamma, V, DEFAULT_TOL)
@@ -213,7 +233,7 @@ def test_find_irreducible_corner_output_contract():
         v = np.eye(k, dtype=complex).reshape(k * k)
         _, A = anchor_transform(st, v)
         T = state_to_map(A)
-        V, lam = find_irreducible_corner(T, identity_projection(k))
+        V, lam, _ = find_irreducible_corner(T, identity_projection(k))
         assert V.rank <= k
         assert leaves_invariant(T, V)
         assert is_irreducible(T, V)
@@ -225,8 +245,8 @@ def test_normalize_corner_neq2_hand_formula():
     rng = np.random.default_rng(2)
     _, A = anchor_transform(neq2_state(), U2)
     T = state_to_map(A)
-    V, lam = find_irreducible_corner(T, identity_projection(2))
-    Q, T1, s = normalize_corner(T, V, lam)
+    V, lam, delta = find_irreducible_corner(T, identity_projection(2))
+    Q, T1, s = normalize_corner(T, V, lam, delta)
     assert s == 1
     for _ in range(5):
         X = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
@@ -263,9 +283,9 @@ def test_normalize_corner_unitary_for_doubly_stochastic_maps():
         ops.append(np.sqrt(p[i]) * q)
     T = CpMap(src_dim=3, dst_dim=3, kraus=tuple(ops))
     V = identity_projection(3)
-    lam, _ = spectral_radius_perron(T, V)
+    lam, _, _, delta = _corner_perron(T, V, DEFAULT_TOL)
     assert abs(lam - 1.0) < 1e-8
-    Q, T1, s = normalize_corner(T, V, lam)
+    Q, T1, s = normalize_corner(T, V, lam, delta)
     assert s == 3
     gram = Q.conj().T @ Q
     assert np.abs(gram - gram[0, 0] * np.eye(3)).max() < 1e-8
@@ -306,8 +326,10 @@ def test_solve_adjoint_block_pairs_each_certified_block_with_itself():
         verdict = decide_equivalence(st)
         assert verdict.outcome == OUTCOME_EQUIVALENT
         cert = verdict.certificate
-        for V, lam in cert.blocks:
-            result = solve_adjoint_block(cert.final_map, V, lam)
+        for V, _ in cert.blocks:
+            W, lam, delta = find_irreducible_corner(cert.final_map, V)
+            assert W is V
+            result = solve_adjoint_block(cert.final_map, V, lam, delta)
             assert result.W is not None
             assert same_subspace(result.W, V)
             assert result.min_f <= 1e-8
@@ -318,8 +340,8 @@ def test_solve_adjoint_block_neq2_diagnostics():
     """The (1,1,0,1)/3 corner has no partner: min_f = 1, smallest Gram eig = 2."""
     _, A = anchor_transform(neq2_state(), U2)
     T = state_to_map(A)
-    V, lam = find_irreducible_corner(T, identity_projection(2))
-    result = solve_adjoint_block(T, V, lam)
+    V, lam, delta = find_irreducible_corner(T, identity_projection(2))
+    result = solve_adjoint_block(T, V, lam, delta)
     assert result.W is None
     assert abs(result.min_f - 1.0) < 1e-9
     assert abs(result.gram_min_eig - 2.0) < 1e-9
@@ -472,19 +494,30 @@ def test_decide_termination_bound():
 
 
 def test_decide_matches_classical_total_support_on_diagonal_states():
-    """Diagonal-state verdicts agree with the permutation-diagonal oracle."""
+    """Diagonal-state verdicts agree with the permutation-diagonal oracle.
+
+    Besides random patterns, seven fixed Kronecker patterns of
+    ``J = [[1, 1], [0, 1]]``, unnormalized: ``eigvals`` splits the defective
+    Perron root 8 of the first two into a pair ``8 +- 1e-7 i``, and the other
+    five have a degenerate defective root, decided only through
+    ``_psd_in_span``.
+    """
     rng = np.random.default_rng(13)
-    agree = 0
+    J = np.array([[1.0, 1.0], [0.0, 1.0]])
+    fixed = [np.kron(J, np.ones((2, 2))), np.kron(np.ones((2, 2)), J),
+             np.kron(np.eye(2), J), np.kron(J, np.eye(2)), np.kron(J, J),
+             np.kron(np.eye(3), J), np.kron(np.eye(2), np.triu(np.ones((3, 3))))]
+    cases = [(w, diagonal_state(w)) for w in fixed]
     for _ in range(60):
         k = int(rng.integers(2, 4))
         w = (rng.random((k, k)) < 0.5) * rng.uniform(0.2, 2.0, size=(k, k))
-        if not w.any():
-            continue
-        verdict = decide_equivalence(pattern_state(w), rng=np.random.default_rng(0))
+        if w.any():
+            cases.append((w, pattern_state(w)))
+    assert len(cases) >= 57
+    for w, state in cases:
+        verdict = decide_equivalence(state, rng=np.random.default_rng(0))
         scalable = oracles.has_total_support(w)
         assert (verdict.outcome == OUTCOME_EQUIVALENT) == scalable
-        agree += 1
-    assert agree >= 50
 
 
 def test_decide_is_deterministic_for_a_fixed_seed():
@@ -594,7 +627,7 @@ def test_gap_cut_on_a_nearly_invariant_corner_gives_no_verdict():
             assert verdict.witness.stage == STAGE_F_MIN_POSITIVE
 
 
-# ``_perron_vector``'s PSD check still fails on some ill-conditioned draws
+# ``_corner_perron``'s PSD check still fails on some ill-conditioned draws
 PSD_PERRON_ERRORS = (
     "no PSD Perron eigenvector in the top eigenspace",
     "compressed adjoint has no PSD eigenvector at the spectral radius",
