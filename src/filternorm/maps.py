@@ -242,10 +242,10 @@ def _top_eigenvalue(mat: np.ndarray, tol: Tolerances) -> float:
 
     A periodic map has several eigenvalues on its spectral circle (the roots
     of unity times the radius); of those within ``1e-8`` of the radius the one
-    with the largest real part is the root.  ``eigvals`` splits a defective
-    root into a small cluster around it, so the root is the mean of the
-    eigenvalues within ``sqrt(rank_rel)`` of the radius from that one (exact
-    to rounding), asserted (nearly) real.
+    with the largest real part is the root.  ``eigvals`` may split a defective
+    root into a conjugate pair of equal moduli, so the root is the real part
+    of that one (the mean of the pair), asserted nearly real: its imaginary
+    part stays within ``sqrt(rank_rel)`` of the radius.
     """
     eigs = np.linalg.eigvals(mat)
     modulus = np.abs(eigs)
@@ -254,13 +254,12 @@ def _top_eigenvalue(mat: np.ndarray, tol: Tolerances) -> float:
         return 0.0
     peripheral = eigs[modulus >= radius * (1.0 - 1e-8)]
     top = peripheral[np.argmax(peripheral.real)]
-    lam = eigs[np.abs(eigs - top) <= np.sqrt(tol.rank_rel) * radius].mean()
-    if abs(lam.imag) > 1e-8 * max(1.0, abs(lam)):
+    if abs(top.imag) > np.sqrt(tol.rank_rel) * radius:
         raise ValueError(
-            f"spectral radius eigenvalue is not real ({lam:.3e}); "
+            f"spectral radius eigenvalue is not real ({top:.3e}); "
             "the map does not look positivity-preserving"
         )
-    return float(lam.real)
+    return float(top.real)
 
 
 def _psd_in_span(mats: np.ndarray, tol: Tolerances) -> np.ndarray | None:
@@ -309,10 +308,9 @@ def _psd_in_span(mats: np.ndarray, tol: Tolerances) -> np.ndarray | None:
                 ok = True
                 break
             X = Xs
-        if ok and psd_check(X, tol):
-            trace = float(np.real(np.trace(X)))
-            if trace > 1e-12:
-                return mirror_hermitian(X / trace)
+        found = _psd_normalized(X, tol) if ok else None
+        if found is not None:
+            return found
     return None
 
 

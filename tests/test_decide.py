@@ -131,6 +131,24 @@ def test_find_irreducible_corner_neq2():
     assert abs(lam - 1.0 / 3.0) < 1e-9
 
 
+def test_nearly_equal_roots_stay_apart():
+    """Roots ``1e-6`` apart are two roots, not the split of one: the search
+    lands on the larger one's corner, and a two-block decision keeps both."""
+    e11, e22 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    T = CpMap(src_dim=2, dst_dim=2, kraus=[e11, np.sqrt(1 + 1e-6) * e22])
+    V, lam, _ = find_irreducible_corner(T, identity_projection(2))
+    assert same_subspace(V, projector_onto(np.eye(2, dtype=complex)[:, [1]]))
+    assert abs(lam - (1 + 1e-6)) < 1e-12
+    assert abs(spectral_radius_perron(T, identity_projection(2))[0] - lam) < 1e-12
+    B = np.array([[1.0, 2.0], [3.0, 1.0]])
+    w = np.block([[B, np.zeros((2, 2))], [np.zeros((2, 2)), (1 + 1e-6) * B]])
+    verdict = decide_equivalence(pattern_state(w), rng=np.random.default_rng(0))
+    assert verdict.outcome == OUTCOME_EQUIVALENT
+    (V1, lam1), (V2, lam2) = verdict.blocks
+    assert (V1.rank, V2.rank) == (2, 2)
+    assert 5e-7 < lam1 - lam2 < 2e-6
+
+
 def test_find_irreducible_corner_keeps_irreducible_corners():
     """An already irreducible map comes back unchanged, and only such a map.
 
@@ -170,11 +188,12 @@ def test_find_irreducible_corner_keeps_irreducible_corners():
 def test_find_irreducible_corner_analyses_an_irreducible_corner_once(monkeypatch):
     """An irreducible corner costs one corner representation and one SVD of it,
     not two: the search hands the adjoint Perron vector on, so
-    ``solve_adjoint_block`` builds no representation of the corner again."""
+    ``solve_adjoint_block`` builds no representation of ``T`` again (only of
+    the normalized map, for its postcondition)."""
     corners, svds = [], []
 
     def counted_rep(*args, **kwargs):
-        corners.append(args[1])
+        corners.append(args[:2])
         return corner_rep(*args, **kwargs)
 
     def counted_svd(a, *args, _svd=np.linalg.svd, **kwargs):
@@ -191,16 +210,16 @@ def test_find_irreducible_corner_analyses_an_irreducible_corner_once(monkeypatch
         svds.clear()
         V, lam, delta = find_irreducible_corner(T, identity_projection(k))
         assert V.rank == k
-        assert [P.rank for P in corners] == [k]
+        assert [(M is T, P.rank) for M, P in corners] == [(True, k)]
         assert svds.count((k * k, k * k)) == 1
         solve_adjoint_block(T, V, lam, delta)
-        assert not any(P is V for P in corners[1:])
+        assert not any(M is T for M, _ in corners[1:])
     _, A = anchor_transform(neq2_state(), U2)
     T = state_to_map(A)
     V, lam, delta = find_irreducible_corner(T, identity_projection(2))
     corners.clear()
     assert solve_adjoint_block(T, V, lam, delta).W is None
-    assert not any(P is V for P in corners)
+    assert not any(M is T for M, _ in corners)
 
 
 def test_boundary_rank_drop_lands_on_a_smaller_invariant_corner():
