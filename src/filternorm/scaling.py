@@ -1,12 +1,12 @@
 """Operator Sinkhorn scaling and filter normal forms.
 
 A square CP map is scaled to a doubly stochastic one by alternately fixing
-the two marginals ``T(Id/sqrt(s))`` and ``T*(Id/sqrt(s))``; on each
-irreducible block certified by the decision stage this converges, and the
-block scalings assemble into local filters that bring the original state to
-its normal form: unit trace, both partial traces proportional to the
-identity.  For two qubits a final pair of local unitaries additionally kills
-every cross term in the Pauli expansion.
+the two marginals ``T(Id/sqrt(s))`` and ``T*(Id/sqrt(s))``, each one GEMM of
+the Kraus operators laid side by side; on each irreducible block certified
+by the decision stage this converges, and the block scalings assemble into
+local filters that bring the state to its normal form (unit trace, both
+partial traces proportional to the identity), built once.  For two qubits a
+final pair of local unitaries also kills every cross term of the Pauli form.
 
 Near the boundary of the scalable maps Sinkhorn needs about ``eps^(-1/2)``
 rounds for a block ``eps`` away from losing total support.  Once a round
@@ -70,15 +70,15 @@ class ScalingResult:
     iterations: int
 
 
-def _marginal(kraus: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """``sum_i K_i X K_i*``, added in the stored order of the operators.
+def _forward(F: np.ndarray) -> np.ndarray:
+    """``T(Id/sqrt(s)) = F F*/sqrt(s)``, ``F[a, i s + b] = K_i[a, b]`` (``s x rs``)."""
+    return F @ dagger(F) / np.sqrt(len(F))
 
-    The stacked product runs one GEMM per operator, and ``accumulate`` adds
-    strictly in order (``sum`` switches to pairwise addition when the
-    operators are ``1 x 1``), so the bits are those of the one-operator-at-a-time
-    loop ``out += K X K*``.
-    """
-    return np.add.accumulate(kraus @ X @ dagger(kraus), axis=0)[-1]
+
+def _backward(F: np.ndarray) -> np.ndarray:
+    """``T*(Id/sqrt(s)) = G* G/sqrt(s)``, ``G = F.reshape(rs, s)`` the stacked ``K_i``."""
+    G = F.reshape(-1, len(F))
+    return dagger(G) @ G / np.sqrt(len(F))
 
 
 def _inverse_sqrt_marginal(G: np.ndarray, s: int, tol: Tolerances) -> np.ndarray:
@@ -93,8 +93,7 @@ def _inverse_sqrt_marginal(G: np.ndarray, s: int, tol: Tolerances) -> np.ndarray
             f"marginal collapsed during scaling (eigenvalues in "
             f"[{eigs[0]:.3e}, {eigs[-1]:.3e}])"
         )
-    inv_sqrt = mirror_hermitian(vecs @ np.diag(1.0 / np.sqrt(eigs)) @ vecs.conj().T)
-    return s ** (-0.25) * inv_sqrt
+    return s ** (-0.25) * mirror_hermitian((vecs * (1.0 / np.sqrt(eigs))) @ dagger(vecs))
 
 
 def _hermitian_exp(H: np.ndarray) -> np.ndarray:
@@ -148,10 +147,9 @@ def _newton_filters(
     return _hermitian_exp(h / 2.0), _hermitian_exp(g / 2.0)
 
 
-def _residual(kraus: np.ndarray, ident: np.ndarray) -> float:
+def _residual(F: np.ndarray, ident: np.ndarray) -> float:
     """Larger deviation of the two marginals of ``Id/sqrt(s)`` from it."""
-    return max(np.abs(_marginal(kraus, ident) - ident).max(),
-               np.abs(_marginal(dagger(kraus), ident) - ident).max())
+    return max(np.abs(_forward(F) - ident).max(), np.abs(_backward(F) - ident).max())
 
 
 def scale_to_doubly_stochastic(
@@ -167,10 +165,12 @@ def scale_to_doubly_stochastic(
     marginal degenerates and :class:`ScalingConvergenceError` at the
     ``sinkhorn_max_iters`` cap.
 
-    The loop works on the Kraus stack itself, and a Sinkhorn round computes
-    each marginal once: the forward marginal of the stopping check is the one
-    the output filter inverts, and the adjoint marginal is needed for the
-    check only once the forward one passes.
+    The loop keeps the operators side by side in one ``s x rs`` matrix ``F``,
+    so each marginal is one GEMM (:func:`_forward`, :func:`_backward`), and so
+    is each filter update: ``L F``, and ``G R`` on the stacked operators.  A
+    round computes each marginal once: the forward marginal of the stopping
+    check is the one the output filter inverts, and the adjoint marginal is
+    needed for the check only once the forward one passes.
 
     Near the boundary of the scalable maps a round shrinks the residual by a
     factor close to one.  When a round fails to halve the forward residual
@@ -181,8 +181,7 @@ def scale_to_doubly_stochastic(
     once the second-smallest singular value of its system falls below
     ``sqrt(rank_rel)`` times the largest, as it does while the filters
     diverge on a map without total support; the rest of that run is plain
-    Sinkhorn.  Maps that never stall get the Sinkhorn iterates bit for bit.
-    ``iterations`` counts both kinds of step.
+    Sinkhorn.  ``iterations`` counts both kinds of step.
     """
     tol = _tol(tol)
     if T.src_dim != T.dst_dim:
@@ -191,17 +190,17 @@ def scale_to_doubly_stochastic(
     ident = np.eye(s, dtype=complex) / np.sqrt(s)
     left = np.eye(s, dtype=complex)
     right = np.eye(s, dtype=complex)
-    kraus = T.kraus
+    F = T.kraus.transpose(1, 0, 2).reshape(s, -1)
     iterations = 0
     last = np.inf  # forward residual before the latest Sinkhorn round
     newton = False  # the latest step was an accepted Newton step
     refused = False  # the Newton guard refused once
     while True:
-        fwd = _marginal(kraus, ident)
+        fwd = _forward(F)
         res = np.abs(fwd - ident).max()
         bwd = None
         if res <= tol.sinkhorn_residual:
-            bwd = _marginal(dagger(kraus), ident)
+            bwd = _backward(F)
             if max(res, np.abs(bwd - ident).max()) <= tol.sinkhorn_residual:
                 break
         if iterations >= tol.sinkhorn_max_iters:
@@ -211,25 +210,25 @@ def scale_to_doubly_stochastic(
         iterations += 1
         if not refused and (newton or res > 0.5 * last):
             if bwd is None:
-                bwd = _marginal(dagger(kraus), ident)
-            filters = _newton_filters(kraus, fwd, bwd, tol)
+                bwd = _backward(F)
+            filters = _newton_filters(F.reshape(s, -1, s).transpose(1, 0, 2), fwd, bwd, tol)
             refused = filters is None
             if not refused:
                 L, R = filters
-                trial = L @ kraus @ R
+                trial = ((L @ F).reshape(-1, s) @ R).reshape(s, -1)
                 if _residual(trial, ident) < max(res, np.abs(bwd - ident).max()):
-                    kraus, left, right = trial, L @ left, right @ R
+                    F, left, right = trial, L @ left, right @ R
                     newton = True
                     continue
             newton = False
         last = res
         L = _inverse_sqrt_marginal(fwd, s, tol)
-        kraus = L @ kraus
+        F = L @ F
         left = L @ left
-        R = _inverse_sqrt_marginal(_marginal(dagger(kraus), ident), s, tol)
-        kraus = kraus @ R
+        R = _inverse_sqrt_marginal(_backward(F), s, tol)
+        F = (F.reshape(-1, s) @ R).reshape(s, -1)
         right = right @ R
-    scaled = CpMap(src_dim=s, dst_dim=s, kraus=kraus)
+    scaled = CpMap(src_dim=s, dst_dim=s, kraus=F.reshape(s, -1, s).transpose(1, 0, 2))
     return ScalingResult(left=left, right=right, scaled=scaled, iterations=iterations)
 
 
@@ -298,29 +297,24 @@ def filter_normal_form(
         iterations = max(iterations, sr.iterations)
 
     # undo the map-side history: input transforms act transposed on the first
-    # factor of the state, output transforms act directly on the second
+    # factor of the state, output transforms act directly on the second; the
+    # filtered state's trace is tr(rho (L*L (x) R*R)): it is built once, normalized
     left_filter = right_glob.T @ np.linalg.inv(accumulated).T @ prefilter
     right_filter = left_glob @ accumulated
-    normal = apply_filter(state, left_filter, right_filter, tol)
-    total = float(np.real(np.trace(normal.rho)))
+    grams = [dagger(F) @ F for F in (left_filter, right_filter)]
+    total = float(np.vdot(state.rho, np.kron(*grams)).real)
     if total <= 0.0:
         raise RuntimeError("scaled state has nonpositive trace")
     left_filter = left_filter / np.sqrt(total)
-    normal = BipartiteState(k=k, m=k, rho=normal.rho / total)
-
     if k == 2:
-        u1, u2 = _pauli_rotations(normal)
+        u1, u2 = _pauli_rotations(state, left_filter, right_filter)
         left_filter = u1 @ left_filter
         right_filter = u2 @ right_filter
-        normal = apply_filter(normal, u1, u2, tol)
+    normal = apply_filter(state, left_filter, right_filter, tol)
 
-    eye = np.eye(k, dtype=complex)
-    residual = float(
-        max(
-            np.abs(partial_trace_first(normal) - eye / k).max(),
-            np.abs(partial_trace_second(normal) - eye / k).max(),
-        )
-    )
+    target = np.eye(k) / k
+    residual = float(max(np.abs(partial_trace_first(normal) - target).max(),
+                         np.abs(partial_trace_second(normal) - target).max()))
     if residual > 10.0 * tol.sinkhorn_residual:
         raise RuntimeError(f"normal form residual {residual:.2e} is too large")
     return NormalFormResult(
@@ -342,12 +336,11 @@ _PAULI = (
     np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
     np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
 )
-# The products the two-qubit expansion takes traces against, built once:
-# ``gamma_a (x) gamma_b`` with ``gamma = sigma / sqrt(2)``, and
-# ``sigma_a (x) sigma_b`` for the three non-identity Paulis.
+# Built once: the products ``gamma_a (x) gamma_b`` (``gamma = sigma / sqrt(2)``)
+# the two-qubit expansion takes traces against, and the non-identity Paulis.
 _GAMMA = [p / np.sqrt(2.0) for p in _PAULI]
 _GAMMA_PAIRS = np.array([[np.kron(ga, gb) for gb in _GAMMA] for ga in _GAMMA])
-_SIGMA_PAIRS = np.array([[np.kron(sa, sb) for sb in _PAULI[1:]] for sa in _PAULI[1:]])
+_SIGMA = np.array(_PAULI[1:])
 
 
 def pauli_coefficients(state: BipartiteState) -> tuple[np.ndarray, float]:
@@ -401,9 +394,13 @@ def _su2_from_rotation(O: np.ndarray) -> np.ndarray:
     return w * _PAULI[0] - 1j * (x * _PAULI[1] + y * _PAULI[2] + z * _PAULI[3])
 
 
-def _pauli_rotations(state: BipartiteState) -> tuple[np.ndarray, np.ndarray]:
-    """Local unitaries diagonalizing the sigma-sigma correlation matrix."""
-    t = np.real(np.einsum("xy,abyx->ab", state.rho, _SIGMA_PAIRS)) / 2.0
+def _pauli_rotations(
+    state: BipartiteState, L: np.ndarray, R: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Local unitaries diagonalizing the sigma-sigma correlation matrix
+    ``tr(rho (L* sigma_a L (x) R* sigma_b R)) / 2`` of ``(L (x) R) rho (L (x) R)*``."""
+    t = np.real(np.einsum("ijkl,aki,blj->ab", state.blocks(), dagger(L) @ _SIGMA @ L,
+                          dagger(R) @ _SIGMA @ R)) / 2.0
     U, _, Vh = np.linalg.svd(t)
     V = Vh.T
     O1 = U @ np.diag([1.0, 1.0, float(np.linalg.det(U))])

@@ -253,7 +253,8 @@ def apply_filter(
     """Congruence by a local filter: ``(R (x) S) rho (R (x) S)*``.
 
     Both factors must be invertible (this is a filtering operation, not a
-    measurement), so ranks and tensor ranks are preserved.
+    measurement), so ranks and tensor ranks are preserved.  Each factor acts
+    on its own axes of the ``(k, m, k, m)`` tensor; ``R (x) S`` is not formed.
     """
     tol = _tol(tol)
     R = np.asarray(R, dtype=complex)
@@ -262,8 +263,10 @@ def apply_filter(
         raise ValueError("filter shapes must match the local dimensions")
     if rank_eps(R, tol) < state.k or rank_eps(S, tol) < state.m:
         raise ValueError("filters must be invertible")
-    F = np.kron(R, S)
-    return BipartiteState(k=state.k, m=state.m, rho=F @ state.rho @ F.conj().T)
+    k, m = state.k, state.m
+    rho = (S @ (R @ state.rho.reshape(k, -1)).reshape(k, m, -1)).reshape(-1, k, m)
+    rho = (R.conj() @ rho).reshape(-1, m) @ S.conj().T
+    return BipartiteState(k=k, m=m, rho=rho.reshape(k * m, k * m))
 
 
 @dataclass(frozen=True, eq=False)

@@ -18,6 +18,7 @@ from filternorm import (
     corner_rep,
     decide_equivalence,
     diagonal_state,
+    embed_rectangular,
     find_irreducible_corner,
     identity_map,
     is_irreducible,
@@ -395,6 +396,23 @@ def test_decide_identity_state_is_a_single_block():
     assert verdict.outcome == OUTCOME_EQUIVALENT
     assert [V.rank for V, _ in verdict.blocks] == [2]
     assert verdict.iterations == 1
+
+
+def test_decide_one_by_one_state_is_one_block():
+    """k = 1: the state [[2]] is equivalent, one block whose root is its trace."""
+    verdict = decide_equivalence(BipartiteState(k=1, m=1, rho=np.array([[2.0]])))
+    assert verdict.outcome == OUTCOME_EQUIVALENT
+    assert [V.rank for V, _ in verdict.blocks] == [1]
+    assert abs(verdict.blocks[0][1] - 2.0) < 1e-12
+
+
+def test_decide_embedded_one_by_three_diagonal_state():
+    """A diagonal 1 x 3 state embeds into a 3 x 3 one that decides equivalent."""
+    embedded = embed_rectangular(diagonal_state(np.array([[1.0, 2.0, 3.0]])))
+    assert (embedded.k, embedded.m) == (3, 3)
+    verdict = decide_equivalence(embedded)
+    assert verdict.outcome == OUTCOME_EQUIVALENT
+    assert [V.rank for V, _ in verdict.blocks] == [3]
 
 
 def test_decide_rejects_npt_and_rectangular_states():

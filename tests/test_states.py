@@ -169,12 +169,15 @@ def test_find_full_rank_vector_on_restricted_range():
 def test_apply_filter_matches_kron_congruence():
     """apply_filter conjugates by R (x) S and demands invertibility."""
     rng = np.random.default_rng(8)
-    st = random_state(2, 3, rng=rng)
-    R = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) + 2 * np.eye(2)
-    S = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) + 2 * np.eye(3)
-    out = apply_filter(st, R, S)
-    F = np.kron(R, S)
-    assert np.abs(out.rho - F @ st.rho @ F.conj().T).max() < 1e-12
+    for k, m in [(2, 3), (3, 2), (4, 4)]:
+        st = random_state(k, m, rng=rng)
+        R = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)) + 2 * np.eye(k)
+        S = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)) + 2 * np.eye(m)
+        out = apply_filter(st, R, S)
+        F = np.kron(R, S)
+        want = F @ st.rho @ F.conj().T
+        assert np.abs(out.rho - want).max() <= 1e-12 * np.abs(want).max(), (k, m)
+    st, S = random_state(2, 3, rng=rng), np.eye(3, dtype=complex)
     with pytest.raises(ValueError):
         apply_filter(st, np.zeros((2, 2), dtype=complex), S)
     with pytest.raises(ValueError):
