@@ -15,7 +15,6 @@ from filternorm import (
     find_full_rank_vector,
     find_irreducible_corner,
     solve_adjoint_block,
-    state_to_map,
 )
 from filternorm.linalg import identity_projection
 
@@ -27,10 +26,9 @@ def describe(name, weights):
     v = find_full_rank_vector(state)
     print(f"full-tensor-rank range vector: {np.round(v, 4)}")
 
-    prefilter, anchored = anchor_transform(state, v)
-    print(f"anchoring filter P (P (x) Id moves the state):\n{np.round(prefilter, 4)}")
+    prefilter, T = anchor_transform(state, v)
+    print(f"anchoring filter P (Kraus operators K -> K P^t):\n{np.round(prefilter, 4)}")
 
-    T = state_to_map(anchored)
     corner, lam, delta = find_irreducible_corner(T, identity_projection(state.k))
     print(f"irreducible corner: rank {corner.rank}, spectral radius {lam:.6g}")
 

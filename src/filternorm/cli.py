@@ -198,7 +198,7 @@ def _cmd_decide(args: argparse.Namespace) -> int:
         if not args.embed:
             _err("state is rectangular; pass --embed to square it first")
             return EXIT_BAD_STATE
-        state = embed_rectangular(state, tol)
+        state = embed_rectangular(state)
     if not is_ppt(state, tol):
         _err("state is not PPT")
         return EXIT_BAD_STATE

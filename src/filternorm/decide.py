@@ -53,7 +53,6 @@ from .states import (
     _full_rank_vector,
     _range,
     _spectral_map,
-    apply_filter,
     partial_transpose,
     vec_to_matrix,
 )
@@ -188,26 +187,28 @@ class AdjointBlockResult:
 
 def anchor_transform(
     state: BipartiteState, v: np.ndarray, tol: Tolerances | None = None
-) -> tuple[np.ndarray, BipartiteState]:
+) -> tuple[np.ndarray, CpMap]:
     """Filter the first factor so ``v`` becomes the maximally entangled vector.
 
     ``v`` must lie in the range of the state and have full tensor rank; the
-    returned ``P`` is the inverse of its coefficient matrix, and the returned
-    state is ``(P (x) Id) rho (P (x) Id)*``.  After this transform the
-    associated map satisfies ``Im T(X) >= Im X`` for PSD inputs.
+    returned ``P`` is the inverse of its coefficient matrix.  The filter acts
+    on the Kraus operators: the returned map is :func:`state_to_map`'s with
+    ``K -> K P^t``, the map of ``(P (x) Id) rho (P (x) Id)*``, which is never
+    formed.  This map satisfies ``Im T(X) >= Im X`` for PSD inputs, and it is
+    the map :func:`decide_equivalence` decides on.
     """
     tol = _tol(tol)
     if state.k != state.m:
         raise ValueError("anchoring requires a square state")
-    _, basis = _range(*np.linalg.eigh(state.rho), tol)
-    P = _anchor_filter(v, basis, state.k, tol)
-    return P, apply_filter(state, P, np.eye(state.k, dtype=complex), tol)
+    eigs, basis = _range(*np.linalg.eigh(state.rho), tol)
+    return _anchor_filter(v, eigs, basis, state.k, tol)
 
 
 def _anchor_filter(
-    v: np.ndarray, basis: np.ndarray, k: int, tol: Tolerances
-) -> np.ndarray:
-    """The filter ``P`` of :func:`anchor_transform`, given an orthonormal range basis."""
+    v: np.ndarray, eigs: np.ndarray, basis: np.ndarray, k: int, tol: Tolerances
+) -> tuple[np.ndarray, CpMap]:
+    """``P`` and the anchored map of :func:`anchor_transform`, from the state's
+    spectrum as :func:`_range` keeps it."""
     v = np.asarray(v, dtype=complex).reshape(-1)
     coeff = vec_to_matrix(v, k, k)
     if rank_eps(coeff, tol) < k:
@@ -215,7 +216,8 @@ def _anchor_filter(
     resid = np.linalg.norm(basis @ (basis.conj().T @ v) - v)
     if resid > 1e-8 * max(1.0, np.linalg.norm(v)):
         raise ValueError("anchor vector is not in the range of the state")
-    return np.linalg.inv(coeff)
+    P = np.linalg.inv(coeff)
+    return P, transform(_spectral_map(eigs, basis, k, k), np.eye(k), P.T)
 
 
 # ---------------------------------------------------------------------------
@@ -374,9 +376,7 @@ def _trace(M: np.ndarray) -> np.ndarray:
     return np.trace(M, axis1=-2, axis2=-1)
 
 
-def adjoint_block_quadratic(
-    T1: CpMap, s: int, tol: Tolerances | None = None
-) -> QuadraticModel:
+def adjoint_block_quadratic(T1: CpMap, s: int) -> QuadraticModel:
     """Quadratic objective whose zeros locate the paired adjoint block.
 
     For a normalized map ``T_1`` with leading invariant ``s x s`` corner, the
@@ -506,7 +506,7 @@ def solve_adjoint_block(
     tol = _tol(tol)
     k = T.src_dim
     Q, T1, s = normalize_corner(T, V, lam, delta, tol)
-    model = adjoint_block_quadratic(T1, s, tol)
+    model = adjoint_block_quadratic(T1, s)
 
     if model.n == 0:
         if model.constant <= tol.zero_f:
@@ -622,15 +622,16 @@ def decide_equivalence(
     state: BipartiteState,
     v: np.ndarray | None = None,
     tol: Tolerances | None = None,
-    attempts: int = 64,
     rng: np.random.Generator | None = None,
 ) -> Verdict:
     """Decide whether the state's map is equivalent to a doubly stochastic map.
 
     The state must be square (``k == m``) and PPT.  When no anchor vector
-    ``v`` is supplied, one is sampled from the range (``attempts`` tries with
-    the given ``rng``, default seed 0); if none of full tensor rank is found
-    the verdict is inconclusive rather than negative.
+    ``v`` is supplied, :func:`find_full_rank_vector`'s search samples one from
+    the range with the given ``rng`` (default seed 0); if none of full tensor
+    rank is found the verdict is inconclusive rather than negative.  The map
+    decided on is :func:`anchor_transform`'s, built from the same single
+    ``eigh`` of ``rho`` that checks positivity.
 
     Returns a :class:`Verdict` whose certificate (for equivalent outcomes)
     carries everything the scaling stage needs.
@@ -649,7 +650,7 @@ def decide_equivalence(
     eigs, basis = _range(eigs, vecs, tol)
 
     if v is None:
-        v = _full_rank_vector(basis, k, k, attempts, rng, tol)
+        v = _full_rank_vector(basis, k, k, rng, tol)
         if v is None:
             witness = FailureWitness(
                 stage=STAGE_NO_FULL_RANK_VECTOR,
@@ -665,8 +666,7 @@ def decide_equivalence(
             )
 
     # anchoring filters the Kraus operators, K -> K P^t; rho is never rebuilt
-    prefilter = _anchor_filter(v, basis, k, tol)
-    T = transform(_spectral_map(eigs, basis, k, k), np.eye(k), prefilter.T)
+    prefilter, T = _anchor_filter(v, eigs, basis, k, tol)
     Vprime = identity_projection(k)
     accumulated = np.eye(k, dtype=complex)
     blocks: list[tuple[Projection, float]] = []

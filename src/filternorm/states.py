@@ -155,7 +155,6 @@ def tensor_rank(v: np.ndarray, k: int, m: int, tol: Tolerances | None = None) ->
 
 def find_full_rank_vector(
     state: BipartiteState,
-    attempts: int = 64,
     rng: np.random.Generator | None = None,
     tol: Tolerances | None = None,
 ) -> np.ndarray | None:
@@ -163,16 +162,17 @@ def find_full_rank_vector(
 
     Tries the canonical vector ``sum_i e_i (x) e_i`` first (when square and
     inside the range, it anchors to a scalar filter, so downstream quantities
-    are reproducible run to run); otherwise samples complex-Gaussian
-    combinations of a range basis and keeps the one whose coefficient matrix
-    is best conditioned (largest smallest singular value after normalization).
-    Returns ``None`` when no sample reaches full tensor rank — absence of a
-    witness, not proof that none exists.
+    are reproducible run to run); otherwise draws 64 complex-Gaussian
+    combinations of a range basis from ``rng`` (default seed 0) and keeps the
+    one whose coefficient matrix is best conditioned (largest smallest
+    singular value relative to its norm), normalized.  Returns ``None`` when
+    no sample reaches full tensor rank — absence of a witness, not proof that
+    none exists.
     """
     tol = _tol(tol)
     rng = np.random.default_rng(0) if rng is None else rng
     _, basis = _range(*np.linalg.eigh(state.rho), tol)
-    return _full_rank_vector(basis, state.k, state.m, attempts, rng, tol)
+    return _full_rank_vector(basis, state.k, state.m, rng, tol)
 
 
 def _range(
@@ -189,41 +189,33 @@ def _range(
 
 
 def _full_rank_vector(
-    basis: np.ndarray,
-    k: int,
-    m: int,
-    attempts: int,
-    rng: np.random.Generator,
-    tol: Tolerances,
+    basis: np.ndarray, k: int, m: int, rng: np.random.Generator, tol: Tolerances
 ) -> np.ndarray | None:
-    """The search of :func:`find_full_rank_vector` in an orthonormal range basis."""
+    """The search of :func:`find_full_rank_vector` in an orthonormal range basis.
+
+    The 64 samples come from one draw (real, then imaginary parts) and one
+    stacked SVD ranks them.  Each is normalized by its own norm, so it has the
+    bits of a sample drawn alone, and ties (all samples score alike on a
+    rank-one range or when ``k`` or ``m`` is one) go to the first.
+    """
     r = basis.shape[1]
     if r == 0:
         return None
-    target = min(k, m)
     if k == m:
         u = np.eye(k, dtype=complex).reshape(k * k)
         u = u / np.linalg.norm(u)
         residual = u - basis @ (basis.conj().T @ u)
         if np.linalg.norm(residual) <= 1e-10:
             return u
-    best_v = None
-    best_sigma = 0.0
-    for _ in range(attempts):
-        coeff = rng.standard_normal(r) + 1j * rng.standard_normal(r)
-        v = basis @ coeff
-        norm = np.linalg.norm(v)
-        if norm < 1e-14:
-            continue
-        v = v / norm
-        sv = np.linalg.svd(vec_to_matrix(v, k, m), compute_uv=False)
-        if sv[0] <= 0.0:
-            continue
-        if int(np.count_nonzero(sv > tol.rank_rel * sv[0])) == target:
-            if sv[-1] > best_sigma:
-                best_sigma = float(sv[-1])
-                best_v = v
-    return best_v
+    draws = rng.standard_normal((64, 2, r))
+    coeffs = draws[:, 0] + 1j * draws[:, 1]
+    vs = (basis @ coeffs[..., None])[..., 0]
+    vs = vs / np.array([np.linalg.norm(v) for v in vs])[:, None]
+    sv = np.linalg.svd(vs.reshape(-1, k, m), compute_uv=False)
+    full = np.count_nonzero(sv > tol.rank_rel * sv[:, :1], axis=1) == min(k, m)
+    if not full.any():
+        return None
+    return vs[np.argmax(np.where(full, sv[:, -1], 0.0))]
 
 
 def state_to_map(state: BipartiteState, tol: Tolerances | None = None) -> CpMap:
@@ -312,22 +304,14 @@ def operator_schmidt(
     return pairs
 
 
-def embed_rectangular(
-    state: BipartiteState, tol: Tolerances | None = None
-) -> BipartiteState:
+def embed_rectangular(state: BipartiteState) -> BipartiteState:
     """Embed a ``k (x) m`` state into a square ``mk (x) mk`` one.
 
-    Using the operator Schmidt pairs ``(C_n, D_n, w_n)``, builds
-    ``sum_n w_n (Id_m (x) C_n) (x) (D_n (x) Id_k)``.  The embedded state is PSD
-    (it is a reshuffling of ``Id_m (x) rho (x) Id_k``), inherits the PPT
-    property, and its decision problem matches the rectangular original.
+    The embedded state equals ``Id_m (x) rho (x) Id_k``, read on
+    ``(C^m (x) C^k) (x) (C^m (x) C^k)``; in operator Schmidt terms it is
+    ``sum_n w_n (Id_m (x) C_n) (x) (D_n (x) Id_k)``.  It is PSD, inherits the
+    PPT property, and its decision problem matches the rectangular original.
     """
-    tol = _tol(tol)
     k, m = state.k, state.m
-    n = m * k
-    out = np.zeros((n * n, n * n), dtype=complex)
-    eye_m = np.eye(m, dtype=complex)
-    eye_k = np.eye(k, dtype=complex)
-    for pair in operator_schmidt(state, tol):
-        out += pair.weight * np.kron(np.kron(eye_m, pair.left), np.kron(pair.right, eye_k))
-    return BipartiteState(k=n, m=n, rho=out)
+    rho = np.kron(np.kron(np.eye(m), state.rho), np.eye(k))
+    return BipartiteState(k=m * k, m=m * k, rho=rho)

@@ -140,6 +140,21 @@ def random_unitary(k: int, rng: np.random.Generator) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
+def ill_filtered(base: BipartiteState, c: float, rng: np.random.Generator) -> BipartiteState:
+    """``base`` congruenced by ``A (x) B``, hermitized and renormalized.
+
+    Each factor is ``U diag(logspace(0, log10 c, k)) W`` with Haar-random
+    ``U`` and ``W``, so it has condition number ``c``.
+    """
+    k = base.k
+    A, B = (random_unitary(k, rng) @ np.diag(np.logspace(0, np.log10(c), k))
+            @ random_unitary(k, rng) for _ in range(2))
+    F = np.kron(A, B)
+    rho = F @ base.rho @ F.conj().T
+    rho = (rho + rho.conj().T) / 2.0
+    return BipartiteState(k=k, m=k, rho=rho / np.trace(rho).real)
+
+
 def repeated_block_state(copies: int, d: int, rng: np.random.Generator) -> BipartiteState:
     """``copies`` equal separable d x d blocks on the diagonal, hidden by ``U (x) conj(U)``.
 

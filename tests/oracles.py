@@ -367,3 +367,43 @@ def embed_direct(rho: np.ndarray, k: int, m: int) -> np.ndarray:
                             col = (p * k + qp) * n + (rp * k + s)
                             out[row, col] = rho[q * m + r, qp * m + rp]
     return out
+
+
+def full_rank_vector_loop(
+    basis: np.ndarray, k: int, m: int, rng: np.random.Generator, rank_rel: float
+) -> np.ndarray | None:
+    """The full-tensor-rank range vector search, one sample at a time.
+
+    Tries the normalized entangled sum when square and in the span of the
+    orthonormal ``basis``; otherwise draws 64 complex-Gaussian
+    coefficient vectors (real, then imaginary part), normalizes each
+    combination, and keeps the first one with the largest smallest singular
+    value among those of full numerical rank ``min(k, m)``.
+    """
+    r = basis.shape[1]
+    if r == 0:
+        return None
+    target = min(k, m)
+    if k == m:
+        u = np.eye(k, dtype=complex).reshape(k * k)
+        u = u / np.linalg.norm(u)
+        residual = u - basis @ (basis.conj().T @ u)
+        if np.linalg.norm(residual) <= 1e-10:
+            return u
+    best_v = None
+    best_sigma = 0.0
+    for _ in range(64):
+        coeff = rng.standard_normal(r) + 1j * rng.standard_normal(r)
+        v = basis @ coeff
+        norm = np.linalg.norm(v)
+        if norm < 1e-14:
+            continue
+        v = v / norm
+        sv = np.linalg.svd(v.reshape(k, m), compute_uv=False)
+        if sv[0] <= 0.0:
+            continue
+        if int(np.count_nonzero(sv > rank_rel * sv[0])) == target:
+            if sv[-1] > best_sigma:
+                best_sigma = float(sv[-1])
+                best_v = v
+    return best_v

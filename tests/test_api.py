@@ -1,5 +1,6 @@
-"""The public names the package exports."""
+"""The public names the package exports, and the parameters of its entry points."""
 
+import inspect
 import types
 
 import filternorm
@@ -42,3 +43,22 @@ def test_package_exports_exactly_the_public_names():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert exported == PUBLIC
+
+
+# a new parameter on an entry point is an API change: it shows up here
+SIGNATURES = {
+    "decide_equivalence": ["state", "v", "tol", "rng"],
+    "find_full_rank_vector": ["state", "rng", "tol"],
+    "anchor_transform": ["state", "v", "tol"],
+    "embed_rectangular": ["state"],
+    "filter_normal_form": ["state", "verdict", "tol"],
+    "scale_to_doubly_stochastic": ["T", "tol"],
+}
+
+
+def test_entry_points_take_exactly_the_pinned_parameters():
+    """The anchor search has no sample-count knob and the embedding no
+    tolerance; every other parameter is listed in order."""
+    for name, params in SIGNATURES.items():
+        got = list(inspect.signature(getattr(filternorm, name)).parameters)
+        assert got == params, name

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -75,9 +76,16 @@ def test_exit_codes_for_malformed_files(tmp_path):
         {"k": 1, "m": 2, "matrix": [[[1.0, 0.0], [0.0]], [[0.0, 0.0], [1.0, 0.0]]]},
         {"k": 1, "m": 2, "matrix": []},
     ]
+    # non-finite entries: Python's json reads NaN, Infinity and 1e400 as floats
+    bad_docs += [
+        '{"k": 1, "m": 2, "matrix": [[[%s, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}'
+        % entry for entry in ("NaN", "Infinity", "1e400")
+    ]
     for i, doc in enumerate(bad_docs):
         path = write_doc(tmp_path, doc, name=f"bad{i}.json")
-        assert main(["analyze", path]) == 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["analyze", path]) == 2, doc
 
 
 def test_exit_code_for_non_positive_matrices(tmp_path):

@@ -19,6 +19,7 @@ from filternorm import (
     decide_equivalence,
     diagonal_state,
     embed_rectangular,
+    find_full_rank_vector,
     find_irreducible_corner,
     identity_map,
     is_irreducible,
@@ -28,6 +29,7 @@ from filternorm import (
     solve_adjoint_block,
     spectral_radius_perron,
     state_to_map,
+    transform,
 )
 from filternorm.decide import (
     _boundary_rank_drop,
@@ -49,6 +51,7 @@ from helpers import (
     blocky_state,
     hidden_blocky,
     hidden_upper_triangular,
+    ill_filtered,
     neq2_state,
     pattern_state,
     pattern_weights,
@@ -75,21 +78,22 @@ def normalized_t1(k, s, rng):
 
 
 def test_anchor_canonical_vector_gives_identity_prefilter():
-    """Anchoring on the entangled sum leaves the state untouched."""
+    """Anchoring on the entangled sum leaves the map untouched."""
     st = maximally_entangled(2)
-    P, A = anchor_transform(st, U2)
+    P, T = anchor_transform(st, U2)
     assert np.abs(P - np.eye(2)).max() == 0.0
-    assert np.abs(A.rho - st.rho).max() == 0.0
+    assert np.abs(T.superop - state_to_map(st).superop).max() < 1e-14
 
 
 def test_anchor_inverts_the_coefficient_matrix():
     """A vector with coefficient matrix diag(2,1) anchors with P = diag(1/2,1)."""
     v = np.array([2.0, 0.0, 0.0, 1.0], dtype=complex)
-    P, A = anchor_transform(IDENTITY_STATE, v)
+    P, T = anchor_transform(IDENTITY_STATE, v)
     assert np.abs(P - np.diag([0.5, 1.0])).max() < 1e-12
-    # the anchored state is (P (x) Id) rho (P (x) Id)*
+    # the anchored map is the map of (P (x) Id) rho (P (x) Id)*
     F = np.kron(P, np.eye(2))
-    assert np.abs(A.rho - F @ IDENTITY_STATE.rho @ F.conj().T).max() < 1e-14
+    filtered = BipartiteState(k=2, m=2, rho=F @ IDENTITY_STATE.rho @ F.conj().T)
+    assert np.abs(T.superop - state_to_map(filtered).superop).max() < 1e-14
 
 
 def test_anchor_rejects_bad_vectors():
@@ -103,13 +107,25 @@ def test_anchor_rejects_bad_vectors():
         anchor_transform(BipartiteState(k=2, m=3, rho=np.eye(6) / 6), U2)
 
 
+def test_anchor_transform_filters_the_kraus_operators_of_ill_filtered_states():
+    """``separable_full_rank(4)`` under ``A (x) B``, each factor of condition
+    number 1e6.  Filtering rho in the state domain rejected the anchored state
+    on each of these draws ("state matrix is not Hermitian"); the anchored map
+    is the state's map with ``K -> K P^t``, bit for bit."""
+    for seed in range(1000, 1010):
+        rng = np.random.default_rng(seed)
+        st = ill_filtered(separable_full_rank(4, rng), 1e6, rng)
+        P, T = anchor_transform(st, find_full_rank_vector(st))
+        want = transform(state_to_map(st), np.eye(4), P.T)
+        assert np.array_equal(T.kraus, want.kraus), seed
+
+
 def test_anchored_map_does_not_shrink_images():
     """After anchoring, rank(T(X)) >= rank(X) on random PSD inputs."""
     rng = np.random.default_rng(0)
     st = separable_full_rank(3, rng)
     v = np.eye(3, dtype=complex).reshape(9)
-    _, A = anchor_transform(st, v)
-    T = state_to_map(A)
+    _, T = anchor_transform(st, v)
     for r in (1, 2, 3):
         g = rng.standard_normal((3, r)) + 1j * rng.standard_normal((3, r))
         X = g @ g.conj().T
@@ -125,8 +141,8 @@ def test_find_irreducible_corner_identity_map():
 
 def test_find_irreducible_corner_neq2():
     """The anchored map of the (1,1,0,1)/3 state shrinks to the second axis."""
-    _, A = anchor_transform(neq2_state(), U2)
-    V, lam, _ = find_irreducible_corner(state_to_map(A), identity_projection(2))
+    _, T = anchor_transform(neq2_state(), U2)
+    V, lam, _ = find_irreducible_corner(T, identity_projection(2))
     e22 = projector_onto(np.eye(2, dtype=complex)[:, [1]])
     assert same_subspace(V, e22)
     assert abs(lam - 1.0 / 3.0) < 1e-9
@@ -215,8 +231,7 @@ def test_find_irreducible_corner_analyses_an_irreducible_corner_once(monkeypatch
         assert svds.count((k * k, k * k)) == 1
         solve_adjoint_block(T, V, lam, delta)
         assert not any(M is T for M, _ in corners[1:])
-    _, A = anchor_transform(neq2_state(), U2)
-    T = state_to_map(A)
+    _, T = anchor_transform(neq2_state(), U2)
     V, lam, delta = find_irreducible_corner(T, identity_projection(2))
     corners.clear()
     assert solve_adjoint_block(T, V, lam, delta).W is None
@@ -251,8 +266,7 @@ def test_find_irreducible_corner_output_contract():
     for k, dims in [(3, [1, 2]), (4, [2, 2])]:
         st = blocky_state(k, dims, rng)
         v = np.eye(k, dtype=complex).reshape(k * k)
-        _, A = anchor_transform(st, v)
-        T = state_to_map(A)
+        _, T = anchor_transform(st, v)
         V, lam, _ = find_irreducible_corner(T, identity_projection(k))
         assert V.rank <= k
         assert leaves_invariant(T, V)
@@ -263,8 +277,7 @@ def test_find_irreducible_corner_output_contract():
 def test_normalize_corner_neq2_hand_formula():
     """On the shrunken corner the normalized map is X -> (x11+x22)E11 + x22 E22."""
     rng = np.random.default_rng(2)
-    _, A = anchor_transform(neq2_state(), U2)
-    T = state_to_map(A)
+    _, T = anchor_transform(neq2_state(), U2)
     V, lam, delta = find_irreducible_corner(T, identity_projection(2))
     Q, T1, s = normalize_corner(T, V, lam, delta)
     assert s == 1
@@ -358,8 +371,7 @@ def test_solve_adjoint_block_pairs_each_certified_block_with_itself():
 
 def test_solve_adjoint_block_neq2_diagnostics():
     """The (1,1,0,1)/3 corner has no partner: min_f = 1, smallest Gram eig = 2."""
-    _, A = anchor_transform(neq2_state(), U2)
-    T = state_to_map(A)
+    _, T = anchor_transform(neq2_state(), U2)
     V, lam, delta = find_irreducible_corner(T, identity_projection(2))
     result = solve_adjoint_block(T, V, lam, delta)
     assert result.W is None
@@ -611,13 +623,7 @@ def test_decide_does_not_reject_a_valid_ill_filtered_state():
     rejections = ("not Hermitian", "positive semidefinite", "not PPT")
     for seed in range(3):
         rng = np.random.default_rng(1000 + seed)
-        base = blocky_state(6, [3, 3], rng)
-        ill = [random_unitary(6, rng) @ np.diag(np.logspace(0, 6, 6)) @ random_unitary(6, rng)
-               for _ in range(2)]
-        F = np.kron(*ill)
-        rho = F @ base.rho @ F.conj().T
-        rho = (rho + rho.conj().T) / 2.0
-        st = BipartiteState(k=6, m=6, rho=rho / np.trace(rho).real)
+        st = ill_filtered(blocky_state(6, [3, 3], rng), 1e6, rng)
         try:
             verdict = decide_equivalence(st)
         except (RuntimeError, ValueError) as exc:

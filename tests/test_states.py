@@ -5,6 +5,7 @@ import pytest
 
 import oracles
 from filternorm import (
+    DEFAULT_TOL,
     BipartiteState,
     apply,
     apply_filter,
@@ -166,6 +167,36 @@ def test_find_full_rank_vector_on_restricted_range():
     assert find_full_rank_vector(pure, rng=rng) is None
 
 
+def test_full_rank_search_matches_the_sample_loop():
+    """The stacked search returns the one-sample-at-a-time loop's vector bit
+    for bit, fails where it fails, and leaves the generator where it does.
+    On a rank-one range, and when k or m is one, every sample scores alike,
+    so this also pins how ties break."""
+    rng = np.random.default_rng(15)
+    anti = diagonal_state(np.array([[0.0, 1.0], [1.0, 0.0]]) / 2.0)
+    vec = np.kron(np.array([1.0, 0.5]), np.array([1.0, -0.5, 2.0])).astype(complex)
+    states = [anti, BipartiteState(k=2, m=3, rho=np.outer(vec, vec.conj()))]
+    for k, m, rank in [(3, 3, 4), (4, 4, 7), (2, 3, None), (2, 3, 2), (3, 2, None),
+                       (3, 2, 1), (3, 4, 5), (3, 3, 1), (1, 3, 2), (4, 1, None)]:
+        states.append(random_state(k, m, rank=rank, rng=rng))
+    states.append(embed_rectangular(random_state(2, 3, rank=2, rng=rng)))
+    states.append(embed_rectangular(random_state(3, 2, rank=3, rng=rng)))
+    misses = 0
+    for st in states:
+        eigs, vecs = np.linalg.eigh(st.rho)
+        basis = vecs[:, eigs > DEFAULT_TOL.rank_rel * eigs.max()]
+        for seed in range(5):
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = find_full_rank_vector(st, rng=got_rng)
+            want = oracles.full_rank_vector_loop(
+                basis, st.k, st.m, want_rng, DEFAULT_TOL.rank_rel)
+            assert (got is None) == (want is None), (st.k, st.m, seed)
+            misses += got is None
+            assert got is None or np.array_equal(got, want), (st.k, st.m, seed)
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    assert 0 < misses < 5 * len(states)
+
+
 def test_apply_filter_matches_kron_congruence():
     """apply_filter conjugates by R (x) S and demands invertibility."""
     rng = np.random.default_rng(8)
@@ -225,14 +256,13 @@ def test_operator_schmidt_rank_of_product_state():
 
 
 def test_embed_matches_entrywise_assembly():
-    """embed_rectangular equals the index-bookkeeping oracle."""
+    """embed_rectangular equals the index-bookkeeping oracle exactly."""
     rng = np.random.default_rng(11)
-    for k, m in [(2, 3), (3, 2), (2, 2)]:
+    for k, m in [(2, 3), (3, 2), (2, 2), (4, 5)]:
         st = random_state(k, m, rng=rng)
         emb = embed_rectangular(st)
         assert emb.k == emb.m == k * m
-        want = oracles.embed_direct(st.rho, k, m)
-        assert np.abs(emb.rho - want).max() < 1e-10
+        assert np.array_equal(emb.rho, oracles.embed_direct(st.rho, k, m)), (k, m)
 
 
 def test_embed_of_product_state():
