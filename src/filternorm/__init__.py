@@ -28,12 +28,9 @@ from .maps import (
     apply,
     conjugate,
     corner_rep,
-    identity_map,
     is_doubly_stochastic,
     is_irreducible,
-    leaves_invariant,
     restrict_to_corner,
-    spectral_radius_perron,
     transform,
 )
 from .scaling import (
@@ -56,20 +53,17 @@ from .stateio import (
 )
 from .states import (
     BipartiteState,
-    SchmidtPair,
     apply_filter,
     diagonal_state,
     embed_rectangular,
     find_full_rank_vector,
     is_ppt,
     maximally_entangled,
-    operator_schmidt,
     partial_trace_first,
     partial_trace_second,
     partial_transpose,
     random_state,
     state_to_map,
-    tensor_rank,
     vec_to_matrix,
 )
 

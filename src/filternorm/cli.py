@@ -37,7 +37,6 @@ from .states import (
     embed_rectangular,
     find_full_rank_vector,
     is_ppt,
-    operator_schmidt,
     partial_trace_first,
     partial_trace_second,
 )
@@ -52,7 +51,16 @@ from .stateio import (
     verdict_to_dict,
 )
 
-__all__ = ["main", "entry", "make_parser"]
+__all__ = [
+    "main",
+    "entry",
+    "make_parser",
+    "EXIT_OK",
+    "EXIT_NOT_EQUIVALENT",
+    "EXIT_BAD_FORMAT",
+    "EXIT_BAD_STATE",
+    "EXIT_INCONCLUSIVE",
+]
 
 EXIT_OK = 0
 EXIT_NOT_EQUIVALENT = 1
@@ -157,7 +165,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if state is None:
         return code
     vector = find_full_rank_vector(state, rng=np.random.default_rng(args.seed))
-    pairs = operator_schmidt(state)
+    k, m = state.k, state.m
+    # the operator Schmidt rank is the rank of the realigned state
+    realigned = state.blocks().transpose(0, 2, 1, 3).reshape(k * k, m * m)
     doc = {
         "k": state.k,
         "m": state.m,
@@ -166,7 +176,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         "ppt": bool(is_ppt(state)),
         "partial_trace_first": matrix_to_json(partial_trace_first(state)),
         "partial_trace_second": matrix_to_json(partial_trace_second(state)),
-        "schmidt_rank": len(pairs),
+        "schmidt_rank": rank_eps(realigned),
         "full_rank_vector": None
         if vector is None
         else [[float(z.real), float(z.imag)] for z in vector],
@@ -199,13 +209,13 @@ def _cmd_decide(args: argparse.Namespace) -> int:
             _err("state is rectangular; pass --embed to square it first")
             return EXIT_BAD_STATE
         state = embed_rectangular(state)
-    if not is_ppt(state, tol):
-        _err("state is not PPT")
-        return EXIT_BAD_STATE
     try:
         verdict = decide_equivalence(
             state, tol=tol, rng=np.random.default_rng(args.seed)
         )
+    except NotPositiveError as exc:
+        _err(str(exc))
+        return EXIT_BAD_STATE
     except (ValueError, RuntimeError) as exc:
         _err(f"decision broke down: {exc}")
         return EXIT_INCONCLUSIVE
@@ -257,15 +267,16 @@ def _cmd_normal_form(args: argparse.Namespace) -> int:
         _err("state is rectangular; run 'embed' first")
         return EXIT_BAD_STATE
 
-    verdict = None
-    if is_ppt(state, tol):
-        try:
-            verdict = decide_equivalence(
-                state, tol=tol, rng=np.random.default_rng(args.seed)
-            )
-        except (ValueError, RuntimeError) as exc:
-            _err(f"decision broke down: {exc}")
-            return EXIT_INCONCLUSIVE
+    try:
+        verdict = decide_equivalence(
+            state, tol=tol, rng=np.random.default_rng(args.seed)
+        )
+    except NotPositiveError:
+        verdict = None  # not PPT: there is no decision, the whole map is scaled
+    except (ValueError, RuntimeError) as exc:
+        _err(f"decision broke down: {exc}")
+        return EXIT_INCONCLUSIVE
+    if verdict is not None:
         if verdict.outcome == OUTCOME_NOT_EQUIVALENT:
             _err("state has no normal form (map is not equivalent)")
             return EXIT_NOT_EQUIVALENT

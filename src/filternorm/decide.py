@@ -50,6 +50,7 @@ from .maps import (
 )
 from .states import (
     BipartiteState,
+    NotPositiveError,
     _full_rank_vector,
     _range,
     _spectral_map,
@@ -122,11 +123,10 @@ class QuadraticModel:
 class BlockCertificate:
     """Witness data for an equivalent verdict.
 
+    The certified blocks are the verdict's :attr:`Verdict.blocks`.
+
     Attributes
     ----------
-    blocks : tuple of (Projection, float)
-        Mutually orthogonal irreducible corners summing to the identity,
-        with the corner spectral radius of the final map on each.
     accumulated_transform : ndarray (k, k)
         Product ``Q`` of all alignment transforms; the final map is the
         anchored map conjugated by ``Q``.
@@ -137,7 +137,6 @@ class BlockCertificate:
         state before any alignment happened.
     """
 
-    blocks: tuple[tuple[Projection, float], ...]
     accumulated_transform: np.ndarray
     final_map: CpMap
     prefilter: np.ndarray
@@ -157,9 +156,11 @@ class FailureWitness:
 class Verdict:
     """Outcome of the decision procedure.
 
-    ``blocks`` lists the corners found before the procedure stopped (all of
-    them for an equivalent verdict).  ``certificate`` is present exactly for
-    equivalent outcomes, ``witness`` exactly for the other two.
+    ``blocks`` lists the corners found before the procedure stopped, each with
+    the corner spectral radius of the map on it; for an equivalent verdict
+    they are mutually orthogonal irreducible corners summing to the identity.
+    ``certificate`` is present exactly for equivalent outcomes, ``witness``
+    exactly for the other two.
     """
 
     outcome: str
@@ -292,7 +293,7 @@ def find_irreducible_corner(
             full = False
         # a rank-deficient Perron vector spans a smaller corner (cut at its widest gap)
         if not full:
-            current = projector_onto(gap_split(gamma, tol)[0], tol)
+            current = projector_onto(gap_split(gamma, tol)[0])
             continue
         # the compressed adjoint's Perron vector: full rank means irreducible,
         # otherwise its kernel cuts out a smaller invariant corner
@@ -305,7 +306,7 @@ def find_irreducible_corner(
         shared = subspace_intersection(gap_split(delta, tol)[1], current.basis, tol)
         if shared.shape[1] == 0:
             raise RuntimeError("irreducibility search produced an empty corner")
-        current = projector_onto(shared, tol)
+        current = projector_onto(shared)
     raise RuntimeError("irreducible corner search did not terminate")
 
 
@@ -345,7 +346,7 @@ def normalize_corner(
     s = V.rank
 
     # postconditions (loose guards; failures indicate a broken precondition)
-    lead = projector_onto(np.eye(k, dtype=complex)[:, :s], tol)
+    lead = projector_onto(np.eye(k, dtype=complex)[:, :s])
     rep1 = corner_rep(T1, lead, tol)
     lam1 = _top_eigenvalue(rep1.matrix, tol)
     if abs(lam1 - 1.0) > 1e-8:
@@ -543,7 +544,7 @@ def solve_adjoint_block(
 
     S = _coords_to_block(x_star, k - s, s)
     stacked = np.concatenate([np.eye(s, dtype=complex), S], axis=0)
-    W = projector_onto(image_basis(Q.conj().T @ stacked, tol), tol)
+    W = projector_onto(image_basis(Q.conj().T @ stacked, tol))
 
     _verify_paired_block(T, V, W, tol)
     return AdjointBlockResult(
@@ -626,10 +627,11 @@ def decide_equivalence(
 ) -> Verdict:
     """Decide whether the state's map is equivalent to a doubly stochastic map.
 
-    The state must be square (``k == m``) and PPT.  When no anchor vector
-    ``v`` is supplied, :func:`find_full_rank_vector`'s search samples one from
-    the range with the given ``rng`` (default seed 0); if none of full tensor
-    rank is found the verdict is inconclusive rather than negative.  The map
+    The state must be square (``k == m``) and PPT; a state that is not PPT
+    raises :class:`NotPositiveError`.  When no anchor vector ``v`` is
+    supplied, :func:`find_full_rank_vector`'s search samples one from the
+    range with the given ``rng`` (default seed 0); if none of full tensor rank
+    is found the verdict is inconclusive rather than negative.  The map
     decided on is :func:`anchor_transform`'s, built from the same single
     ``eigh`` of ``rho`` that checks positivity.
 
@@ -644,7 +646,7 @@ def decide_equivalence(
     # one eigendecomposition of rho: its PSD check, range and Kraus operators
     eigs, vecs = np.linalg.eigh(state.rho)
     if not (_psd_spectrum(eigs, tol) and psd_check(partial_transpose(state), tol)):
-        raise ValueError("state is not PPT")
+        raise NotPositiveError("state is not PPT")
     k = state.k
     rng = np.random.default_rng(0) if rng is None else rng
     eigs, basis = _range(eigs, vecs, tol)
@@ -680,7 +682,6 @@ def decide_equivalence(
         if same_subspace(V, Vprime):
             blocks.append((V, lam))
             certificate = BlockCertificate(
-                blocks=tuple(blocks),
                 accumulated_transform=accumulated,
                 final_map=T,
                 prefilter=prefilter,

@@ -56,8 +56,6 @@ class Tolerances:
     zero_f : float
         Threshold under which the minimized objective of the adjoint-block
         quadratic counts as an exact zero.
-    idem : float
-        Tolerance for idempotence / invariance residuals of projections.
     sinkhorn_residual : float
         Doubly-stochastic residual target for the operator scaling loop.
     sinkhorn_max_iters : int
@@ -68,12 +66,11 @@ class Tolerances:
     rank_rel: float = 1e-9
     psd_abs: float = 1e-9
     zero_f: float = 1e-8
-    idem: float = 1e-10
     sinkhorn_residual: float = 1e-8
     sinkhorn_max_iters: int = 100000
 
     def __post_init__(self) -> None:
-        for name in ("rank_rel", "psd_abs", "zero_f", "idem", "sinkhorn_residual"):
+        for name in ("rank_rel", "psd_abs", "zero_f", "sinkhorn_residual"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"tolerance {name!r} must be positive")
         if not self.sinkhorn_max_iters > 0:
@@ -266,18 +263,18 @@ class Projection:
     rank: int
 
 
-def projector_onto(basis: np.ndarray, tol: Tolerances | None = None) -> Projection:
+def projector_onto(basis: np.ndarray) -> Projection:
     """Projection onto the span of orthonormal columns.
 
-    ``basis`` must already be orthonormal (Gram residual below ``idem`` scaled
-    to the dimension); use :func:`image_basis` first for a raw spanning set.
+    ``basis`` must already be orthonormal (Gram residual below
+    ``max(1e-10, 1e3 eps n)``); use :func:`image_basis` first for a raw
+    spanning set.
     """
-    tol = _tol(tol)
     b = _as_matrix(basis, "basis")
     n, r = b.shape
     if r:
         gram_resid = np.abs(b.conj().T @ b - np.eye(r)).max()
-        if gram_resid > max(tol.idem, 1e3 * np.finfo(float).eps * n):
+        if gram_resid > max(1e-10, 1e3 * np.finfo(float).eps * n):
             raise ValueError(
                 f"basis columns are not orthonormal (Gram residual {gram_resid:.2e})"
             )
@@ -287,7 +284,7 @@ def projector_onto(basis: np.ndarray, tol: Tolerances | None = None) -> Projecti
 
 def projection_from_matrix(mat: np.ndarray, tol: Tolerances | None = None) -> Projection:
     """Projection onto the image of an (approximately idempotent Hermitian) matrix."""
-    return projector_onto(image_basis(mat, tol), tol)
+    return projector_onto(image_basis(mat, tol))
 
 
 def identity_projection(dim: int) -> Projection:
@@ -350,10 +347,9 @@ def hermitian_sqrt_pinv(
         ``sqrt @ pinv_sqrt`` is the orthogonal projection onto it.
     """
     tol = _tol(tol)
-    arr = mirror_hermitian(mat)
-    if not psd_check(arr, tol):
+    eigs, vecs = np.linalg.eigh(mirror_hermitian(mat))
+    if not _psd_spectrum(eigs, tol):
         raise ValueError("hermitian_sqrt_pinv requires a PSD input")
-    eigs, vecs = np.linalg.eigh(arr)
     top = float(eigs.max(initial=0.0))
     cut = tol.rank_rel * top
     kept = eigs > cut

@@ -32,16 +32,13 @@ from .linalg import (
 __all__ = [
     "CpMap",
     "CornerRep",
-    "identity_map",
     "apply",
     "adjoint",
     "transform",
     "conjugate",
     "kraus_norm",
     "restrict_to_corner",
-    "leaves_invariant",
     "corner_rep",
-    "spectral_radius_perron",
     "is_doubly_stochastic",
     "is_irreducible",
 ]
@@ -95,11 +92,6 @@ def _superop(kraus: np.ndarray) -> np.ndarray:
     flat = kraus.reshape(r, m * k)
     realigned = (flat.T @ flat.conj()).reshape(m, k, m, k)
     return realigned.transpose(0, 2, 1, 3).reshape(m * m, k * k)
-
-
-def identity_map(dim: int) -> CpMap:
-    """The identity map on ``dim x dim`` matrices."""
-    return CpMap(src_dim=dim, dst_dim=dim, kraus=np.eye(dim, dtype=complex)[None])
 
 
 def apply(T: CpMap, X: np.ndarray) -> np.ndarray:
@@ -182,29 +174,12 @@ def _invariance_defect(images: np.ndarray, P: np.ndarray) -> float:
     return float(np.abs(images - P @ images @ P).max())
 
 
-def leaves_invariant(
-    T: CpMap, V: Projection, tol: Tolerances | None = None
-) -> bool:
-    """Whether ``T(V M V)`` stays inside ``V M V``.
-
-    Checks ``T(b) == V T(b) V`` for every corner basis element ``b`` with an
-    absolute threshold of ``idem`` scaled by a Kraus-norm bound on ``||T||``.
-    """
-    tol = _tol(tol)
-    if T.src_dim != T.dst_dim or T.src_dim != V.dim:
-        return False
-    defect = _invariance_defect(apply(T, _corner_basis(V)), V.matrix)
-    return defect <= tol.idem * max(1.0, kraus_norm(T))
-
-
 @dataclass(frozen=True, eq=False)
 class CornerRep:
     """Real matrix of a map restricted to a corner.
 
     Attributes
     ----------
-    V : Projection
-        The corner's projection (rank ``s``).
     basis : ndarray (s^2, k, k)
         Lifted orthonormal Hermitian basis of ``V M V``.
     matrix : ndarray (s^2, s^2), real
@@ -212,7 +187,6 @@ class CornerRep:
         ``X -> V T*(X) V`` is represented by ``matrix.T`` in the same basis.
     """
 
-    V: Projection
     basis: np.ndarray
     matrix: np.ndarray
 
@@ -220,9 +194,9 @@ class CornerRep:
 def corner_rep(T: CpMap, V: Projection, tol: Tolerances | None = None) -> CornerRep:
     """Real representation of ``T`` on the corner of ``V``.
 
-    Raises ``ValueError`` when invariance fails badly (guard threshold is a
-    loose ``1e-6`` of the map's norm bound; the strict contract lives in
-    :func:`leaves_invariant`).
+    Raises ``ValueError`` when invariance fails badly: an image of a corner
+    basis element leaves ``V M V`` by more than a loose ``1e-6`` of the map's
+    Kraus-norm bound.
     """
     if T.src_dim != T.dst_dim or T.src_dim != V.dim:
         raise ValueError("corner_rep requires a square map matching V")
@@ -234,7 +208,7 @@ def corner_rep(T: CpMap, V: Projection, tol: Tolerances | None = None) -> Corner
     n = len(basis)
     # Re tr(b* Y) is the real dot product of the (re, im) pairs of b and Y
     rep = basis.reshape(n, -1).view(float) @ images.reshape(n, -1).view(float).T
-    return CornerRep(V=V, basis=basis, matrix=rep)
+    return CornerRep(basis=basis, matrix=rep)
 
 
 def _top_eigenvalue(mat: np.ndarray, tol: Tolerances) -> float:
@@ -358,20 +332,6 @@ def _corner_perron(
         return lam, space, _psd_in_span(space, tol), None
     delta = np.einsum("n,nij->ij", u[:, r], rep.basis)
     return lam, space, _psd_normalized(space[0], tol), _psd_normalized(delta, tol)
-
-
-def spectral_radius_perron(
-    T: CpMap, V: Projection, tol: Tolerances | None = None
-) -> tuple[float, np.ndarray]:
-    """Spectral radius and a PSD trace-one Perron eigenvector of ``T`` on a corner.
-
-    Raises ``ValueError`` when the corner map vanishes or has spectral radius
-    zero, or when no PSD eigenvector can be located in the top eigenspace.
-    """
-    lam, _, gamma, _ = _corner_perron(T, V, _tol(tol))
-    if gamma is None:
-        raise ValueError("no PSD Perron eigenvector found in the top eigenspace")
-    return lam, gamma
 
 
 def is_doubly_stochastic(T: CpMap, tol: Tolerances | None = None) -> bool:

@@ -279,7 +279,7 @@ def filter_normal_form(
         prefilter = cert.prefilter
         accumulated = cert.accumulated_transform
         T = cert.final_map
-        block_projs = [V for V, _ in cert.blocks]
+        block_projs = [V for V, _ in verdict.blocks]
     else:
         prefilter = np.eye(k, dtype=complex)
         accumulated = np.eye(k, dtype=complex)

@@ -5,8 +5,9 @@ A state file is a JSON object ``{"k": int, "m": int, "matrix": [...]}`` where
 ``[re, im]`` pairs, rows ordered by the product index ``(i - 1) m + j`` of the
 two tensor factors.  Structural problems, non-finite entries included, raise
 :class:`StateFormatError`; matrices that parse fine but are not positive
-semidefinite (or not Hermitian) raise :class:`NotPositiveError` — the CLI maps
-those to different exit codes.
+semidefinite (or not Hermitian) raise the state constructor's
+:class:`~filternorm.states.NotPositiveError`, re-exported here — the CLI maps
+the two to different exit codes.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .decide import Verdict
-from .states import BipartiteState
+from .states import BipartiteState, NotPositiveError
 
 __all__ = [
     "StateFormatError",
@@ -33,10 +34,6 @@ __all__ = [
 
 class StateFormatError(ValueError):
     """The file is not a structurally valid state file."""
-
-
-class NotPositiveError(ValueError):
-    """The matrix parsed fine but is not a positive semidefinite operator."""
 
 
 def _matrix_to_json(M: np.ndarray) -> list:
@@ -93,10 +90,7 @@ def load_state(path: str | Path) -> BipartiteState:
         raise StateFormatError(
             f"matrix shape {M.shape} does not match k*m = {k * m}"
         )
-    try:
-        return BipartiteState(k=k, m=m, rho=M)
-    except ValueError as exc:
-        raise NotPositiveError(str(exc)) from exc
+    return BipartiteState(k=k, m=m, rho=M)
 
 
 def verdict_to_dict(verdict: Verdict) -> dict:

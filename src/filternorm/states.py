@@ -17,7 +17,6 @@ import numpy as np
 from .linalg import (
     Tolerances,
     _tol,
-    hermitian_basis,
     mirror_hermitian,
     psd_check,
     rank_eps,
@@ -25,8 +24,8 @@ from .linalg import (
 from .maps import CpMap
 
 __all__ = [
+    "NotPositiveError",
     "BipartiteState",
-    "SchmidtPair",
     "maximally_entangled",
     "diagonal_state",
     "random_state",
@@ -35,13 +34,16 @@ __all__ = [
     "partial_trace_first",
     "partial_trace_second",
     "vec_to_matrix",
-    "tensor_rank",
     "find_full_rank_vector",
     "state_to_map",
     "apply_filter",
-    "operator_schmidt",
     "embed_rectangular",
 ]
+
+
+class NotPositiveError(ValueError):
+    """The matrix is well-formed but not a positive semidefinite operator: not
+    Hermitian, not PSD, or (where the decision needs it) not PPT."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,7 +56,8 @@ class BipartiteState:
         Local dimensions of the two tensor factors.
     rho : ndarray (k*m, k*m)
         The (Hermitian, PSD) matrix; mirrored to exact conjugate symmetry at
-        construction.  The trace is NOT normalized.
+        construction.  The trace is NOT normalized.  A matrix that is not
+        Hermitian or not PSD raises :class:`NotPositiveError`.
     """
 
     k: int
@@ -72,10 +75,10 @@ class BipartiteState:
             raise ValueError("state matrix contains non-finite entries")
         herm_resid = np.abs(rho - rho.conj().T).max()
         if herm_resid > 1e-8 * max(1.0, np.abs(rho).max()):
-            raise ValueError("state matrix is not Hermitian")
+            raise NotPositiveError("state matrix is not Hermitian")
         rho = mirror_hermitian(rho)
         if not psd_check(rho):
-            raise ValueError("state matrix is not positive semidefinite")
+            raise NotPositiveError("state matrix is not positive semidefinite")
         object.__setattr__(self, "rho", rho)
 
     @property
@@ -146,11 +149,6 @@ def vec_to_matrix(v: np.ndarray, k: int, m: int) -> np.ndarray:
     if v.size != k * m:
         raise ValueError(f"vector length {v.size} does not match {k}*{m}")
     return v.reshape(k, m)
-
-
-def tensor_rank(v: np.ndarray, k: int, m: int, tol: Tolerances | None = None) -> int:
-    """Schmidt rank of a vector = numerical rank of its coefficient matrix."""
-    return rank_eps(vec_to_matrix(v, k, m), tol)
 
 
 def find_full_rank_vector(
@@ -259,49 +257,6 @@ def apply_filter(
     rho = (S @ (R @ state.rho.reshape(k, -1)).reshape(k, m, -1)).reshape(-1, k, m)
     rho = (R.conj() @ rho).reshape(-1, m) @ S.conj().T
     return BipartiteState(k=k, m=m, rho=rho.reshape(k * m, k * m))
-
-
-@dataclass(frozen=True, eq=False)
-class SchmidtPair:
-    """One term of an operator Schmidt decomposition.
-
-    ``left`` is ``k x k`` Hermitian, ``right`` is ``m x m`` Hermitian, and the
-    families are trace-orthonormal; ``weight >= 0``.
-    """
-
-    left: np.ndarray
-    right: np.ndarray
-    weight: float
-
-
-def operator_schmidt(
-    state: BipartiteState, tol: Tolerances | None = None
-) -> list[SchmidtPair]:
-    """Operator Schmidt decomposition ``rho = sum_n w_n C_n (x) D_n``.
-
-    Computed as the singular value decomposition of the realignment of the
-    state, expressed in a real Hermitian operator basis so the factors come
-    out exactly Hermitian.  Weights below ``rank_rel`` of the largest are
-    dropped.
-    """
-    tol = _tol(tol)
-    k, m = state.k, state.m
-    pk = hermitian_basis(k)
-    qm = hermitian_basis(m)
-    # real coefficient matrix R[a, b] = tr(rho (P_a (x) Q_b))
-    coeff = np.einsum("aij,bkl,ikjl->ab", pk.conj(), qm.conj(), state.blocks())
-    coeff = np.real(coeff)
-    u, sv, vh = np.linalg.svd(coeff)
-    pairs: list[SchmidtPair] = []
-    if sv.size == 0 or sv[0] <= 0.0:
-        return pairs
-    for n in range(sv.size):
-        if sv[n] <= tol.rank_rel * sv[0]:
-            break
-        left = mirror_hermitian(np.einsum("a,aij->ij", u[:, n], pk))
-        right = mirror_hermitian(np.einsum("b,bij->ij", vh[n, :], qm))
-        pairs.append(SchmidtPair(left=left, right=right, weight=float(sv[n])))
-    return pairs
 
 
 def embed_rectangular(state: BipartiteState) -> BipartiteState:

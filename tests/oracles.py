@@ -343,6 +343,34 @@ def corner_rep_loop(kraus, basis: np.ndarray) -> np.ndarray:
     return rep
 
 
+def leaves_invariant(kraus, basis: np.ndarray) -> bool:
+    """Whether T(V M V) stays inside V M V, for V the span of ``basis``.
+
+    ``basis`` holds orthonormal columns in C^k.  Every element b of the
+    corner's trace-orthonormal Hermitian basis (E_ii, then (E_ij + E_ji)/sqrt 2
+    and i(E_ji - E_ij)/sqrt 2 for i < j, lifted by ``basis``) must satisfy
+    T(b) == V T(b) V, entrywise to 1e-10 times the Kraus-norm bound
+    max(1, sum_K ||K||_F^2) on ||T||.  A map that is not square on C^k fails.
+    """
+    basis = np.asarray(basis, dtype=complex)
+    k, s = basis.shape
+    if any(np.shape(K) != (k, k) for K in kraus):
+        return False
+    P = basis @ basis.conj().T
+    bound = max(1.0, sum(float(np.sum(np.abs(K) ** 2)) for K in kraus))
+    defect = 0.0
+    for i in range(s):
+        for j in range(i, s):
+            for phase in ((1.0,) if i == j else (1.0, 1j)):
+                E = np.zeros((s, s), dtype=complex)
+                E[j, i] = phase
+                E = (E + E.conj().T) / (2.0 if i == j else np.sqrt(2.0))
+                b = basis @ E @ basis.conj().T
+                image = sum(K @ b @ K.conj().T for K in kraus)
+                defect = max(defect, np.abs(image - P @ image @ P).max())
+    return defect <= 1e-10 * bound
+
+
 # ---------------------------------------------------------------------------
 # rectangular embedding, assembled entrywise from the defining formula
 # ---------------------------------------------------------------------------

@@ -58,7 +58,7 @@ def reconstruction_error(state, verdict):
     anchored = apply_filter(state, cert.prefilter, np.eye(state.k, dtype=complex))
     C = apply_filter(anchored, np.linalg.inv(Q).T, Q).rho
     D = np.zeros_like(C)
-    for V, _ in cert.blocks:
+    for V, _ in verdict.blocks:
         K = np.kron(V.matrix.T, V.matrix)
         D += K @ C @ K.conj().T
     return float(np.abs(C - D).max())

@@ -1,7 +1,13 @@
 """The public names the package exports, and the parameters of its entry points."""
 
+import ast
+import dataclasses
+import importlib
 import inspect
 import types
+from pathlib import Path
+
+import pytest
 
 import filternorm
 
@@ -15,9 +21,8 @@ PUBLIC = {
     # numerics
     "DEFAULT_TOL", "Projection", "Tolerances",
     # maps
-    "CpMap", "adjoint", "apply", "conjugate", "corner_rep", "identity_map",
-    "is_doubly_stochastic", "is_irreducible", "leaves_invariant",
-    "restrict_to_corner", "spectral_radius_perron", "transform",
+    "CpMap", "adjoint", "apply", "conjugate", "corner_rep",
+    "is_doubly_stochastic", "is_irreducible", "restrict_to_corner", "transform",
     # scaling
     "NormalFormResult", "ScalingConvergenceError", "ScalingResult",
     "SingularMarginalError", "check_2x2_inequality", "filter_normal_form",
@@ -26,11 +31,10 @@ PUBLIC = {
     "NotPositiveError", "StateFormatError", "load_state", "save_filters",
     "save_state", "verdict_to_dict",
     # states
-    "BipartiteState", "SchmidtPair", "apply_filter", "diagonal_state",
+    "BipartiteState", "apply_filter", "diagonal_state",
     "embed_rectangular", "find_full_rank_vector", "is_ppt", "maximally_entangled",
-    "operator_schmidt", "partial_trace_first", "partial_trace_second",
-    "partial_transpose", "random_state", "state_to_map", "tensor_rank",
-    "vec_to_matrix",
+    "partial_trace_first", "partial_trace_second",
+    "partial_transpose", "random_state", "state_to_map", "vec_to_matrix",
 }
 
 
@@ -62,3 +66,31 @@ def test_entry_points_take_exactly_the_pinned_parameters():
     for name, params in SIGNATURES.items():
         got = list(inspect.signature(getattr(filternorm, name)).parameters)
         assert got == params, name
+
+
+def test_tolerances_have_exactly_the_pinned_fields():
+    """Each field is an independently settable knob of the whole pipeline."""
+    got = [field.name for field in dataclasses.fields(filternorm.Tolerances)]
+    assert got == [
+        "rank_rel", "psd_abs", "zero_f", "sinkhorn_residual", "sinkhorn_max_iters"
+    ]
+
+
+# names a module lists in ``__all__`` without defining them
+REEXPORTS = {"stateio": {"NotPositiveError"}}
+
+
+@pytest.mark.parametrize(
+    "module", ["linalg", "maps", "states", "decide", "scaling", "stateio", "cli"]
+)
+def test_module_all_lists_exactly_its_public_definitions(module):
+    """A deleted or added top-level name cannot leave ``__all__`` stale."""
+    mod = importlib.import_module(f"filternorm.{module}")
+    defined = set()
+    for node in ast.parse(Path(mod.__file__).read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Assign):
+            defined.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    public = {name for name in defined if not name.startswith("_")}
+    assert sorted(mod.__all__) == sorted(public | REEXPORTS.get(module, set()))

@@ -15,11 +15,12 @@ from filternorm import (
     maximally_entangled,
     partial_trace_first,
     partial_trace_second,
+    random_state,
     save_state,
 )
 from filternorm.cli import main
 from filternorm.stateio import NotPositiveError, StateFormatError
-from helpers import cli_env, neq2_state, separable_full_rank
+from helpers import cli_env, hidden_blocky, neq2_state, separable_full_rank
 
 
 def write_state(tmp_path, state, name="state.json"):
@@ -283,6 +284,42 @@ def test_analyze_outputs(tmp_path, capsys):
     prod = write_state(tmp_path, product_state(), "prod.json")
     assert main(["analyze", prod]) == 0
     assert "no full-tensor-rank vector found" in capsys.readouterr().out
+
+
+def test_analyze_reports_the_operator_schmidt_rank(tmp_path, capsys):
+    """The operator Schmidt rank is one for a product state and min(k^2, m^2)
+    for a generic full-rank one."""
+    P = np.diag([0.7, 0.3]).astype(complex)
+    Q = np.diag([0.5, 0.25, 0.25]).astype(complex)
+    product = BipartiteState(k=2, m=3, rho=np.kron(P, Q))
+    generic = random_state(2, 3, rng=np.random.default_rng(4))
+    for state, want in ((product, 1), (generic, 4)):
+        path = write_state(tmp_path, state, f"schmidt{want}.json")
+        assert main(["analyze", path, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["schmidt_rank"] == want
+        assert main(["analyze", path]) == 0
+        assert f"operator Schmidt rank: {want}" in capsys.readouterr().out
+
+
+def test_decide_checks_ppt_once(tmp_path, capsys, monkeypatch):
+    """decide leaves the PPT test to the decision: the 16 x 16 state is
+    factored by the loader's PSD check, the decision's ``eigh`` and the PPT
+    check of its partial transpose, and nothing else; a non-PPT state still
+    exits 3 with the decision's message."""
+    path = write_state(tmp_path, hidden_blocky(4, [2, 2], np.random.default_rng(3)))
+    npt = write_state(tmp_path, maximally_entangled(2), "npt.json")
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        def counted(a, *args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
+            if np.shape(a) == (16, 16):
+                calls.append(_name)
+            return _fn(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    assert main(["decide", path]) == 0
+    assert calls == ["eigvalsh", "eigh", "eigvalsh"]
+    capsys.readouterr()
+    assert main(["decide", npt]) == 3
+    assert capsys.readouterr().err == "filternorm: state is not PPT\n"
 
 
 def test_verdict_json_is_reproducible_for_a_fixed_seed(tmp_path):

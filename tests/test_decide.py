@@ -21,13 +21,10 @@ from filternorm import (
     embed_rectangular,
     find_full_rank_vector,
     find_irreducible_corner,
-    identity_map,
     is_irreducible,
-    leaves_invariant,
     maximally_entangled,
     partial_transpose,
     solve_adjoint_block,
-    spectral_radius_perron,
     state_to_map,
     transform,
 )
@@ -134,7 +131,8 @@ def test_anchored_map_does_not_shrink_images():
 
 def test_find_irreducible_corner_identity_map():
     """The identity map is maximally reducible: a rank-1 corner with value 1."""
-    V, lam, _ = find_irreducible_corner(identity_map(2), identity_projection(2))
+    T = CpMap(src_dim=2, dst_dim=2, kraus=np.eye(2)[None])
+    V, lam, _ = find_irreducible_corner(T, identity_projection(2))
     assert V.rank == 1
     assert abs(lam - 1.0) < 1e-9
 
@@ -156,7 +154,7 @@ def test_nearly_equal_roots_stay_apart():
     V, lam, _ = find_irreducible_corner(T, identity_projection(2))
     assert same_subspace(V, projector_onto(np.eye(2, dtype=complex)[:, [1]]))
     assert abs(lam - (1 + 1e-6)) < 1e-12
-    assert abs(spectral_radius_perron(T, identity_projection(2))[0] - lam) < 1e-12
+    assert abs(_corner_perron(T, identity_projection(2), DEFAULT_TOL)[0] - lam) < 1e-12
     B = np.array([[1.0, 2.0], [3.0, 1.0]])
     w = np.block([[B, np.zeros((2, 2))], [np.zeros((2, 2)), (1 + 1e-6) * B]])
     verdict = decide_equivalence(pattern_state(w), rng=np.random.default_rng(0))
@@ -257,7 +255,7 @@ def test_boundary_rank_drop_lands_on_a_smaller_invariant_corner():
             assert psd_check(B)
             assert np.linalg.norm(apply(T, B) - lam * B) <= 1e-10 * np.linalg.norm(B)
             assert 0 < rank_eps(B) < V.rank
-            assert leaves_invariant(T, projection_from_matrix(B))
+            assert oracles.leaves_invariant(T.kraus, projection_from_matrix(B).basis)
 
 
 def test_find_irreducible_corner_output_contract():
@@ -269,7 +267,7 @@ def test_find_irreducible_corner_output_contract():
         _, T = anchor_transform(st, v)
         V, lam, _ = find_irreducible_corner(T, identity_projection(k))
         assert V.rank <= k
-        assert leaves_invariant(T, V)
+        assert oracles.leaves_invariant(T.kraus, V.basis)
         assert is_irreducible(T, V)
         assert lam > 0
 
@@ -294,15 +292,15 @@ def test_normalize_corner_postconditions():
         T1, s1 = normalized_t1(k, s, rng)
         assert s1 == s
         lead = projector_onto(np.eye(k, dtype=complex)[:, :s])
-        assert leaves_invariant(T1, lead)
+        assert oracles.leaves_invariant(T1.kraus, lead.basis)
         v1 = np.zeros((k, k), dtype=complex)
         v1[:s, :s] = np.eye(s)
         from filternorm import adjoint
 
         fixed = v1 @ apply(adjoint(T1), v1) @ v1
         assert np.abs(fixed - v1).max() < 1e-8
-        lam, _ = spectral_radius_perron(T1, lead)
-        assert abs(lam - 1.0) < 1e-8
+        lam, _, gamma, _ = _corner_perron(T1, lead, DEFAULT_TOL)
+        assert abs(lam - 1.0) < 1e-8 and gamma is not None
 
 
 def test_normalize_corner_unitary_for_doubly_stochastic_maps():
@@ -359,7 +357,7 @@ def test_solve_adjoint_block_pairs_each_certified_block_with_itself():
         verdict = decide_equivalence(st)
         assert verdict.outcome == OUTCOME_EQUIVALENT
         cert = verdict.certificate
-        for V, _ in cert.blocks:
+        for V, _ in verdict.blocks:
             W, lam, delta = find_irreducible_corner(cert.final_map, V)
             assert W is V
             result = solve_adjoint_block(cert.final_map, V, lam, delta)
@@ -475,12 +473,12 @@ def test_decide_certificate_structure():
         cert = verdict.certificate
         k = st.k
         total = np.zeros((k, k), dtype=complex)
-        for i, (V, lam) in enumerate(cert.blocks):
+        for i, (V, lam) in enumerate(verdict.blocks):
             assert lam > 0
-            assert leaves_invariant(cert.final_map, V)
+            assert oracles.leaves_invariant(cert.final_map.kraus, V.basis)
             assert is_irreducible(cert.final_map, V)
             total += V.matrix
-            for j, (W, _) in enumerate(cert.blocks):
+            for j, (W, _) in enumerate(verdict.blocks):
                 if i != j:
                     assert np.abs(V.matrix @ W.matrix).max() < 1e-10
         assert np.abs(total - np.eye(k)).max() < 1e-10
@@ -499,7 +497,7 @@ def test_decide_certificate_reconstructs_the_state():
         anchored = apply_filter(st, cert.prefilter, np.eye(st.k, dtype=complex))
         C = apply_filter(anchored, np.linalg.inv(Q).T, Q).rho
         D = np.zeros_like(C)
-        for V, _ in cert.blocks:
+        for V, _ in verdict.blocks:
             K = np.kron(V.matrix.T, V.matrix)
             D += K @ C @ K.conj().T
         assert np.abs(C - D).max() < 1e-8 * max(1.0, np.abs(C).max())

@@ -11,17 +11,21 @@ from filternorm import (
     conjugate,
     corner_rep,
     diagonal_state,
-    identity_map,
     is_doubly_stochastic,
     is_irreducible,
-    leaves_invariant,
     random_state,
     restrict_to_corner,
-    spectral_radius_perron,
     state_to_map,
     transform,
 )
-from filternorm.linalg import dagger, identity_projection, projector_onto, psd_check
+from filternorm.linalg import (
+    DEFAULT_TOL,
+    dagger,
+    identity_projection,
+    projector_onto,
+    psd_check,
+)
+from filternorm.maps import _corner_perron
 from helpers import unitary_mixture, upper_triangular_map_kraus
 
 
@@ -154,7 +158,7 @@ def test_conjugate_round_trip():
 
 def test_identity_map_is_doubly_stochastic():
     """The identity map fixes everything and passes the doubly stochastic check."""
-    T = identity_map(3)
+    T = CpMap(src_dim=3, dst_dim=3, kraus=np.eye(3)[None])
     X = np.arange(9, dtype=complex).reshape(3, 3)
     assert np.abs(apply(T, X) - X).max() == 0.0
     assert is_doubly_stochastic(T)
@@ -176,9 +180,9 @@ def test_leaves_invariant_detects_corner_structure():
     T = CpMap(src_dim=k, dst_dim=k,
               kraus=tuple(upper_triangular_map_kraus(k, s, rng)))
     lead = lead_projection(k, s)
-    assert leaves_invariant(T, lead)
-    assert not leaves_invariant(random_cp_map(k, k, 2, rng), lead)
-    assert leaves_invariant(T, identity_projection(k))
+    assert oracles.leaves_invariant(T.kraus, lead.basis)
+    assert not oracles.leaves_invariant(random_cp_map(k, k, 2, rng).kraus, lead.basis)
+    assert oracles.leaves_invariant(T.kraus, np.eye(k))
 
 
 def test_invariance_transfers_to_the_adjoint_complement():
@@ -200,7 +204,8 @@ def test_invariance_transfers_to_the_adjoint_complement():
     Ta = adjoint(T)
     v1 = lead_projection(k, 1)
     v = lead_projection(k, 2)
-    assert leaves_invariant(T, v1) and leaves_invariant(T, v)
+    assert oracles.leaves_invariant(T.kraus, v1.basis)
+    assert oracles.leaves_invariant(T.kraus, v.basis)
     for _ in range(10):
         g = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
         # complement of V inside the whole space
@@ -280,7 +285,7 @@ def test_spectral_radius_dominates_eigenvalues():
     for k in (2, 3, 4):
         T = random_cp_map(k, k, 2, rng)
         V = identity_projection(k)
-        lam, gamma = spectral_radius_perron(T, V)
+        lam, _, gamma, _ = _corner_perron(T, V, DEFAULT_TOL)
         rep = corner_rep(T, V)
         eigs = np.linalg.eigvals(rep.matrix)
         assert lam >= np.abs(eigs).max() - 1e-8 * max(1.0, lam)
@@ -292,11 +297,13 @@ def test_spectral_radius_dominates_eigenvalues():
 
 def test_spectral_radius_of_known_maps():
     """Identity map has Perron value 1; scaling multiplies it."""
-    T = identity_map(3)
-    lam, _ = spectral_radius_perron(T, identity_projection(3))
-    assert abs(lam - 1.0) < 1e-10
+    V = identity_projection(3)
+    T = CpMap(src_dim=3, dst_dim=3, kraus=np.eye(3)[None])
+    lam, _, gamma, _ = _corner_perron(T, V, DEFAULT_TOL)
+    assert abs(lam - 1.0) < 1e-10 and gamma is not None
     T2 = CpMap(src_dim=3, dst_dim=3, kraus=(2.0 * np.eye(3, dtype=complex),))
-    lam2, _ = spectral_radius_perron(T2, identity_projection(3))
+    lam2, _, gamma2, _ = _corner_perron(T2, V, DEFAULT_TOL)
+    assert gamma2 is not None
     assert abs(lam2 - 4.0) < 1e-10
 
 
@@ -372,11 +379,11 @@ def test_corner_rep_matches_the_per_element_kraus_loop():
 
 
 def test_non_invariant_corner_is_rejected():
-    """corner_rep raises and leaves_invariant says no when T leaves the corner."""
+    """corner_rep raises and the invariance oracle says no when T leaves the corner."""
     rng = np.random.default_rng(17)
     T = random_cp_map(6, 6, 3, rng)
     lead = lead_projection(6, 3)
-    assert not leaves_invariant(T, lead)
+    assert not oracles.leaves_invariant(T.kraus, lead.basis)
     with pytest.raises(ValueError, match="not invariant"):
         corner_rep(T, lead)
 
@@ -392,7 +399,7 @@ def test_cyclic_shift_channel_has_perron_root_one(k):
     ops = tuple(np.outer(eye[(i + 1) % k], eye[i]) for i in range(k))
     T = CpMap(src_dim=k, dst_dim=k, kraus=ops)
     V = identity_projection(k)
-    lam, gamma = spectral_radius_perron(T, V)
+    lam, _, gamma, _ = _corner_perron(T, V, DEFAULT_TOL)
     assert abs(lam - 1.0) < 1e-10
     assert np.abs(gamma - eye / k).max() < 1e-10
     assert is_irreducible(T, V)

@@ -141,9 +141,9 @@ def _oracle_maps():
     maps["2 operators on k=3"] = _random_map(3, 2, rng)
     # the adjoint's Kraus stack is a transposed view, not a contiguous array
     maps["adjoint of random k=3"] = adjoint(maps["random k=3"])
-    cert = decide_equivalence(hidden_blocky(6, [3, 3], rng)).certificate
-    for i, (V, _) in enumerate(cert.blocks):
-        maps[f"hidden-block corner {i}"] = restrict_to_corner(cert.final_map, V)
+    verdict = decide_equivalence(hidden_blocky(6, [3, 3], rng))
+    for i, (V, _) in enumerate(verdict.blocks):
+        maps[f"hidden-block corner {i}"] = restrict_to_corner(verdict.certificate.final_map, V)
     maps["singular marginal"] = CpMap(
         src_dim=2, dst_dim=2, kraus=(np.diag([1.0, 0.0]).astype(complex),))
     return maps

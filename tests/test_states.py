@@ -14,15 +14,14 @@ from filternorm import (
     find_full_rank_vector,
     is_ppt,
     maximally_entangled,
-    operator_schmidt,
     partial_trace_first,
     partial_trace_second,
     partial_transpose,
     random_state,
     state_to_map,
-    tensor_rank,
     vec_to_matrix,
 )
+from filternorm.linalg import rank_eps
 
 
 def test_state_constructor_rejects_bad_input():
@@ -132,16 +131,17 @@ def test_vec_to_matrix_layout():
 
 
 def test_tensor_rank_bounds_and_equality_for_entangled_vector():
-    """tensor_rank <= min(k, m) always, with equality for the entangled sum."""
+    """The tensor rank (the rank of the coefficient matrix) is at most
+    min(k, m), with equality for the entangled sum."""
     rng = np.random.default_rng(6)
     for k, m in [(2, 2), (2, 3), (3, 3)]:
         for _ in range(10):
             v = rng.standard_normal(k * m) + 1j * rng.standard_normal(k * m)
-            assert tensor_rank(v, k, m) <= min(k, m)
+            assert rank_eps(vec_to_matrix(v, k, m)) <= min(k, m)
     u = np.eye(3, dtype=complex).reshape(9)
-    assert tensor_rank(u, 3, 3) == 3
+    assert rank_eps(vec_to_matrix(u, 3, 3)) == 3
     prod = np.kron(np.array([1.0, 2.0]), np.array([1.0, -1.0]))
-    assert tensor_rank(prod, 2, 2) == 1
+    assert rank_eps(vec_to_matrix(prod, 2, 2)) == 1
 
 
 def test_find_full_rank_vector_prefers_canonical_anchor():
@@ -160,7 +160,7 @@ def test_find_full_rank_vector_on_restricted_range():
     # anti-diagonal pattern: canonical vector not in range, sampling must work
     st = diagonal_state(np.array([[0.0, 1.0], [1.0, 0.0]]) / 2.0)
     v = find_full_rank_vector(st, rng=rng)
-    assert v is not None and tensor_rank(v, 2, 2) == 2
+    assert v is not None and rank_eps(vec_to_matrix(v, 2, 2)) == 2
     # pure product state: no entangled vector exists in the range
     vec = np.kron(np.array([1.0, 0.5]), np.array([1.0, -0.5])).astype(complex)
     pure = BipartiteState(k=2, m=2, rho=np.outer(vec, vec.conj()))
@@ -224,35 +224,6 @@ def test_apply_filter_preserves_ppt():
     S = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) + 2 * np.eye(2)
     assert is_ppt(apply_filter(ppt, R, S))
     assert not is_ppt(apply_filter(npt, R, S))
-
-
-def test_operator_schmidt_reconstructs_the_state():
-    """Schmidt pairs reconstruct rho with trace-orthonormal factors."""
-    rng = np.random.default_rng(10)
-    for k, m in [(2, 2), (2, 3)]:
-        st = random_state(k, m, rng=rng)
-        pairs = operator_schmidt(st)
-        assert len(pairs) <= min(k * k, m * m)
-        recon = np.zeros_like(st.rho)
-        for p in pairs:
-            assert p.weight >= 0
-            assert np.abs(p.left - p.left.conj().T).max() < 1e-10
-            assert np.abs(p.right - p.right.conj().T).max() < 1e-10
-            recon += p.weight * np.kron(p.left, p.right)
-        assert np.abs(recon - st.rho).max() < 1e-10
-        for i, p in enumerate(pairs):
-            for j, q in enumerate(pairs):
-                want = 1.0 if i == j else 0.0
-                assert abs(np.trace(p.left.conj().T @ q.left) - want) < 1e-8
-                assert abs(np.trace(p.right.conj().T @ q.right) - want) < 1e-8
-
-
-def test_operator_schmidt_rank_of_product_state():
-    """A product state has operator Schmidt rank one."""
-    P = np.diag([0.7, 0.3]).astype(complex)
-    Q = np.diag([0.5, 0.25, 0.25]).astype(complex)
-    st = BipartiteState(k=2, m=3, rho=np.kron(P, Q))
-    assert len(operator_schmidt(st)) == 1
 
 
 def test_embed_matches_entrywise_assembly():
