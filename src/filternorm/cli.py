@@ -168,11 +168,13 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     k, m = state.k, state.m
     # the operator Schmidt rank is the rank of the realigned state
     realigned = state.blocks().transpose(0, 2, 1, 3).reshape(k * k, m * m)
+    # rank and PPT status read the spectra the state keeps
+    magnitudes = np.abs(state.spectrum)
     doc = {
         "k": state.k,
         "m": state.m,
         "trace": float(np.real(np.trace(state.rho))),
-        "rank": rank_eps(state.rho),
+        "rank": int(np.count_nonzero(magnitudes > DEFAULT_TOL.rank_rel * magnitudes.max())),
         "ppt": bool(is_ppt(state)),
         "partial_trace_first": matrix_to_json(partial_trace_first(state)),
         "partial_trace_second": matrix_to_json(partial_trace_second(state)),

@@ -19,7 +19,6 @@ import numpy as np
 from .linalg import (
     Projection,
     Tolerances,
-    _psd_spectrum,
     _tol,
     dagger,
     gap_split,
@@ -30,7 +29,6 @@ from .linalg import (
     orthogonal_complement,
     projection_from_matrix,
     projector_onto,
-    psd_check,
     rank_eps,
     same_subspace,
     subspace_intersection,
@@ -39,6 +37,7 @@ from .maps import (
     CpMap,
     _corner_perron,
     _invariance_defect,
+    _krylov_perron,
     _top_eigenvalue,
     adjoint,
     apply,
@@ -54,7 +53,7 @@ from .states import (
     _full_rank_vector,
     _range,
     _spectral_map,
-    partial_transpose,
+    is_ppt,
     vec_to_matrix,
 )
 
@@ -269,20 +268,31 @@ def find_irreducible_corner(
     there, which :func:`solve_adjoint_block` takes.  The rank strictly
     decreases at every shrink, so the search terminates after at most
     ``rank(V)`` rounds.
+
+    An Arnoldi search cuts a corner to a rank-deficient PSD Perron vector with
+    no dense analysis; other outcomes get the dense ``_corner_perron``.
     """
     tol = _tol(tol)
     if T.src_dim != T.dst_dim or T.src_dim != V.dim:
         raise ValueError("find_irreducible_corner requires a square map matching V")
-    current = V
+    current, support_cut = V, False
     for _ in range(4 * V.rank + 4):
         # one-dimensional corners are irreducible when nonzero; the projector
         # is the compressed adjoint's trace-one Perron vector there
         if current.rank == 1:
-            rep = corner_rep(T, current, tol)
+            rep = corner_rep(T, current)
             lam = float(rep.matrix[0, 0])
             if lam <= tol.rank_rel:
                 raise ValueError("the map vanishes on a candidate corner")
             return current, lam, current.matrix
+        # skipped on ranks 2-3 (no cheaper) and on a support cut (gamma is definite)
+        if current.rank > 3 and not support_cut:
+            gamma = _krylov_perron(T, current, tol)
+            if gamma is not None and rank_eps(gamma, tol) < current.rank:
+                if current.rank < current.dim:
+                    corner_rep(T, current)  # for its invariance guard
+                current, support_cut = projector_onto(gap_split(gamma, tol)[0]), True
+                continue
         lam, space, gamma, delta = _corner_perron(T, current, tol)
         if gamma is None:
             raise RuntimeError("no PSD Perron eigenvector in the top eigenspace")
@@ -293,7 +303,7 @@ def find_irreducible_corner(
             full = False
         # a rank-deficient Perron vector spans a smaller corner (cut at its widest gap)
         if not full:
-            current = projector_onto(gap_split(gamma, tol)[0])
+            current, support_cut = projector_onto(gap_split(gamma, tol)[0]), True
             continue
         # the compressed adjoint's Perron vector: full rank means irreducible,
         # otherwise its kernel cuts out a smaller invariant corner
@@ -306,7 +316,7 @@ def find_irreducible_corner(
         shared = subspace_intersection(gap_split(delta, tol)[1], current.basis, tol)
         if shared.shape[1] == 0:
             raise RuntimeError("irreducibility search produced an empty corner")
-        current = projector_onto(shared)
+        current, support_cut = projector_onto(shared), False
     raise RuntimeError("irreducible corner search did not terminate")
 
 
@@ -347,7 +357,7 @@ def normalize_corner(
 
     # postconditions (loose guards; failures indicate a broken precondition)
     lead = projector_onto(np.eye(k, dtype=complex)[:, :s])
-    rep1 = corner_rep(T1, lead, tol)
+    rep1 = corner_rep(T1, lead)
     lam1 = _top_eigenvalue(rep1.matrix, tol)
     if abs(lam1 - 1.0) > 1e-8:
         raise RuntimeError("corner normalization failed: spectral radius is not one")
@@ -643,9 +653,10 @@ def decide_equivalence(
         raise ValueError(
             "decision requires a square state; embed rectangular states first"
         )
-    # one eigendecomposition of rho: its PSD check, range and Kraus operators
+    # one eigendecomposition of rho gives the range and the Kraus operators;
+    # the PPT gate reads the spectra the state keeps
     eigs, vecs = np.linalg.eigh(state.rho)
-    if not (_psd_spectrum(eigs, tol) and psd_check(partial_transpose(state), tol)):
+    if not is_ppt(state, tol):
         raise NotPositiveError("state is not PPT")
     k = state.k
     rng = np.random.default_rng(0) if rng is None else rng

@@ -191,7 +191,7 @@ class CornerRep:
     matrix: np.ndarray
 
 
-def corner_rep(T: CpMap, V: Projection, tol: Tolerances | None = None) -> CornerRep:
+def corner_rep(T: CpMap, V: Projection) -> CornerRep:
     """Real representation of ``T`` on the corner of ``V``.
 
     Raises ``ValueError`` when invariance fails badly: an image of a corner
@@ -299,6 +299,55 @@ def _psd_normalized(X: np.ndarray, tol: Tolerances) -> np.ndarray | None:
     return X / trace
 
 
+# A Ritz pair counts once its Arnoldi residual is below this share of its value,
+# about 4,500 units of roundoff; at ``rank_rel`` (1e-9) inexact vectors cut
+# corners on which some decisions broke down later, in the block alignment.
+_RITZ_RESIDUAL = 1e-12
+_ARNOLDI_CHECKPOINTS = (8, 12, 16, 24, 32, 48, 64)
+
+
+def _krylov_perron(T: CpMap, V: Projection, tol: Tolerances) -> np.ndarray | None:
+    """A PSD trace-one Perron vector of ``T`` on the corner of ``V`` by Arnoldi.
+
+    Starts from the corner identity with ``T.superop`` on the whole space and
+    the compressed Kraus stack's on a smaller corner.  The iterates are
+    Hermitian up to rounding and orthonormal in ``Re tr(A* B)``, so the
+    Hessenberg matrix is real; at a few checkpoints its top Ritz pair counts
+    once ``|beta y_last| <= _RITZ_RESIDUAL |theta|``, and its vector's
+    Hermitian part, lifted, is returned.  ``None`` when the budget runs out,
+    or the value is not real and positive, or the vector is not PSD.
+    Invariance of the corner is not checked.
+    """
+    s, whole = V.rank, V.rank == V.dim
+    S = T.superop if whole else restrict_to_corner(T, V).superop
+    steps = min(s * s, _ARNOLDI_CHECKPOINTS[-1])
+    Q = np.zeros((steps + 1, s * s), dtype=complex)
+    H = np.zeros((steps + 1, steps))
+    Q[0] = np.eye(s).reshape(-1) / np.sqrt(s)
+    for j in range(steps):
+        w = S @ Q[j]
+        for _ in range(2):  # classical Gram-Schmidt, repeated once for stability
+            h = (Q[: j + 1].conj() @ w).real
+            w = w - h @ Q[: j + 1]
+            H[: j + 1, j] += h
+        H[j + 1, j] = beta = np.linalg.norm(w)
+        invariant = beta <= _RITZ_RESIDUAL * np.abs(H).max()  # beta == 0 returns below
+        if invariant or j + 1 in _ARNOLDI_CHECKPOINTS or j + 1 == steps:
+            thetas, ys = np.linalg.eig(H[: j + 1, : j + 1])
+            top = np.argmax(np.abs(thetas))
+            theta, y = thetas[top], ys[:, top]
+            if abs(beta * y[-1]) <= _RITZ_RESIDUAL * abs(theta):
+                if theta.imag != 0.0 or theta.real <= 0.0:
+                    return None
+                gamma = (y.real @ Q[: j + 1]).reshape(s, s)
+                gamma = 0.5 * (gamma + dagger(gamma))
+                if not whole:
+                    gamma = V.basis @ gamma @ dagger(V.basis)
+                return _psd_normalized(gamma, tol)
+        Q[j + 1] = w / beta
+    return None
+
+
 def _corner_perron(
     T: CpMap, V: Projection, tol: Tolerances
 ) -> tuple[float, np.ndarray, np.ndarray | None, np.ndarray | None]:
@@ -318,7 +367,7 @@ def _corner_perron(
     ``max(sigma_max(rep - lam), lam)``, so a root off by roundoff still finds
     the eigenspace when the shifted matrix is numerically zero.
     """
-    rep = corner_rep(T, V, tol)
+    rep = corner_rep(T, V)
     if np.abs(rep.matrix).max() == 0.0:
         raise ValueError("the map vanishes on this corner")
     lam = _top_eigenvalue(rep.matrix, tol)

@@ -10,15 +10,16 @@ spectral decomposition, which makes ``rho`` the Choi matrix of ``T``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .linalg import (
     Tolerances,
+    _psd_spectrum,
     _tol,
     mirror_hermitian,
-    psd_check,
     rank_eps,
 )
 from .maps import CpMap
@@ -58,11 +59,15 @@ class BipartiteState:
         The (Hermitian, PSD) matrix; mirrored to exact conjugate symmetry at
         construction.  The trace is NOT normalized.  A matrix that is not
         Hermitian or not PSD raises :class:`NotPositiveError`.
+    spectrum : ndarray (k*m,), real
+        Eigenvalues of ``rho`` in ascending order, from the ``eigvalsh`` of
+        the constructor's PSD check.
     """
 
     k: int
     m: int
     rho: np.ndarray
+    spectrum: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.k < 1 or self.m < 1:
@@ -77,9 +82,16 @@ class BipartiteState:
         if herm_resid > 1e-8 * max(1.0, np.abs(rho).max()):
             raise NotPositiveError("state matrix is not Hermitian")
         rho = mirror_hermitian(rho)
-        if not psd_check(rho):
+        spectrum = np.linalg.eigvalsh(rho)
+        if not _psd_spectrum(spectrum):
             raise NotPositiveError("state matrix is not positive semidefinite")
         object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "spectrum", spectrum)
+
+    @cached_property
+    def pt_spectrum(self) -> np.ndarray:
+        """Eigenvalues of :func:`partial_transpose`, computed on first use."""
+        return np.linalg.eigvalsh(partial_transpose(self))
 
     @property
     def order(self) -> int:
@@ -128,9 +140,12 @@ def partial_transpose(state: BipartiteState) -> np.ndarray:
 
 
 def is_ppt(state: BipartiteState, tol: Tolerances | None = None) -> bool:
-    """Whether the state has a positive partial transpose."""
-    tol = _tol(tol)
-    return psd_check(state.rho, tol) and psd_check(partial_transpose(state), tol)
+    """Whether the state has a positive partial transpose.
+
+    Reads the spectra the state keeps, so the partial transpose is factored
+    at most once per state.
+    """
+    return _psd_spectrum(state.spectrum, tol) and _psd_spectrum(state.pt_spectrum, tol)
 
 
 def partial_trace_first(state: BipartiteState) -> np.ndarray:

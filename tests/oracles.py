@@ -4,7 +4,9 @@ Everything in this file is written from scratch against the mathematical
 definitions — direct tensor contractions, brute-force enumeration over
 permutations, classical scaling iterations, an exact LP feasibility test —
 so that package results can be compared against a second, unrelated code
-path.  Nothing here calls back into the package.
+path.  Nothing here calls back into the package, except
+:func:`dense_corner_search`, which keeps the corner search's dense-only
+control flow as a reference for its Arnoldi path.
 """
 
 import itertools
@@ -435,3 +437,51 @@ def full_rank_vector_loop(
                 best_sigma = float(sv[-1])
                 best_v = v
     return best_v
+
+
+# ---------------------------------------------------------------------------
+# the irreducible-corner search with a dense Perron analysis of every corner
+# ---------------------------------------------------------------------------
+
+def dense_corner_search(T, V, tol):
+    """The irreducible corner ``(V, lam, delta)`` found with no Arnoldi search.
+
+    ``decide.find_irreducible_corner`` as it was before its Arnoldi path:
+    every candidate corner gets the package's dense ``maps._corner_perron``
+    (representation, ``eigvals`` and one SVD); a rank-deficient Perron vector
+    (after the boundary step for a degenerate root) cuts the corner to its
+    image, and the adjoint's Perron vector returns the corner or cuts it by
+    its kernel.
+    """
+    from filternorm.decide import _boundary_rank_drop
+    from filternorm.linalg import gap_split, projector_onto, rank_eps, subspace_intersection
+    from filternorm.maps import _corner_perron, corner_rep
+
+    current = V
+    for _ in range(4 * V.rank + 4):
+        if current.rank == 1:
+            lam = float(corner_rep(T, current).matrix[0, 0])
+            if lam <= tol.rank_rel:
+                raise ValueError("the map vanishes on a candidate corner")
+            return current, lam, current.matrix
+        lam, space, gamma, delta = _corner_perron(T, current, tol)
+        if gamma is None:
+            raise RuntimeError("no PSD Perron eigenvector in the top eigenspace")
+        full = rank_eps(gamma, tol) == current.rank
+        if full and space.shape[0] > 1:
+            gamma = _boundary_rank_drop(space, gamma, current, tol)
+            full = False
+        if not full:
+            current = projector_onto(gap_split(gamma, tol)[0])
+            continue
+        if delta is None:
+            raise RuntimeError(
+                "compressed adjoint has no PSD eigenvector at the spectral radius"
+            )
+        if rank_eps(delta, tol) == current.rank:
+            return current, lam, delta
+        shared = subspace_intersection(gap_split(delta, tol)[1], current.basis, tol)
+        if shared.shape[1] == 0:
+            raise RuntimeError("irreducibility search produced an empty corner")
+        current = projector_onto(shared)
+    raise RuntimeError("irreducible corner search did not terminate")

@@ -19,6 +19,7 @@ from filternorm import (
     save_state,
 )
 from filternorm.cli import main
+from filternorm.linalg import rank_eps
 from filternorm.stateio import NotPositiveError, StateFormatError
 from helpers import cli_env, hidden_blocky, neq2_state, separable_full_rank
 
@@ -320,6 +321,28 @@ def test_decide_checks_ppt_once(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     assert main(["decide", npt]) == 3
     assert capsys.readouterr().err == "filternorm: state is not PPT\n"
+
+
+def test_analyze_factors_the_state_once(tmp_path, capsys, monkeypatch):
+    """analyze reads rank and PPT status off the spectra the state keeps: the
+    16 x 16 state is factored by the loader's PSD check, the range search's
+    ``eigh``, the PPT check of its partial transpose and the SVD of its
+    realignment, and nothing else."""
+    state = hidden_blocky(4, [2, 2], np.random.default_rng(3))
+    path = write_state(tmp_path, state)
+    want_rank = rank_eps(state.rho)
+    calls = []
+    for name in ("eigh", "eigvalsh", "svd", "eig", "eigvals", "qr"):
+        def counted(a, *args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
+            if np.shape(a) == (16, 16):
+                calls.append(_name)
+            return _fn(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    assert main(["analyze", path, "--json"]) == 0
+    assert calls == ["eigvalsh", "eigh", "eigvalsh", "svd"]
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["rank"] == want_rank == 8
+    assert doc["ppt"] is True
 
 
 def test_verdict_json_is_reproducible_for_a_fixed_seed(tmp_path):

@@ -1,5 +1,10 @@
 """Decision pipeline: anchoring, corner search, quadratic solver, main loop."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -22,6 +27,7 @@ from filternorm import (
     find_full_rank_vector,
     find_irreducible_corner,
     is_irreducible,
+    is_ppt,
     maximally_entangled,
     partial_transpose,
     solve_adjoint_block,
@@ -43,9 +49,10 @@ from filternorm.linalg import (
     rank_eps,
     same_subspace,
 )
-from filternorm.maps import _corner_perron
+from filternorm.maps import _corner_perron, _krylov_perron
 from helpers import (
     blocky_state,
+    cli_env,
     hidden_blocky,
     hidden_upper_triangular,
     ill_filtered,
@@ -234,6 +241,45 @@ def test_find_irreducible_corner_analyses_an_irreducible_corner_once(monkeypatch
     corners.clear()
     assert solve_adjoint_block(T, V, lam, delta).W is None
     assert not any(M is T for M, _ in corners)
+
+
+def test_arnoldi_search_finds_the_corners_of_the_dense_search(monkeypatch):
+    """The search with its Arnoldi path returns a corner of the same rank and
+    root (to 1e-8) as the dense-only search of ``oracles.dense_corner_search``
+    on periodic maps, a degenerate root (two equal blocks), the defective
+    ``kron(J, J)`` and ``kron(I2, triu(ones(3)))`` diagonal states and ten
+    scrambled upper-triangular k=12 draws.  The periodic maps fall through to
+    the dense analysis; at least ten corners, some of them below the whole
+    space, are cut by Arnoldi."""
+    cuts = []
+
+    def counted(T, V, tol, _search=_krylov_perron):
+        gamma = _search(T, V, tol)
+        cuts.append(gamma is not None and rank_eps(gamma) < V.rank)
+        return gamma
+
+    monkeypatch.setattr("filternorm.decide._krylov_perron", counted)
+    rng = np.random.default_rng(12)
+    eye = np.eye(6, dtype=complex)
+    cycle = [w * np.outer(eye[(i + 1) % 4], eye[i])
+             for i, w in enumerate(rng.uniform(0.5, 2.0, 4))]
+    tail = [np.zeros((6, 6), dtype=complex) for _ in range(2)]
+    for K in tail:
+        K[4:, 4:] = 0.3 * (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    maps = [CpMap(src_dim=4, dst_dim=4, kraus=[K[:4, :4] for K in cycle]),
+            CpMap(src_dim=6, dst_dim=6, kraus=cycle + tail)]
+    J = np.array([[1.0, 1.0], [0.0, 1.0]])
+    states = [repeated_block_state(2, 3, rng), diagonal_state(np.kron(J, J)),
+              diagonal_state(np.kron(np.eye(2), np.triu(np.ones((3, 3)))))]
+    states += [hidden_upper_triangular(12, np.random.default_rng(seed)) for seed in range(10)]
+    maps += [anchor_transform(st, find_full_rank_vector(st))[1] for st in states]
+    for T in maps:
+        whole = identity_projection(T.src_dim)
+        V, lam, _ = find_irreducible_corner(T, whole)
+        V0, lam0, _ = oracles.dense_corner_search(T, whole, DEFAULT_TOL)
+        assert V.rank == V0.rank
+        assert abs(lam - lam0) <= 1e-8 * max(1.0, lam0)
+    assert sum(cuts) >= 10
 
 
 def test_boundary_rank_drop_lands_on_a_smaller_invariant_corner():
@@ -589,26 +635,44 @@ def test_quadratic_model_matches_the_pairwise_reference_loop(k, s):
 def test_decide_factors_the_state_once(monkeypatch):
     """One decision runs one eigendecomposition of the k^2 x k^2 state.
 
-    Its PSD check, the range the anchor is sampled from, the anchor's range
-    check and the Kraus operators all read that ``eigh``; the anchored map is
-    the Kraus stack times ``P^t``, so no filtered state is built and factored.
-    The only other k^2 x k^2 factorization is the PPT check of the partial
-    transpose.  (Corner representations are real, so they are not counted.)
+    Its range, the anchor's range check and the Kraus operators all read that
+    ``eigh``; the anchored map is the Kraus stack times ``P^t``, so no
+    filtered state is built and factored.  The only other k^2 x k^2
+    factorization is the PPT check of the partial transpose, and the state
+    keeps that spectrum: after ``is_ppt`` the decision runs only the
+    ``eigh``.  The corner search cuts the whole space by its Arnoldi search,
+    so a two-block decision factors no real k^2 x k^2 corner representation
+    either (no ``eigvals``, no SVD).
     """
     calls = []
     for name in ("eigh", "eigvalsh", "svd", "eig", "eigvals", "qr"):
         def counted(a, *args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
-            if np.iscomplexobj(a) and np.shape(a) == (16, 16):
-                calls.append((_name, np.array(a)))
+            if np.shape(a) in ((16, 16), (64, 64)):
+                calls.append((_name, np.iscomplexobj(a), np.array(a)))
             return _fn(a, *args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
+
+    def state_calls():
+        return [(name, a) for name, cplx, a in calls if cplx and a.shape == (16, 16)]
+
     rng = np.random.default_rng(9)
     for st in (hidden_blocky(4, [2, 2], rng), hidden_upper_triangular(4, rng)):
         calls.clear()
         decide_equivalence(st)
-        assert [name for name, _ in calls] == ["eigh", "eigvalsh"]
-        assert np.array_equal(calls[0][1], st.rho)
-        assert np.abs(calls[1][1] - partial_transpose(st)).max() == 0.0
+        assert [name for name, _ in state_calls()] == ["eigh", "eigvalsh"]
+        assert np.array_equal(state_calls()[0][1], st.rho)
+        assert np.abs(state_calls()[1][1] - partial_transpose(st)).max() == 0.0
+        fresh = BipartiteState(k=st.k, m=st.m, rho=st.rho)
+        assert is_ppt(fresh)
+        calls.clear()
+        decide_equivalence(fresh)
+        assert [name for name, _ in state_calls()] == ["eigh"]
+    st = hidden_blocky(8, [4, 4], rng)
+    calls.clear()
+    verdict = decide_equivalence(st)
+    assert verdict.outcome == OUTCOME_EQUIVALENT
+    assert not [name for name, cplx, a in calls
+                if not cplx and a.shape == (64, 64) and name in ("eigvals", "svd")]
 
 
 def test_decide_does_not_reject_a_valid_ill_filtered_state():
@@ -643,6 +707,27 @@ def test_gap_cut_keeps_the_corner_search_on_invariant_corners():
     verdict = decide_equivalence(st)
     assert verdict.outcome == OUTCOME_NOT_EQUIVALENT
     assert verdict.witness.stage == STAGE_F_MIN_POSITIVE
+
+
+def test_gap_cut_decides_under_one_blas_thread():
+    """The seed-256 draw above, decided in a child process with one OpenBLAS
+    thread, as the benchmark runs.  Its Perron root is nearly defective, so
+    its Perron vector is accurate to about 1e-8 and whether one is found PSD
+    depends on rounding: there the dense analysis found none with one thread
+    ("no PSD Perron eigenvector in the top eigenspace"), the Arnoldi search
+    finds one."""
+    code = ("import numpy as np\n"
+            "from filternorm import decide_equivalence\n"
+            "from helpers import hidden_upper_triangular\n"
+            "st = hidden_upper_triangular(12, np.random.default_rng(256))\n"
+            "verdict = decide_equivalence(st)\n"
+            "print(verdict.outcome, verdict.witness.stage)\n")
+    env = cli_env()
+    env["PYTHONPATH"] += os.pathsep + str(Path(__file__).resolve().parent)
+    env["OPENBLAS_NUM_THREADS"] = "1"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, timeout=300)
+    assert run.stdout.split() == [OUTCOME_NOT_EQUIVALENT, STAGE_F_MIN_POSITIVE], run.stderr
 
 
 def test_gap_cut_on_a_nearly_invariant_corner_gives_no_verdict():
