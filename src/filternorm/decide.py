@@ -226,36 +226,34 @@ def _anchor_filter(
 
 
 def _boundary_rank_drop(
-    space: np.ndarray, gamma: np.ndarray, V: Projection, tol: Tolerances
+    space: np.ndarray, gamma: np.ndarray, tol: Tolerances
 ) -> np.ndarray:
     """Step from a full-rank Perron vector to the PSD boundary of its eigenspace.
 
-    In corner coordinates (``s x s``) ``gamma`` is positive definite.  For an
+    ``space`` and ``gamma`` are ``_corner_perron``'s, ``s x s`` in corner
+    coordinates, and ``gamma`` is positive definite.  For an
     eigenspace direction ``h`` trace-orthogonal to it, ``r = gamma^(1/2)``
     and ``m = r^-1 h r^-1`` give ``gamma - t h = r (Id - t m) r``; since
     ``tr(gamma h) = 0``, ``m`` has eigenvalues of both signs and the ray
     leaves the cone at ``t = 1/mu`` for the largest one.  Returns that
-    boundary point, PSD of rank below ``s``, lifted back to the ambient space.
+    boundary point, PSD of rank below ``s``, in the same coordinates.
     """
-    vb = V.basis
-    gamma_s = dagger(vb) @ gamma @ vb
-    space_s = dagger(vb) @ space @ vb
-    d = space_s.shape[0]
+    d = space.shape[0]
     # coefficients of gamma in the (trace-orthonormal) eigenspace basis
-    g = np.real(np.einsum("nij,ij->n", space_s.conj(), gamma_s))
+    g = np.real(np.einsum("nij,ij->n", space.conj(), gamma))
     g_norm = np.linalg.norm(g)
     if g_norm < 1e-14:
         raise RuntimeError("Perron vector fell outside its own eigenspace")
     # a direction perpendicular to gamma inside the eigenspace
     q, _ = np.linalg.qr(np.concatenate([g[:, None] / g_norm, np.eye(d)], axis=1))
-    h = np.einsum("n,nij->ij", q[:, 1], space_s)
-    r, r_inv = hermitian_sqrt_pinv(gamma_s, tol)
+    h = np.einsum("n,nij->ij", q[:, 1], space)
+    r, r_inv = hermitian_sqrt_pinv(gamma, tol)
     mu, u = np.linalg.eigh(r_inv @ h @ r_inv)
     if mu[-1] <= 0.0:
         raise RuntimeError("eigenspace direction never leaves the PSD cone")
     weights = 1.0 - mu / mu[-1]  # the last one is exactly zero
-    lifted = vb @ r @ u
-    return (lifted * weights) @ dagger(lifted)
+    root = r @ u
+    return (root * weights) @ dagger(root)
 
 
 def find_irreducible_corner(
@@ -270,18 +268,19 @@ def find_irreducible_corner(
     ``rank(V)`` rounds.
 
     An Arnoldi search cuts a corner to a rank-deficient PSD Perron vector with
-    no dense analysis; other outcomes get the dense ``_corner_perron``.
+    no dense analysis; other outcomes get the dense ``_corner_perron``.  Both
+    work in corner coordinates: a cut is made there and lifted by the corner
+    basis, and ``delta`` is lifted once, on return.
     """
     tol = _tol(tol)
     if T.src_dim != T.dst_dim or T.src_dim != V.dim:
         raise ValueError("find_irreducible_corner requires a square map matching V")
     current, support_cut = V, False
-    for _ in range(4 * V.rank + 4):
+    for _ in range(V.rank):
         # one-dimensional corners are irreducible when nonzero; the projector
         # is the compressed adjoint's trace-one Perron vector there
         if current.rank == 1:
-            rep = corner_rep(T, current)
-            lam = float(rep.matrix[0, 0])
+            lam = float(corner_rep(T, current)[0, 0])
             if lam <= tol.rank_rel:
                 raise ValueError("the map vanishes on a candidate corner")
             return current, lam, current.matrix
@@ -291,7 +290,8 @@ def find_irreducible_corner(
             if gamma is not None and rank_eps(gamma, tol) < current.rank:
                 if current.rank < current.dim:
                     corner_rep(T, current)  # for its invariance guard
-                current, support_cut = projector_onto(gap_split(gamma, tol)[0]), True
+                cut = gap_split(gamma, tol)[0]
+                current, support_cut = projector_onto(current.basis @ cut), True
                 continue
         lam, space, gamma, delta = _corner_perron(T, current, tol)
         if gamma is None:
@@ -299,11 +299,12 @@ def find_irreducible_corner(
         full = rank_eps(gamma, tol) == current.rank
         # a degenerate root: step to the cone boundary inside the eigenspace
         if full and space.shape[0] > 1:
-            gamma = _boundary_rank_drop(space, gamma, current, tol)
+            gamma = _boundary_rank_drop(space, gamma, tol)
             full = False
         # a rank-deficient Perron vector spans a smaller corner (cut at its widest gap)
         if not full:
-            current, support_cut = projector_onto(gap_split(gamma, tol)[0]), True
+            cut = gap_split(gamma, tol)[0]
+            current, support_cut = projector_onto(current.basis @ cut), True
             continue
         # the compressed adjoint's Perron vector: full rank means irreducible,
         # otherwise its kernel cuts out a smaller invariant corner
@@ -311,12 +312,10 @@ def find_irreducible_corner(
             raise RuntimeError(
                 "compressed adjoint has no PSD eigenvector at the spectral radius"
             )
+        b = current.basis
         if rank_eps(delta, tol) == current.rank:
-            return current, lam, delta
-        shared = subspace_intersection(gap_split(delta, tol)[1], current.basis, tol)
-        if shared.shape[1] == 0:
-            raise RuntimeError("irreducibility search produced an empty corner")
-        current, support_cut = projector_onto(shared), False
+            return current, lam, b @ delta @ dagger(b)
+        current, support_cut = projector_onto(b @ gap_split(delta, tol)[1]), False
     raise RuntimeError("irreducible corner search did not terminate")
 
 
@@ -330,10 +329,11 @@ def normalize_corner(
 ) -> tuple[np.ndarray, CpMap, int]:
     """Rotate an irreducible corner to the leading block and fix the adjoint.
 
-    Builds ``Q = U* (sqrt(delta) + V_perp)`` where ``delta`` is the full-rank
+    Builds ``Q = [sqrt(delta_s) b*; perp*]`` where ``delta`` is the full-rank
     Perron eigenvector of the compressed adjoint on the corner (as
-    :func:`find_irreducible_corner` returns it) and ``U`` stacks a corner
-    basis before a complement basis.  The conjugated, ``1/lam``-scaled map ``T_1``
+    :func:`find_irreducible_corner` returns it), ``delta_s = b* delta b`` its
+    compression by the corner basis ``b`` and ``perp`` a complement basis.
+    The conjugated, ``1/lam``-scaled map ``T_1``
     then leaves the leading ``s x s`` block invariant, has corner spectral
     radius one there, and satisfies ``V_1 T_1*(V_1) V_1 = V_1``.
 
@@ -343,22 +343,20 @@ def normalize_corner(
     if lam <= 0:
         raise ValueError("corner spectral radius must be positive")
     k = T.src_dim
-    if rank_eps(delta, tol) != V.rank:
+    b = V.basis
+    delta_s = dagger(b) @ delta @ b
+    if rank_eps(delta_s, tol) != V.rank:
         raise ValueError(
             "corner is not irreducible: adjoint Perron vector is rank-deficient"
         )
-    sqrt_delta, _ = hermitian_sqrt_pinv(delta, tol)
-    perp = orthogonal_complement(V, tol)
-    R = sqrt_delta + perp @ perp.conj().T
-    U = np.concatenate([V.basis, perp], axis=1)
-    Q = U.conj().T @ R
+    sqrt_delta, _ = hermitian_sqrt_pinv(delta_s, tol)
+    Q = np.concatenate([sqrt_delta @ dagger(b), dagger(orthogonal_complement(V, tol))])
     T1 = conjugate(T, Q, 1.0 / lam, tol)
     s = V.rank
 
     # postconditions (loose guards; failures indicate a broken precondition)
     lead = projector_onto(np.eye(k, dtype=complex)[:, :s])
-    rep1 = corner_rep(T1, lead)
-    lam1 = _top_eigenvalue(rep1.matrix, tol)
+    lam1 = _top_eigenvalue(corner_rep(T1, lead), tol)
     if abs(lam1 - 1.0) > 1e-8:
         raise RuntimeError("corner normalization failed: spectral radius is not one")
     v1 = lead.matrix
@@ -638,12 +636,12 @@ def decide_equivalence(
     """Decide whether the state's map is equivalent to a doubly stochastic map.
 
     The state must be square (``k == m``) and PPT; a state that is not PPT
-    raises :class:`NotPositiveError`.  When no anchor vector ``v`` is
-    supplied, :func:`find_full_rank_vector`'s search samples one from the
-    range with the given ``rng`` (default seed 0); if none of full tensor rank
-    is found the verdict is inconclusive rather than negative.  The map
-    decided on is :func:`anchor_transform`'s, built from the same single
-    ``eigh`` of ``rho`` that checks positivity.
+    raises :class:`NotPositiveError` before ``rho`` is factored.  When no
+    anchor vector ``v`` is supplied, :func:`find_full_rank_vector`'s search
+    samples one from the range with the given ``rng`` (default seed 0); if
+    none of full tensor rank is found the verdict is inconclusive rather than
+    negative.  The map decided on is :func:`anchor_transform`'s, built from
+    the decision's single ``eigh`` of ``rho``.
 
     Returns a :class:`Verdict` whose certificate (for equivalent outcomes)
     carries everything the scaling stage needs.
@@ -653,11 +651,11 @@ def decide_equivalence(
         raise ValueError(
             "decision requires a square state; embed rectangular states first"
         )
-    # one eigendecomposition of rho gives the range and the Kraus operators;
-    # the PPT gate reads the spectra the state keeps
-    eigs, vecs = np.linalg.eigh(state.rho)
+    # the PPT gate reads the spectra the state keeps; then one eigendecomposition
+    # of rho gives the range and the Kraus operators
     if not is_ppt(state, tol):
         raise NotPositiveError("state is not PPT")
+    eigs, vecs = np.linalg.eigh(state.rho)
     k = state.k
     rng = np.random.default_rng(0) if rng is None else rng
     eigs, basis = _range(eigs, vecs, tol)

@@ -153,16 +153,20 @@ def hermitian_basis(dim: int) -> np.ndarray:
     return mats
 
 
-def rank_eps(mat: np.ndarray, tol: Tolerances | None = None) -> int:
-    """Numerical rank: singular values above ``rank_rel`` times the largest."""
-    tol = _tol(tol)
-    arr = _as_matrix(mat)
-    if arr.size == 0:
-        return 0
-    sv = np.linalg.svd(arr, compute_uv=False)
+def _numerical_rank(sv: np.ndarray, tol: Tolerances) -> int:
+    """How many of the descending singular values ``sv`` exceed ``rank_rel``
+    times the largest; zero when there are none or the largest is zero."""
     if sv.size == 0 or sv[0] <= 0.0:
         return 0
     return int(np.count_nonzero(sv > tol.rank_rel * sv[0]))
+
+
+def rank_eps(mat: np.ndarray, tol: Tolerances | None = None) -> int:
+    """Numerical rank: singular values above ``rank_rel`` times the largest."""
+    arr = _as_matrix(mat)
+    if arr.size == 0:
+        return 0
+    return _numerical_rank(np.linalg.svd(arr, compute_uv=False), _tol(tol))
 
 
 def image_basis(mat: np.ndarray, tol: Tolerances | None = None) -> np.ndarray:
@@ -170,10 +174,7 @@ def image_basis(mat: np.ndarray, tol: Tolerances | None = None) -> np.ndarray:
     tol = _tol(tol)
     arr = _as_matrix(mat)
     u, sv, _ = np.linalg.svd(arr, full_matrices=False)
-    if sv.size == 0 or sv[0] <= 0.0:
-        return np.zeros((arr.shape[0], 0), dtype=complex)
-    r = int(np.count_nonzero(sv > tol.rank_rel * sv[0]))
-    return u[:, :r]
+    return u[:, : _numerical_rank(sv, tol)]
 
 
 def kernel_basis(mat: np.ndarray, tol: Tolerances | None = None) -> np.ndarray:
@@ -182,10 +183,7 @@ def kernel_basis(mat: np.ndarray, tol: Tolerances | None = None) -> np.ndarray:
     arr = _as_matrix(mat)
     n = arr.shape[1]
     u, sv, vh = np.linalg.svd(arr, full_matrices=True)
-    if sv.size == 0 or sv[0] <= 0.0:
-        r = 0
-    else:
-        r = int(np.count_nonzero(sv > tol.rank_rel * sv[0]))
+    r = _numerical_rank(sv, tol)
     return vh[r:].conj().T.reshape(n, n - r)
 
 
@@ -204,7 +202,7 @@ def gap_split(
     tol = _tol(tol)
     arr = _as_matrix(mat)
     u, sv, vh = np.linalg.svd(arr, full_matrices=True)
-    r = int(np.count_nonzero(sv > tol.rank_rel * sv[0])) if sv.size and sv[0] > 0 else 0
+    r = _numerical_rank(sv, tol)
     if 0 < r < sv.size:
         cuts = np.arange(1, r + 1)
         tails = np.abs(sv[cuts])  # LAPACK may return -0.0

@@ -4,11 +4,13 @@ A map ``T(X) = sum_i K_i X K_i*`` acts from ``k x k`` to ``m x m`` matrices.
 It is stored as its Kraus stack and evaluated through its superoperator
 ``S = sum_i K_i (x) conj(K_i)``, an ``m^2 x k^2`` matrix built once per map:
 a stack of inputs ``(n, k, k)`` maps to its images by one matrix product.
-Most of the decision machinery lives on *corners*: for a projection ``V`` the
-compression ``V M V`` is an invariant subalgebra when ``T(V X V)`` stays inside
-it, and ``T`` restricted there is encoded as a real matrix over an orthonormal
-Hermitian basis.  Spectral-radius (Perron) data of those real matrices drives
-the irreducibility tests.
+Most of the decision machinery lives on *corners*: for a projection ``V`` of
+rank ``s`` with orthonormal basis ``b``, the compression ``V M V = b M_s b*`` is
+an invariant subalgebra when ``T(V X V)`` stays inside it, and ``T`` restricted
+there is encoded as a real ``s^2 x s^2`` matrix over ``hermitian_basis(s)``.
+Spectral-radius (Perron) data of those real matrices drives the
+irreducibility tests; it stays ``s x s``, in corner coordinates, and callers
+lift it by ``b X b*`` only where they need it on ``C^k``.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from .linalg import (
 
 __all__ = [
     "CpMap",
-    "CornerRep",
     "apply",
     "adjoint",
     "transform",
@@ -163,52 +164,33 @@ def restrict_to_corner(T: CpMap, V: Projection) -> CpMap:
     return CpMap(src_dim=V.rank, dst_dim=V.rank, kraus=dagger(b) @ T.kraus @ b)
 
 
-def _corner_basis(V: Projection) -> np.ndarray:
-    """Lifted orthonormal Hermitian basis of ``V M V`` (shape ``(s^2, k, k)``)."""
-    b = V.basis
-    return b @ hermitian_basis(V.rank) @ dagger(b)
-
-
 def _invariance_defect(images: np.ndarray, P: np.ndarray) -> float:
     """Largest entry of ``Y - P Y P`` over a stack of images ``Y``."""
     return float(np.abs(images - P @ images @ P).max())
 
 
-@dataclass(frozen=True, eq=False)
-class CornerRep:
-    """Real matrix of a map restricted to a corner.
+def corner_rep(T: CpMap, V: Projection) -> np.ndarray:
+    """Real ``s^2 x s^2`` matrix of ``T`` on the corner of ``V``.
 
-    Attributes
-    ----------
-    basis : ndarray (s^2, k, k)
-        Lifted orthonormal Hermitian basis of ``V M V``.
-    matrix : ndarray (s^2, s^2), real
-        ``matrix[i, j] = Re tr(basis_i T(basis_j))``.  The compressed adjoint
-        ``X -> V T*(X) V`` is represented by ``matrix.T`` in the same basis.
-    """
-
-    basis: np.ndarray
-    matrix: np.ndarray
-
-
-def corner_rep(T: CpMap, V: Projection) -> CornerRep:
-    """Real representation of ``T`` on the corner of ``V``.
-
-    Raises ``ValueError`` when invariance fails badly: an image of a corner
-    basis element leaves ``V M V`` by more than a loose ``1e-6`` of the map's
+    Entry ``(i, j)`` is ``Re tr(E_i T(E_j))`` for ``E = hermitian_basis(s)``
+    lifted by ``b E b*``, ``b = V.basis``: the matrix of
+    :func:`restrict_to_corner` in that basis.  The compressed adjoint
+    ``X -> V T*(X) V`` is represented by its transpose.  Raises
+    ``ValueError`` when invariance fails badly: an image of a lifted basis
+    element leaves ``V M V`` by more than a loose ``1e-6`` of the map's
     Kraus-norm bound.
     """
     if T.src_dim != T.dst_dim or T.src_dim != V.dim:
         raise ValueError("corner_rep requires a square map matching V")
-    basis = _corner_basis(V)
+    b = V.basis
+    basis = b @ hermitian_basis(V.rank) @ dagger(b)
     images = apply(T, basis)
     guard = 1e-6 * max(1.0, kraus_norm(T))
     if _invariance_defect(images, V.matrix) > guard:
         raise ValueError("corner is not invariant under the map")
     n = len(basis)
     # Re tr(b* Y) is the real dot product of the (re, im) pairs of b and Y
-    rep = basis.reshape(n, -1).view(float) @ images.reshape(n, -1).view(float).T
-    return CornerRep(basis=basis, matrix=rep)
+    return basis.reshape(n, -1).view(float) @ images.reshape(n, -1).view(float).T
 
 
 def _top_eigenvalue(mat: np.ndarray, tol: Tolerances) -> float:
@@ -307,18 +289,20 @@ _ARNOLDI_CHECKPOINTS = (8, 12, 16, 24, 32, 48, 64)
 
 
 def _krylov_perron(T: CpMap, V: Projection, tol: Tolerances) -> np.ndarray | None:
-    """A PSD trace-one Perron vector of ``T`` on the corner of ``V`` by Arnoldi.
+    """A PSD trace-one ``s x s`` Perron vector of ``T`` on the corner of ``V``,
+    in corner coordinates, by Arnoldi.
 
-    Starts from the corner identity with ``T.superop`` on the whole space and
-    the compressed Kraus stack's on a smaller corner.  The iterates are
-    Hermitian up to rounding and orthonormal in ``Re tr(A* B)``, so the
+    Starts from the corner identity with ``T.superop`` when ``V``'s basis is
+    the identity and the compressed Kraus stack's otherwise.  The iterates
+    are Hermitian up to rounding and orthonormal in ``Re tr(A* B)``, so the
     Hessenberg matrix is real; at a few checkpoints its top Ritz pair counts
     once ``|beta y_last| <= _RITZ_RESIDUAL |theta|``, and its vector's
-    Hermitian part, lifted, is returned.  ``None`` when the budget runs out,
-    or the value is not real and positive, or the vector is not PSD.
-    Invariance of the corner is not checked.
+    Hermitian part is returned.  ``None`` when the budget runs out, or the
+    value is not real and positive, or the vector is not PSD.  Invariance of
+    the corner is not checked.
     """
-    s, whole = V.rank, V.rank == V.dim
+    s = V.rank
+    whole = np.array_equal(V.basis, np.eye(V.dim))
     S = T.superop if whole else restrict_to_corner(T, V).superop
     steps = min(s * s, _ARNOLDI_CHECKPOINTS[-1])
     Q = np.zeros((steps + 1, s * s), dtype=complex)
@@ -340,10 +324,7 @@ def _krylov_perron(T: CpMap, V: Projection, tol: Tolerances) -> np.ndarray | Non
                 if theta.imag != 0.0 or theta.real <= 0.0:
                     return None
                 gamma = (y.real @ Q[: j + 1]).reshape(s, s)
-                gamma = 0.5 * (gamma + dagger(gamma))
-                if not whole:
-                    gamma = V.basis @ gamma @ dagger(V.basis)
-                return _psd_normalized(gamma, tol)
+                return _psd_normalized(0.5 * (gamma + dagger(gamma)), tol)
         Q[j + 1] = w / beta
     return None
 
@@ -353,33 +334,36 @@ def _corner_perron(
 ) -> tuple[float, np.ndarray, np.ndarray | None, np.ndarray | None]:
     """Perron analysis of ``T`` on the corner of ``V``.
 
-    Returns ``(lam, space, gamma, delta)``: the Perron root, its lifted
-    eigenspace (its length is the root's geometric multiplicity), a PSD
-    trace-one Perron vector in it, and, for a simple root, the PSD trace-one
-    Perron vector of the compressed adjoint ``X -> V T*(X) V``.  A vector
-    that is not found is ``None``, and so is ``delta`` for a degenerate root.
-    Raises ``ValueError`` when the corner is not invariant, the map vanishes
-    on it, or the root is not positive.
+    Returns ``(lam, space, gamma, delta)``: the Perron root, its eigenspace
+    (its length is the root's geometric multiplicity), a PSD trace-one
+    Perron vector in it, and, for a simple root, the PSD trace-one Perron
+    vector of the compressed adjoint ``X -> V T*(X) V``.  The matrices are
+    ``s x s``, in corner coordinates.  A vector that is not found is
+    ``None``, and so is ``delta`` for a degenerate root.  Raises
+    ``ValueError`` when the corner is not invariant, the map vanishes on it,
+    or the root is not positive.
 
     One SVD of ``rep - lam`` serves both maps: the adjoint is represented by
     ``rep.T``, so the right null vectors span the map's eigenspace and the
-    left ones the adjoint's.  The kernel cutoff is scaled by
-    ``max(sigma_max(rep - lam), lam)``, so a root off by roundoff still finds
-    the eigenspace when the shifted matrix is numerically zero.
+    left ones the adjoint's, as coefficients over ``hermitian_basis(s)``.
+    The kernel cutoff is scaled by ``max(sigma_max(rep - lam), lam)``, so a
+    root off by roundoff still finds the eigenspace when the shifted matrix
+    is numerically zero.
     """
     rep = corner_rep(T, V)
-    if np.abs(rep.matrix).max() == 0.0:
+    if np.abs(rep).max() == 0.0:
         raise ValueError("the map vanishes on this corner")
-    lam = _top_eigenvalue(rep.matrix, tol)
+    lam = _top_eigenvalue(rep, tol)
     if lam <= 0.0:
         raise ValueError("corner spectral radius is not positive")
-    n = rep.matrix.shape[0]
-    u, sv, vh = np.linalg.svd(rep.matrix - lam * np.eye(n))
+    n = rep.shape[0]
+    u, sv, vh = np.linalg.svd(rep - lam * np.eye(n))
     r = int(np.count_nonzero(sv > tol.rank_rel * max(float(sv[0]), lam)))
-    space = np.einsum("dn,nij->dij", vh[r:], rep.basis)
+    basis = hermitian_basis(V.rank)
+    space = np.einsum("dn,nij->dij", vh[r:], basis)
     if n - r != 1:
         return lam, space, _psd_in_span(space, tol), None
-    delta = np.einsum("n,nij->ij", u[:, r], rep.basis)
+    delta = np.einsum("n,nij->ij", u[:, r], basis)
     return lam, space, _psd_normalized(space[0], tol), _psd_normalized(delta, tol)
 
 

@@ -451,16 +451,17 @@ def dense_corner_search(T, V, tol):
     (representation, ``eigvals`` and one SVD); a rank-deficient Perron vector
     (after the boundary step for a degenerate root) cuts the corner to its
     image, and the adjoint's Perron vector returns the corner or cuts it by
-    its kernel.
+    its kernel.  Perron data are in corner coordinates: each cut is lifted by
+    the corner basis ``b``, and so is the returned ``delta``.
     """
     from filternorm.decide import _boundary_rank_drop
-    from filternorm.linalg import gap_split, projector_onto, rank_eps, subspace_intersection
+    from filternorm.linalg import gap_split, projector_onto, rank_eps
     from filternorm.maps import _corner_perron, corner_rep
 
     current = V
-    for _ in range(4 * V.rank + 4):
+    for _ in range(V.rank):
         if current.rank == 1:
-            lam = float(corner_rep(T, current).matrix[0, 0])
+            lam = float(corner_rep(T, current)[0, 0])
             if lam <= tol.rank_rel:
                 raise ValueError("the map vanishes on a candidate corner")
             return current, lam, current.matrix
@@ -469,19 +470,17 @@ def dense_corner_search(T, V, tol):
             raise RuntimeError("no PSD Perron eigenvector in the top eigenspace")
         full = rank_eps(gamma, tol) == current.rank
         if full and space.shape[0] > 1:
-            gamma = _boundary_rank_drop(space, gamma, current, tol)
+            gamma = _boundary_rank_drop(space, gamma, tol)
             full = False
+        b = current.basis
         if not full:
-            current = projector_onto(gap_split(gamma, tol)[0])
+            current = projector_onto(b @ gap_split(gamma, tol)[0])
             continue
         if delta is None:
             raise RuntimeError(
                 "compressed adjoint has no PSD eigenvector at the spectral radius"
             )
         if rank_eps(delta, tol) == current.rank:
-            return current, lam, delta
-        shared = subspace_intersection(gap_split(delta, tol)[1], current.basis, tol)
-        if shared.shape[1] == 0:
-            raise RuntimeError("irreducibility search produced an empty corner")
-        current = projector_onto(shared)
+            return current, lam, b @ delta @ b.conj().T
+        current = projector_onto(b @ gap_split(delta, tol)[1])
     raise RuntimeError("irreducible corner search did not terminate")

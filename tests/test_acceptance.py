@@ -163,7 +163,8 @@ def test_criterion_5_quadratic_model_matches_trace_formula():
         )
         lead = projector_onto(np.eye(k, dtype=complex)[:, :s])
         lam, _, _, delta = _corner_perron(T, lead, DEFAULT_TOL)
-        _, T1, s1 = normalize_corner(T, lead, lam, delta)
+        b = lead.basis
+        _, T1, s1 = normalize_corner(T, lead, lam, b @ delta @ b.conj().T)
         model = adjoint_block_quadratic(T1, s1)
         kraus = list(T1.kraus)
         for _ in range(30):

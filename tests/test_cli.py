@@ -304,9 +304,9 @@ def test_analyze_reports_the_operator_schmidt_rank(tmp_path, capsys):
 
 def test_decide_checks_ppt_once(tmp_path, capsys, monkeypatch):
     """decide leaves the PPT test to the decision: the 16 x 16 state is
-    factored by the loader's PSD check, the decision's ``eigh`` and the PPT
-    check of its partial transpose, and nothing else; a non-PPT state still
-    exits 3 with the decision's message."""
+    factored by the loader's PSD check, the PPT check of its partial
+    transpose and then the decision's ``eigh``, and nothing else; a non-PPT
+    state still exits 3 with the decision's message."""
     path = write_state(tmp_path, hidden_blocky(4, [2, 2], np.random.default_rng(3)))
     npt = write_state(tmp_path, maximally_entangled(2), "npt.json")
     calls = []
@@ -317,7 +317,7 @@ def test_decide_checks_ppt_once(tmp_path, capsys, monkeypatch):
             return _fn(a, *args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
     assert main(["decide", path]) == 0
-    assert calls == ["eigvalsh", "eigh", "eigvalsh"]
+    assert calls == ["eigvalsh", "eigvalsh", "eigh"]
     capsys.readouterr()
     assert main(["decide", npt]) == 3
     assert capsys.readouterr().err == "filternorm: state is not PPT\n"

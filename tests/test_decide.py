@@ -17,6 +17,7 @@ from filternorm import (
     STAGE_NO_FULL_RANK_VECTOR,
     BipartiteState,
     CpMap,
+    NotPositiveError,
     anchor_transform,
     apply,
     apply_filter,
@@ -77,7 +78,8 @@ def normalized_t1(k, s, rng):
               kraus=tuple(upper_triangular_map_kraus(k, s, rng)))
     lead = projector_onto(np.eye(k, dtype=complex)[:, :s])
     lam, _, _, delta = _corner_perron(T, lead, DEFAULT_TOL)
-    Q, T1, s1 = normalize_corner(T, lead, lam, delta)
+    b = lead.basis
+    Q, T1, s1 = normalize_corner(T, lead, lam, b @ delta @ b.conj().T)
     return T1, s1
 
 
@@ -282,6 +284,48 @@ def test_arnoldi_search_finds_the_corners_of_the_dense_search(monkeypatch):
     assert sum(cuts) >= 10
 
 
+def test_corner_search_factors_no_matrix_of_the_ambient_space(monkeypatch):
+    """On the invariant rank-6 lead corner of a 12 x 12 block upper-triangular
+    map, the search works in corner coordinates: it runs no ``svd``, ``eigh``
+    or ``eigvalsh`` of a complex 12 x 12 matrix (a lifted Perron vector, a
+    lifted kernel or a lifted ``delta``), and it still returns an invariant
+    irreducible corner inside the lead one, with ``delta`` supported there."""
+    calls = []
+    for name in ("svd", "eigh", "eigvalsh"):
+        def counted(a, *args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
+            if np.shape(a) == (12, 12) and np.iscomplexobj(a):
+                calls.append(_name)
+            return _fn(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    T = CpMap(src_dim=12, dst_dim=12,
+              kraus=upper_triangular_map_kraus(12, 6, np.random.default_rng(16)))
+    lead = projector_onto(np.eye(12, dtype=complex)[:, :6])
+    V, lam, delta = find_irreducible_corner(T, lead)
+    assert calls == []
+    assert 0 < V.rank <= 6 and lam > 0
+    assert np.abs(lead.matrix @ V.matrix - V.matrix).max() < 1e-10
+    assert np.abs(V.matrix @ delta @ V.matrix - delta).max() < 1e-10
+    monkeypatch.undo()
+    assert oracles.leaves_invariant(T.kraus, V.basis)
+    assert is_irreducible(T, V)
+
+
+def test_corner_search_does_not_depend_on_the_basis_of_the_corner():
+    """The whole space given by a random unitary basis instead of the identity:
+    its Perron data are in that basis's coordinates, so the search returns
+    the same corner, root and ``delta`` as from the identity basis."""
+    rng = np.random.default_rng(4)
+    U = random_unitary(8, rng)
+    T = CpMap(src_dim=8, dst_dim=8, kraus=[U @ K @ U.conj().T for K in
+                                           upper_triangular_map_kraus(8, 5, rng)])
+    V0, lam0, delta0 = find_irreducible_corner(T, identity_projection(8))
+    rotated = projector_onto(random_unitary(8, rng))
+    V1, lam1, delta1 = find_irreducible_corner(T, rotated)
+    assert V0.rank < 8 and same_subspace(V0, V1)
+    assert abs(lam0 - lam1) <= 1e-12 * lam0
+    assert np.abs(delta0 - delta1).max() <= 1e-12
+
+
 def test_boundary_rank_drop_lands_on_a_smaller_invariant_corner():
     """On ``c`` copies of an irreducible block the closed-form boundary step
     returns a PSD Perron eigenvector of lower rank whose image is invariant."""
@@ -297,7 +341,8 @@ def test_boundary_rank_drop_lands_on_a_smaller_invariant_corner():
             lam, space, gamma, _ = _corner_perron(T, V, DEFAULT_TOL)
             assert space.shape[0] == c * c
             assert rank_eps(gamma) == V.rank
-            B = _boundary_rank_drop(space, gamma, V, DEFAULT_TOL)
+            b = V.basis
+            B = b @ _boundary_rank_drop(space, gamma, DEFAULT_TOL) @ b.conj().T
             assert psd_check(B)
             assert np.linalg.norm(apply(T, B) - lam * B) <= 1e-10 * np.linalg.norm(B)
             assert 0 < rank_eps(B) < V.rank
@@ -362,7 +407,7 @@ def test_normalize_corner_unitary_for_doubly_stochastic_maps():
     V = identity_projection(3)
     lam, _, _, delta = _corner_perron(T, V, DEFAULT_TOL)
     assert abs(lam - 1.0) < 1e-8
-    Q, T1, s = normalize_corner(T, V, lam, delta)
+    Q, T1, s = normalize_corner(T, V, lam, V.basis @ delta @ V.basis.conj().T)
     assert s == 3
     gram = Q.conj().T @ Q
     assert np.abs(gram - gram[0, 0] * np.eye(3)).max() < 1e-8
@@ -638,11 +683,12 @@ def test_decide_factors_the_state_once(monkeypatch):
     Its range, the anchor's range check and the Kraus operators all read that
     ``eigh``; the anchored map is the Kraus stack times ``P^t``, so no
     filtered state is built and factored.  The only other k^2 x k^2
-    factorization is the PPT check of the partial transpose, and the state
-    keeps that spectrum: after ``is_ppt`` the decision runs only the
-    ``eigh``.  The corner search cuts the whole space by its Arnoldi search,
-    so a two-block decision factors no real k^2 x k^2 corner representation
-    either (no ``eigvals``, no SVD).
+    factorization is the PPT check of the partial transpose, which comes
+    first, and the state keeps that spectrum: after ``is_ppt`` the decision
+    runs only the ``eigh``, and a state that is not PPT is rejected with no
+    ``eigh`` at all.  The corner search cuts the whole space by its Arnoldi
+    search, so a two-block decision factors no real k^2 x k^2 corner
+    representation either (no ``eigvals``, no SVD).
     """
     calls = []
     for name in ("eigh", "eigvalsh", "svd", "eig", "eigvals", "qr"):
@@ -659,14 +705,19 @@ def test_decide_factors_the_state_once(monkeypatch):
     for st in (hidden_blocky(4, [2, 2], rng), hidden_upper_triangular(4, rng)):
         calls.clear()
         decide_equivalence(st)
-        assert [name for name, _ in state_calls()] == ["eigh", "eigvalsh"]
-        assert np.array_equal(state_calls()[0][1], st.rho)
-        assert np.abs(state_calls()[1][1] - partial_transpose(st)).max() == 0.0
+        assert [name for name, _ in state_calls()] == ["eigvalsh", "eigh"]
+        assert np.abs(state_calls()[0][1] - partial_transpose(st)).max() == 0.0
+        assert np.array_equal(state_calls()[1][1], st.rho)
         fresh = BipartiteState(k=st.k, m=st.m, rho=st.rho)
         assert is_ppt(fresh)
         calls.clear()
         decide_equivalence(fresh)
         assert [name for name, _ in state_calls()] == ["eigh"]
+    npt = maximally_entangled(4)
+    calls.clear()
+    with pytest.raises(NotPositiveError):
+        decide_equivalence(npt)
+    assert [name for name, _ in state_calls()] == ["eigvalsh"]
     st = hidden_blocky(8, [4, 4], rng)
     calls.clear()
     verdict = decide_equivalence(st)

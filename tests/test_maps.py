@@ -21,12 +21,13 @@ from filternorm import (
 from filternorm.linalg import (
     DEFAULT_TOL,
     dagger,
+    hermitian_basis,
     identity_projection,
     projector_onto,
     psd_check,
 )
 from filternorm.maps import _corner_perron
-from helpers import unitary_mixture, upper_triangular_map_kraus
+from helpers import random_unitary, unitary_mixture, upper_triangular_map_kraus
 
 
 def random_cp_map(k, m, nops, rng):
@@ -236,36 +237,69 @@ def test_restrict_to_corner_is_faithful_on_invariant_corners():
         assert np.abs(apply(T, big)[:s, :s] - apply(small, x)).max() < 1e-10
 
 
+def lifted_basis(V):
+    """``hermitian_basis(s)`` lifted to ``C^k`` by ``b E b*``, ``b = V.basis``."""
+    b = V.basis
+    return b @ hermitian_basis(V.rank) @ b.conj().T
+
+
 def test_corner_rep_reproduces_the_map():
-    """rep.matrix columns are the coefficients of T on the lifted Hermitian basis."""
+    """rep columns are the coefficients of T on the lifted Hermitian basis."""
     rng = np.random.default_rng(10)
     for k, s in [(3, 3), (4, 2)]:
         T = CpMap(src_dim=k, dst_dim=k,
                   kraus=tuple(upper_triangular_map_kraus(k, s, rng)))
         V = lead_projection(k, s)
         rep = corner_rep(T, V)
-        assert rep.matrix.shape == (s * s, s * s)
-        assert np.abs(np.imag(rep.matrix)).max() < 1e-12
+        basis = lifted_basis(V)
+        assert rep.shape == (s * s, s * s)
+        assert np.abs(np.imag(rep)).max() < 1e-12
         for j in range(s * s):
-            out = apply(T, rep.basis[j])
+            out = apply(T, basis[j])
             out = V.matrix @ out @ V.matrix
-            lift = np.einsum("n,nij->ij", rep.matrix[:, j], rep.basis)
+            lift = np.einsum("n,nij->ij", rep[:, j], basis)
             assert np.abs(lift - out).max() < 1e-10
 
 
 def test_corner_rep_entries_are_trace_pairings():
-    """rep.matrix[i, j] == tr(basis_i* T(basis_j)) on an invariant corner."""
+    """rep[i, j] == tr(basis_i* T(basis_j)) on an invariant corner."""
     rng = np.random.default_rng(11)
     k, s = 4, 3
     T = CpMap(src_dim=k, dst_dim=k,
               kraus=tuple(upper_triangular_map_kraus(k, s, rng)))
     V = lead_projection(k, s)
     rep = corner_rep(T, V)
+    basis = lifted_basis(V)
     for i in range(s * s):
         for j in range(s * s):
-            want = np.trace(rep.basis[i].conj().T @ apply(T, rep.basis[j]))
-            assert abs(rep.matrix[i, j] - np.real(want)) < 1e-10
+            want = np.trace(basis[i].conj().T @ apply(T, basis[j]))
+            assert abs(rep[i, j] - np.real(want)) < 1e-10
             assert abs(np.imag(want)) < 1e-10
+
+
+def test_corner_rep_is_the_restricted_map_in_the_hermitian_basis():
+    """On a rotated invariant corner, ``corner_rep(T, V)`` is the matrix of
+    ``restrict_to_corner(T, V)`` over ``hermitian_basis(s)``, entries
+    ``Re tr(E_i R(E_j))``, and the restriction's adjoint (the compressed
+    adjoint) has the transposed matrix."""
+    rng = np.random.default_rng(19)
+    k, s = 7, 4
+    U = random_unitary(k, rng)
+    T = CpMap(src_dim=k, dst_dim=k,
+              kraus=tuple(upper_triangular_map_kraus(k, s, rng)))
+    T = transform(T, U, U.conj().T)
+    V = projector_onto(U[:, :s])
+    E = hermitian_basis(s)
+
+    def matrix(M):
+        return np.real(np.einsum("iab,jba->ij", E, apply(M, E)))
+
+    rep = corner_rep(T, V)
+    R = restrict_to_corner(T, V)
+    scale = np.abs(rep).max()
+    assert rep.shape == (s * s, s * s) and rep.dtype == float
+    assert np.abs(rep - matrix(R)).max() <= 1e-13 * scale
+    assert np.abs(matrix(adjoint(R)) - rep.T).max() <= 1e-13 * scale
 
 
 def test_corner_rep_of_adjoint_is_the_transpose():
@@ -276,7 +310,7 @@ def test_corner_rep_of_adjoint_is_the_transpose():
     V = identity_projection(k)
     rep = corner_rep(T, V)
     rep_adj = corner_rep(adjoint(T), V)
-    assert np.abs(rep_adj.matrix - rep.matrix.T).max() < 1e-10
+    assert np.abs(rep_adj - rep.T).max() < 1e-10
 
 
 def test_spectral_radius_dominates_eigenvalues():
@@ -286,11 +320,11 @@ def test_spectral_radius_dominates_eigenvalues():
         T = random_cp_map(k, k, 2, rng)
         V = identity_projection(k)
         lam, _, gamma, _ = _corner_perron(T, V, DEFAULT_TOL)
-        rep = corner_rep(T, V)
-        eigs = np.linalg.eigvals(rep.matrix)
+        eigs = np.linalg.eigvals(corner_rep(T, V))
         assert lam >= np.abs(eigs).max() - 1e-8 * max(1.0, lam)
         # the returned eigenvector is Hermitian and satisfies T-compression
         assert np.abs(gamma - gamma.conj().T).max() < 1e-8
+        gamma = V.basis @ gamma @ V.basis.conj().T
         resid = V.matrix @ apply(T, gamma) @ V.matrix - lam * gamma
         assert np.abs(resid).max() < 1e-6 * max(1.0, lam)
 
@@ -373,9 +407,9 @@ def test_corner_rep_matches_the_per_element_kraus_loop():
     cases = [(T, lead_projection(12, 6)), (random_cp_map(20, 20, 3, rng), full)]
     for T, V in cases:
         rep = corner_rep(T, V)
-        assert rep.matrix.shape == (V.rank ** 2, V.rank ** 2)
-        want = oracles.corner_rep_loop(list(T.kraus), rep.basis)
-        assert np.abs(rep.matrix - want).max() <= 1e-13 * np.abs(want).max()
+        assert rep.shape == (V.rank ** 2, V.rank ** 2)
+        want = oracles.corner_rep_loop(list(T.kraus), lifted_basis(V))
+        assert np.abs(rep - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_non_invariant_corner_is_rejected():
