@@ -50,6 +50,7 @@ from .maps import (
 from .states import (
     BipartiteState,
     NotPositiveError,
+    _eigh,
     _full_rank_vector,
     _range,
     _spectral_map,
@@ -200,7 +201,7 @@ def anchor_transform(
     tol = _tol(tol)
     if state.k != state.m:
         raise ValueError("anchoring requires a square state")
-    eigs, basis = _range(*np.linalg.eigh(state.rho), tol)
+    eigs, basis = _range(*_eigh(state), tol)
     return _anchor_filter(v, eigs, basis, state.k, tol)
 
 
@@ -655,7 +656,7 @@ def decide_equivalence(
     # of rho gives the range and the Kraus operators
     if not is_ppt(state, tol):
         raise NotPositiveError("state is not PPT")
-    eigs, vecs = np.linalg.eigh(state.rho)
+    eigs, vecs = _eigh(state)
     k = state.k
     rng = np.random.default_rng(0) if rng is None else rng
     eigs, basis = _range(eigs, vecs, tol)

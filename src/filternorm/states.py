@@ -61,13 +61,16 @@ class BipartiteState:
         Hermitian or not PSD raises :class:`NotPositiveError`.
     spectrum : ndarray (k*m,), real
         Eigenvalues of ``rho`` in ascending order, from the ``eigvalsh`` of
-        the constructor's PSD check.
+        the constructor's PSD check; a state from :func:`embed_rectangular`
+        repeats its factor's instead, which are exact.
     """
 
     k: int
     m: int
     rho: np.ndarray
     spectrum: np.ndarray = field(init=False, repr=False)
+    # the k x m state that embed_rectangular embedded into this one, if any
+    _factor: BipartiteState | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.k < 1 or self.m < 1:
@@ -82,7 +85,9 @@ class BipartiteState:
         if herm_resid > 1e-8 * max(1.0, np.abs(rho).max()):
             raise NotPositiveError("state matrix is not Hermitian")
         rho = mirror_hermitian(rho)
-        spectrum = np.linalg.eigvalsh(rho)
+        self._settle(rho, np.linalg.eigvalsh(rho))
+
+    def _settle(self, rho: np.ndarray, spectrum: np.ndarray) -> None:
         if not _psd_spectrum(spectrum):
             raise NotPositiveError("state matrix is not positive semidefinite")
         object.__setattr__(self, "rho", rho)
@@ -90,7 +95,10 @@ class BipartiteState:
 
     @cached_property
     def pt_spectrum(self) -> np.ndarray:
-        """Eigenvalues of :func:`partial_transpose`, computed on first use."""
+        """Eigenvalues of :func:`partial_transpose`, computed on first use; an
+        embedded state's partial transpose embeds its factor's, so it repeats those."""
+        if self._factor is not None:
+            return np.repeat(self._factor.pt_spectrum, self.k)
         return np.linalg.eigvalsh(partial_transpose(self))
 
     @property
@@ -184,8 +192,22 @@ def find_full_rank_vector(
     """
     tol = _tol(tol)
     rng = np.random.default_rng(0) if rng is None else rng
-    _, basis = _range(*np.linalg.eigh(state.rho), tol)
+    _, basis = _range(*_eigh(state), tol)
     return _full_rank_vector(basis, state.k, state.m, rng, tol)
+
+
+def _eigh(state: BipartiteState) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.eigh(state.rho)``; an embedded state lifts its factor's
+    ``rho = U diag(w) U*`` to the eigenvectors ``Id_m (x) U (x) Id_k`` and
+    ``w`` repeated alike, put in ascending order by one stable sort."""
+    factor = state._factor
+    if factor is None:
+        return np.linalg.eigh(state.rho)
+    w, u = _eigh(factor)
+    k, m = factor.k, factor.m
+    eigs = np.tile(np.repeat(w, k), m)
+    order = np.argsort(eigs, kind="stable")
+    return eigs[order], np.kron(np.kron(np.eye(m), u), np.eye(k))[:, order]
 
 
 def _range(
@@ -237,7 +259,7 @@ def state_to_map(state: BipartiteState, tol: Tolerances | None = None) -> CpMap:
     Kraus operators are the transposed coefficient matrices of the spectral
     vectors (eigenvalues below ``rank_rel`` of the top are dropped).
     """
-    eigs, vecs = _range(*np.linalg.eigh(state.rho), _tol(tol))
+    eigs, vecs = _range(*_eigh(state), _tol(tol))
     return _spectral_map(eigs, vecs, state.k, state.m)
 
 
@@ -281,7 +303,14 @@ def embed_rectangular(state: BipartiteState) -> BipartiteState:
     ``(C^m (x) C^k) (x) (C^m (x) C^k)``; in operator Schmidt terms it is
     ``sum_n w_n (Id_m (x) C_n) (x) (D_n (x) Id_k)``.  It is PSD, inherits the
     PPT property, and its decision problem matches the rectangular original.
+    The result keeps ``state``: its spectra and ``eigh`` are the factor's,
+    each value repeated ``mk`` times, so no ``(mk)^2 x (mk)^2`` matrix is
+    factored, and it is exactly Hermitian, so it is not checked for that.
     """
     k, m = state.k, state.m
-    rho = np.kron(np.kron(np.eye(m), state.rho), np.eye(k))
-    return BipartiteState(k=m * k, m=m * k, rho=rho)
+    emb = object.__new__(BipartiteState)
+    for name, value in (("k", m * k), ("m", m * k), ("_factor", state)):
+        object.__setattr__(emb, name, value)
+    emb._settle(np.kron(np.kron(np.eye(m), state.rho), np.eye(k)),
+                np.repeat(state.spectrum, m * k))
+    return emb

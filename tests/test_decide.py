@@ -726,6 +726,91 @@ def test_decide_factors_the_state_once(monkeypatch):
                 if not cplx and a.shape == (64, 64) and name in ("eigvals", "svd")]
 
 
+def test_embedded_decision_factors_only_the_factor(monkeypatch):
+    """An embedded 4 x 5 state is decided from its 20 x 20 factor.
+
+    Embedding it, its PPT test and its decision run no ``eigh`` or
+    ``eigvalsh`` of the 400 x 400 embedded matrix or of its partial
+    transpose: the spectra and the ``eigh`` are the factor's, lifted.  The
+    same matrix as a plain state, which carries no factor, does factor it.
+    """
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        def counted(a, *args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
+            calls.append((_name, np.shape(a)))
+            return _fn(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+
+    rng = np.random.default_rng(45)
+    w = rng.uniform(0.2, 2.0, size=(4, 5))
+    st = apply_filter(pattern_state(w), random_invertible(4, rng), random_invertible(5, rng))
+    calls.clear()
+    emb = embed_rectangular(st)
+    assert is_ppt(emb)
+    verdict = decide_equivalence(emb)
+    assert verdict.outcome == OUTCOME_EQUIVALENT
+    assert [V.rank for V, _ in verdict.blocks] == [20]
+    assert not [c for c in calls if c[1] == (400, 400)]
+    assert ("eigvalsh", (20, 20)) in calls and ("eigh", (20, 20)) in calls
+    calls.clear()
+    decide_equivalence(BipartiteState(k=emb.k, m=emb.m, rho=emb.rho))
+    assert ("eigh", (400, 400)) in calls
+
+
+def _separable_mixture(k, m, count, rng):
+    """Sum of ``count`` random product projectors: PPT, of rank ``count`` if below ``km``."""
+    rho = np.zeros((k * m, k * m), dtype=complex)
+    for _ in range(count):
+        v = np.kron(rng.standard_normal(k) + 1j * rng.standard_normal(k),
+                    rng.standard_normal(m) + 1j * rng.standard_normal(m))
+        rho += np.outer(v, v.conj())
+    return BipartiteState(k=k, m=m, rho=rho / np.trace(rho).real)
+
+
+def test_embedded_decisions_match_the_dense_path():
+    """Deciding an embedded state from its factor gives the dense verdict.
+
+    The dense reference is the same matrix as a plain state, which carries no
+    factor.  Each path draws its own anchor from its own range basis (the
+    embedded spectrum is degenerate, so the bases differ), and the two agree
+    on outcome and block ranks; given one shared anchor they also agree on
+    every block's λ.  Patterns, bare or under random local filters, match the
+    LP oracle (an unscalable one has no full-rank anchor, so it is
+    inconclusive); the product mixtures are rank-deficient.
+    """
+    rng = np.random.default_rng(150)
+    draws = []
+    for k, m, patterns, mixtures in [(2, 3, 12, 4), (3, 4, 6, 2), (4, 5, 2, 1)]:
+        for i in range(patterns):
+            w = pattern_weights(k, m, rng)
+            st = pattern_state(w)
+            if i % 2:
+                st = apply_filter(st, random_invertible(k, rng), random_invertible(m, rng))
+            draws.append((st, w))
+        draws += [(_separable_mixture(k, m, int(rng.integers(1, k * m)), rng), None)
+                  for _ in range(mixtures)]
+    outcomes = set()
+    for i, (st, w) in enumerate(draws):
+        emb = embed_rectangular(st)
+        dense = BipartiteState(k=emb.k, m=emb.m, rho=emb.rho)
+        got = decide_equivalence(emb, rng=np.random.default_rng(i))
+        want = decide_equivalence(dense, rng=np.random.default_rng(i))
+        assert got.outcome == want.outcome, (st.k, st.m, i)
+        assert [V.rank for V, _ in got.blocks] == [V.rank for V, _ in want.blocks]
+        if w is not None:
+            assert (got.outcome == OUTCOME_EQUIVALENT) == oracles.exact_scalable_lp(w)
+        outcomes.add(got.outcome)
+        v = find_full_rank_vector(emb, rng=np.random.default_rng(i))
+        if v is None:
+            continue
+        got, want = decide_equivalence(emb, v=v), decide_equivalence(dense, v=v)
+        assert got.outcome == want.outcome, (st.k, st.m, i)
+        assert [V.rank for V, _ in got.blocks] == [V.rank for V, _ in want.blocks]
+        for (_, lam), (_, ref) in zip(got.blocks, want.blocks):
+            assert abs(lam - ref) <= 1e-9 * max(1.0, abs(ref)), (st.k, st.m, i)
+    assert OUTCOME_EQUIVALENT in outcomes and len(outcomes) > 1
+
+
 def test_decide_does_not_reject_a_valid_ill_filtered_state():
     """Two-block states under local filters of condition number 1e6 are valid
     PPT inputs.  Rebuilding the anchored state ``(P (x) Id) rho (P (x) Id)*``

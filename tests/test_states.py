@@ -22,6 +22,7 @@ from filternorm import (
     vec_to_matrix,
 )
 from filternorm.linalg import rank_eps
+from filternorm.states import _eigh
 
 
 def test_state_constructor_rejects_bad_input():
@@ -171,7 +172,9 @@ def test_full_rank_search_matches_the_sample_loop():
     """The stacked search returns the one-sample-at-a-time loop's vector bit
     for bit, fails where it fails, and leaves the generator where it does.
     On a rank-one range, and when k or m is one, every sample scores alike,
-    so this also pins how ties break."""
+    so this also pins how ties break.  The loop gets the range basis the
+    search reads: the state's ``eigh``, lifted from the factor for an
+    embedded state (its eigenvalues repeat, so its basis is not unique)."""
     rng = np.random.default_rng(15)
     anti = diagonal_state(np.array([[0.0, 1.0], [1.0, 0.0]]) / 2.0)
     vec = np.kron(np.array([1.0, 0.5]), np.array([1.0, -0.5, 2.0])).astype(complex)
@@ -183,7 +186,7 @@ def test_full_rank_search_matches_the_sample_loop():
     states.append(embed_rectangular(random_state(3, 2, rank=3, rng=rng)))
     misses = 0
     for st in states:
-        eigs, vecs = np.linalg.eigh(st.rho)
+        eigs, vecs = _eigh(st)
         basis = vecs[:, eigs > DEFAULT_TOL.rank_rel * eigs.max()]
         for seed in range(5):
             got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -227,13 +230,34 @@ def test_apply_filter_preserves_ppt():
 
 
 def test_embed_matches_entrywise_assembly():
-    """embed_rectangular equals the index-bookkeeping oracle exactly."""
+    """embed_rectangular equals the index-bookkeeping oracle exactly.
+
+    Its spectrum, partial-transpose spectrum and ``eigh`` come from the
+    factor and match the dense factorizations of the embedded matrix, for
+    full-rank, rank-deficient and NPT factors.
+    """
     rng = np.random.default_rng(11)
-    for k, m in [(2, 3), (3, 2), (2, 2), (4, 5)]:
-        st = random_state(k, m, rng=rng)
+    factors = [random_state(k, m, rng=rng) for k, m in [(2, 3), (3, 2), (2, 2), (4, 5)]]
+    pure = np.kron([1.0, 0.0], [1.0, 0.0, 0.0]) + np.kron([0.0, 1.0], [0.0, 1.0, 0.0])
+    npt = BipartiteState(k=2, m=3, rho=np.outer(pure, pure).astype(complex))
+    factors += [npt, random_state(4, 5, rank=7, rng=rng)]
+    for k, m in [(1, 2), (2, 1), (2, 3), (3, 2)]:
+        factors += [random_state(k, m, rng=rng), random_state(k, m, rank=1, rng=rng)]
+    for st in factors:
+        k, m = st.k, st.m
         emb = embed_rectangular(st)
         assert emb.k == emb.m == k * m
         assert np.array_equal(emb.rho, oracles.embed_direct(st.rho, k, m)), (k, m)
+        for got, dense in [(emb.spectrum, np.linalg.eigvalsh(emb.rho)),
+                           (emb.pt_spectrum, np.linalg.eigvalsh(partial_transpose(emb)))]:
+            assert np.abs(got - dense).max() <= 1e-12 * np.abs(dense).max(), (k, m)
+        assert is_ppt(emb) == is_ppt(st)
+        eigs, vecs = _eigh(emb)
+        assert np.all(np.diff(eigs) >= 0)
+        rebuilt = (vecs * eigs) @ vecs.conj().T
+        assert np.abs(rebuilt - emb.rho).max() <= 1e-12 * np.abs(emb.rho).max()
+        assert np.abs(vecs.conj().T @ vecs - np.eye(emb.order)).max() <= 1e-12
+    assert not is_ppt(embed_rectangular(npt))
 
 
 def test_embed_of_product_state():
@@ -265,12 +289,16 @@ def test_embed_map_contracts_to_the_original_map():
 
     Writing the embedded input space as C^m (x) C^k, the defining expansion
     gives T_embed(X) = T(sum_i X_ii) (x) Id_k where X_ii are the diagonal
-    k x k blocks of X — checked on random inputs and on matrix units.
+    k x k blocks of X — checked on random inputs and on matrix units.  The
+    embedded map comes from the factor's ``eigh``; it acts as the map of the
+    same matrix as a plain state, which is factored densely.
     """
     rng = np.random.default_rng(13)
     for k, m in [(2, 3), (3, 2)]:
         st = random_state(k, m, rng=rng)
-        Temb = state_to_map(embed_rectangular(st))
+        emb = embed_rectangular(st)
+        Temb = state_to_map(emb)
+        Tdense = state_to_map(BipartiteState(k=emb.k, m=emb.m, rho=emb.rho))
         T = state_to_map(st)
         inputs = [rng.standard_normal((m * k, m * k))
                   + 1j * rng.standard_normal((m * k, m * k)) for _ in range(5)]
@@ -282,6 +310,7 @@ def test_embed_map_contracts_to_the_original_map():
             diag_sum = np.einsum("ijil->jl", X.reshape(m, k, m, k))
             want = np.kron(apply(T, diag_sum), np.eye(k, dtype=complex))
             assert np.abs(apply(Temb, X) - want).max() < 1e-8
+            assert np.abs(apply(Temb, X) - apply(Tdense, X)).max() < 1e-8
 
 
 def test_maximally_entangled_and_diagonal_builders():
