@@ -268,10 +268,10 @@ def find_irreducible_corner(
     decreases at every shrink, so the search terminates after at most
     ``rank(V)`` rounds.
 
-    An Arnoldi search cuts a corner to a rank-deficient PSD Perron vector with
-    no dense analysis; other outcomes get the dense ``_corner_perron``.  Both
-    work in corner coordinates: a cut is made there and lifted by the corner
-    basis, and ``delta`` is lifted once, on return.
+    Arnoldi cuts a corner to a rank-deficient PSD Perron vector, or certifies
+    one with ``s^2`` above its budget irreducible; what it leaves, a run out
+    of budget too, gets the dense ``_corner_perron``.  Both work in corner
+    coordinates: cuts are lifted by the corner basis, ``delta`` on return.
     """
     tol = _tol(tol)
     if T.src_dim != T.dst_dim or T.src_dim != V.dim:
@@ -285,16 +285,17 @@ def find_irreducible_corner(
             if lam <= tol.rank_rel:
                 raise ValueError("the map vanishes on a candidate corner")
             return current, lam, current.matrix
-        # skipped on ranks 2-3 (no cheaper) and on a support cut (gamma is definite)
+        # Arnoldi, skipped on ranks 2-3 (no cheaper) and on a support cut (gamma is
+        # definite), settles a corner it cuts or certifies irreducible
+        found = None
         if current.rank > 3 and not support_cut:
-            gamma = _krylov_perron(T, current, tol)
-            if gamma is not None and rank_eps(gamma, tol) < current.rank:
-                if current.rank < current.dim:
-                    corner_rep(T, current)  # for its invariance guard
-                cut = gap_split(gamma, tol)[0]
-                current, support_cut = projector_onto(current.basis @ cut), True
-                continue
-        lam, space, gamma, delta = _corner_perron(T, current, tol)
+            found = _krylov_perron(T, current, tol)
+        if found is not None:
+            if current.rank < current.dim:
+                corner_rep(T, current)  # for its invariance guard
+            (lam, gamma, delta), space = found, found[1][None]
+        else:
+            lam, space, gamma, delta = _corner_perron(T, current, tol)
         if gamma is None:
             raise RuntimeError("no PSD Perron eigenvector in the top eigenspace")
         full = rank_eps(gamma, tol) == current.rank

@@ -323,6 +323,33 @@ def psd_check(mat: np.ndarray, tol: Tolerances | None = None) -> bool:
     return _psd_spectrum(np.linalg.eigvalsh(arr), tol)
 
 
+def _cholesky_psd_abs(mat: np.ndarray, tol: Tolerances | None = None) -> float | None:
+    """The ``psd_abs`` down to which a shifted Cholesky proves the Hermitian
+    ``mat`` passes :func:`psd_check`, or ``None`` where it proves nothing.
+
+    ``tau`` is half the gate's threshold ``psd_abs (1 + d)``, with ``d`` the
+    largest |diagonal entry|, a lower bound on the largest |eigenvalue|.  A
+    Cholesky of ``mat + tau Id`` that succeeds factors it up to a backward
+    error of 2-norm at most ``n gamma_(n+1) (d + tau)`` (Higham, *Accuracy
+    and Stability of Numerical Algorithms*, Thm 10.3), bounded here by four
+    times that, so ``lambda_min(mat) >= -(tau + rounding)``.  The test runs
+    only where that rounding term is below ``tau / 8``, and a failed
+    Cholesky proves nothing: the caller falls back to ``eigvalsh``.
+    """
+    tol = _tol(tol)
+    n = mat.shape[0]
+    d = float(np.abs(np.diagonal(mat)).max(initial=0.0))
+    tau = 0.5 * tol.psd_abs * (1.0 + d)
+    rounding = 2.0 * n * (n + 1) * np.finfo(float).eps * (d + tau)
+    if rounding > tau / 8.0:
+        return None
+    try:
+        np.linalg.cholesky(mat + tau * np.eye(n))
+    except np.linalg.LinAlgError:
+        return None
+    return (tau + rounding) / (1.0 + d)
+
+
 def _psd_spectrum(eigs: np.ndarray, tol: Tolerances | None = None) -> bool:
     """The test of :func:`psd_check` on the eigenvalues of a Hermitian matrix."""
     tol = _tol(tol)

@@ -8,9 +8,10 @@ Most of the decision machinery lives on *corners*: for a projection ``V`` of
 rank ``s`` with orthonormal basis ``b``, the compression ``V M V = b M_s b*`` is
 an invariant subalgebra when ``T(V X V)`` stays inside it, and ``T`` restricted
 there is encoded as a real ``s^2 x s^2`` matrix over ``hermitian_basis(s)``.
-Spectral-radius (Perron) data of those real matrices drives the
-irreducibility tests; it stays ``s x s``, in corner coordinates, and callers
-lift it by ``b X b*`` only where they need it on ``C^k``.
+Spectral-radius (Perron) data drives the irreducibility tests: Arnoldi finds
+it by matvecs, and certifies a corner too large for a cheap dense analysis of
+that matrix irreducible; what it does not settle gets the dense analysis.  It
+stays ``s x s``, in corner coordinates, lifted by ``b X b*`` only where needed.
 """
 
 from __future__ import annotations
@@ -288,45 +289,96 @@ _RITZ_RESIDUAL = 1e-12
 _ARNOLDI_CHECKPOINTS = (8, 12, 16, 24, 32, 48, 64)
 
 
-def _krylov_perron(T: CpMap, V: Projection, tol: Tolerances) -> np.ndarray | None:
-    """A PSD trace-one ``s x s`` Perron vector of ``T`` on the corner of ``V``,
-    in corner coordinates, by Arnoldi.
-
-    Starts from the corner identity with ``T.superop`` when ``V``'s basis is
-    the identity and the compressed Kraus stack's otherwise.  The iterates
-    are Hermitian up to rounding and orthonormal in ``Re tr(A* B)``, so the
-    Hessenberg matrix is real; at a few checkpoints its top Ritz pair counts
-    once ``|beta y_last| <= _RITZ_RESIDUAL |theta|``, and its vector's
-    Hermitian part is returned.  ``None`` when the budget runs out, or the
-    value is not real and positive, or the vector is not PSD.  Invariance of
-    the corner is not checked.
-    """
-    s = V.rank
-    whole = np.array_equal(V.basis, np.eye(V.dim))
-    S = T.superop if whole else restrict_to_corner(T, V).superop
-    steps = min(s * s, _ARNOLDI_CHECKPOINTS[-1])
-    Q = np.zeros((steps + 1, s * s), dtype=complex)
+def _arnoldi(op, start: np.ndarray, accept) -> tuple[complex, np.ndarray] | None:
+    """Top Ritz pair of a Hermitian-preserving ``op`` on vectorized ``s x s``
+    matrices by at most ``min(s^2, 64)`` Arnoldi steps from a unit Hermitian
+    ``start``.  The iterates are orthonormal in ``Re tr(A* B)``, so ``H`` is real.
+    At checkpoints (and on a nearly invariant space) ``accept`` sees the top Ritz
+    value and its residual ``|beta y_last|``; the first pair it takes is returned,
+    with the vector's real part, else ``None``."""
+    n = start.size
+    steps = min(n, _ARNOLDI_CHECKPOINTS[-1])
+    Q = np.zeros((steps + 1, n), dtype=complex)
     H = np.zeros((steps + 1, steps))
-    Q[0] = np.eye(s).reshape(-1) / np.sqrt(s)
+    Q[0] = start
     for j in range(steps):
-        w = S @ Q[j]
+        w = op(Q[j])
         for _ in range(2):  # classical Gram-Schmidt, repeated once for stability
             h = (Q[: j + 1].conj() @ w).real
             w = w - h @ Q[: j + 1]
             H[: j + 1, j] += h
         H[j + 1, j] = beta = np.linalg.norm(w)
-        invariant = beta <= _RITZ_RESIDUAL * np.abs(H).max()  # beta == 0 returns below
+        invariant = beta <= _RITZ_RESIDUAL * np.abs(H).max()
         if invariant or j + 1 in _ARNOLDI_CHECKPOINTS or j + 1 == steps:
             thetas, ys = np.linalg.eig(H[: j + 1, : j + 1])
             top = np.argmax(np.abs(thetas))
             theta, y = thetas[top], ys[:, top]
-            if abs(beta * y[-1]) <= _RITZ_RESIDUAL * abs(theta):
-                if theta.imag != 0.0 or theta.real <= 0.0:
-                    return None
-                gamma = (y.real @ Q[: j + 1]).reshape(s, s)
-                return _psd_normalized(0.5 * (gamma + dagger(gamma)), tol)
+            if accept(theta, abs(beta * y[-1])):
+                return theta, y.real @ Q[: j + 1]
+        if beta == 0.0:
+            return None
         Q[j + 1] = w / beta
     return None
+
+
+def _perron_by_arnoldi(S: np.ndarray, tol: Tolerances) -> tuple[float, np.ndarray] | None:
+    """Root and PSD trace-one ``s x s`` vector of the superoperator ``S``, from the
+    identity; the pair counts at ``|beta y_last| <= _RITZ_RESIDUAL |theta|``.
+    ``None`` when the value is not real and positive or the vector not PSD."""
+    s = int(np.sqrt(S.shape[0]))
+    found = _arnoldi(lambda x: S @ x, np.eye(s).reshape(-1) / np.sqrt(s),
+                     lambda theta, res: res <= _RITZ_RESIDUAL * abs(theta))
+    if found is None or found[0].imag != 0.0 or found[0].real <= 0.0:
+        return None
+    X = found[1].reshape(s, s)
+    gamma = _psd_normalized(0.5 * (X + dagger(X)), tol)
+    return None if gamma is None else (float(found[0].real), gamma)
+
+
+def _krylov_perron(
+    T: CpMap, V: Projection, tol: Tolerances
+) -> tuple[float, np.ndarray, np.ndarray | None] | None:
+    """``(lam, gamma, delta)`` of ``T`` on the corner of ``V`` by matvecs alone,
+    ``s x s`` in corner coordinates, where they settle the corner, else
+    ``None``; invariance is not checked.
+
+    A rank-deficient Perron vector ``gamma`` settles it (``delta`` is
+    ``None``).  A definite one does where ``s^2`` exceeds the Arnoldi budget
+    (there the test costs less than the dense analysis it replaces) and three
+    facts prove the corner irreducible; ``delta`` is the compressed adjoint's
+    PSD trace-one Perron vector.  The facts: ``T(gamma) = lam gamma`` and
+    ``T*(delta) = lam delta`` (Arnoldi on ``S*``), both definite, and a simple
+    root.  An invariant proper corner would carry a PSD eigenvector ``X`` of
+    its own; ``lam tr(delta X) = tr(delta T(X))`` and ``tr(delta X) > 0`` give
+    it the value ``lam``, a second eigenvector beside the definite ``gamma``.
+    Simplicity: ``A(X) = (X + T(X))/(1 + lam) - gamma tr(delta X)/tr(delta gamma)``
+    kills ``gamma`` and sends any other eigenvector of ``T``, of value ``mu``
+    and so with ``tr(delta X) = 0``, to ``(1 + mu)/(1 + lam) X``, of modulus
+    below one unless ``mu = lam``: the shift moves the other peripheral values
+    of a periodic map inside the disc (Evans and Hoegh-Krohn, 1978).  Arnoldi
+    on ``A`` from a seeded random Hermitian start shows a top Ritz value below
+    ``1 - sqrt(rank_rel)``, with a residual under 1% of the distance to it.
+    """
+    s = V.rank
+    whole = np.array_equal(V.basis, np.eye(V.dim))
+    S = T.superop if whole else restrict_to_corner(T, V).superop
+    found = _perron_by_arnoldi(S, tol)
+    if found is None or rank_eps(found[1], tol) < s:
+        return None if found is None else (*found, None)
+    if s * s <= _ARNOLDI_CHECKPOINTS[-1]:
+        return None
+    lam, gamma = found
+    delta = (_perron_by_arnoldi(S.conj().T, tol) or (0.0, None))[1]
+    if delta is None or rank_eps(delta, tol) < s:
+        return None
+    g = gamma.reshape(-1) / np.vdot(delta, gamma).real
+    draw = np.random.default_rng(2026).standard_normal((2, s, s))
+    start = (draw[0] + 1j * draw[1]) + (draw[0] + 1j * draw[1]).conj().T
+    bound = 1.0 - np.sqrt(tol.rank_rel)  # the residual is sized to the gap below
+    simple = _arnoldi(lambda x: (x + S @ x) / (1.0 + lam) - np.vdot(delta, x) * g,
+                      start.reshape(-1) / np.linalg.norm(start),
+                      lambda mu, res: res < 0.01 * (bound - abs(mu)))
+    return None if simple is None else (lam, gamma, delta)
 
 
 def _corner_perron(
@@ -386,10 +438,17 @@ def is_irreducible(T: CpMap, V: Projection, tol: Tolerances | None = None) -> bo
 
     Holds exactly when the Perron eigenvectors of the corner restriction and of
     the compressed adjoint both have image equal to ``Im(V)`` and the top
-    eigenvalue has geometric multiplicity one.
+    eigenvalue has geometric multiplicity one.  :func:`_krylov_perron` tries a
+    corner above its budget after the invariance guard; the rest runs densely.
     """
     tol = _tol(tol)
     try:
+        if V.rank ** 2 > _ARNOLDI_CHECKPOINTS[-1]:
+            if V.rank < V.dim:
+                corner_rep(T, V)  # for its invariance guard
+            found = _krylov_perron(T, V, tol)
+            if found is not None:
+                return found[2] is not None
         _, space, gamma, delta = _corner_perron(T, V, tol)
     except ValueError:
         return False

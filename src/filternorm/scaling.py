@@ -34,6 +34,7 @@ from .linalg import (
 from .maps import CpMap, _superop, restrict_to_corner
 from .states import (
     BipartiteState,
+    NotPositiveError,
     apply_filter,
     partial_trace_first,
     partial_trace_second,
@@ -265,7 +266,9 @@ def filter_normal_form(
     PPT states).  Without a verdict the whole map is scaled as a single block,
     which works for generic states — including entangled NPT ones — but may
     raise :class:`SingularMarginalError` or :class:`ScalingConvergenceError`
-    when no normal form exists.
+    when no normal form exists.  A filtered state that fails the PSD gate,
+    though the input passed it, is a numerical failure: ``RuntimeError``,
+    chained from the :class:`NotPositiveError`.
     """
     tol = _tol(tol)
     if state.k != state.m:
@@ -310,7 +313,10 @@ def filter_normal_form(
         u1, u2 = _pauli_rotations(state, left_filter, right_filter)
         left_filter = u1 @ left_filter
         right_filter = u2 @ right_filter
-    normal = apply_filter(state, left_filter, right_filter, tol)
+    try:
+        normal = apply_filter(state, left_filter, right_filter, tol)
+    except NotPositiveError as exc:  # the input passed the gate: a numerical failure
+        raise RuntimeError("normal form state failed its positivity check") from exc
 
     target = np.eye(k) / k
     residual = float(max(np.abs(partial_trace_first(normal) - target).max(),

@@ -17,6 +17,7 @@ import numpy as np
 
 from .linalg import (
     Tolerances,
+    _cholesky_psd_abs,
     _psd_spectrum,
     _tol,
     mirror_hermitian,
@@ -58,19 +59,18 @@ class BipartiteState:
     rho : ndarray (k*m, k*m)
         The (Hermitian, PSD) matrix; mirrored to exact conjugate symmetry at
         construction.  The trace is NOT normalized.  A matrix that is not
-        Hermitian or not PSD raises :class:`NotPositiveError`.
-    spectrum : ndarray (k*m,), real
-        Eigenvalues of ``rho`` in ascending order, from the ``eigvalsh`` of
-        the constructor's PSD check; a state from :func:`embed_rectangular`
-        repeats its factor's instead, which are exact.
+        Hermitian or not PSD raises :class:`NotPositiveError`.  The PSD gate
+        is a shifted Cholesky where that proves it passes, and the spectrum's
+        test otherwise.
     """
 
     k: int
     m: int
     rho: np.ndarray
-    spectrum: np.ndarray = field(init=False, repr=False)
     # the k x m state that embed_rectangular embedded into this one, if any
     _factor: BipartiteState | None = field(default=None, init=False, repr=False)
+    # the psd_abs down to which the constructor's shifted Cholesky proved rho PSD
+    _psd_proof: float | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.k < 1 or self.m < 1:
@@ -84,14 +84,19 @@ class BipartiteState:
         herm_resid = np.abs(rho - rho.conj().T).max()
         if herm_resid > 1e-8 * max(1.0, np.abs(rho).max()):
             raise NotPositiveError("state matrix is not Hermitian")
-        rho = mirror_hermitian(rho)
-        self._settle(rho, np.linalg.eigvalsh(rho))
-
-    def _settle(self, rho: np.ndarray, spectrum: np.ndarray) -> None:
-        if not _psd_spectrum(spectrum):
+        object.__setattr__(self, "rho", mirror_hermitian(rho))
+        object.__setattr__(self, "_psd_proof", _cholesky_psd_abs(self.rho))
+        if self._psd_proof is None and not _psd_spectrum(self.spectrum):
             raise NotPositiveError("state matrix is not positive semidefinite")
-        object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "spectrum", spectrum)
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """Eigenvalues of ``rho`` in ascending order, by ``eigvalsh`` on first
+        use (the PSD gate needs them only where its Cholesky proves nothing);
+        an embedded state repeats its factor's, which are exact."""
+        if self._factor is not None:
+            return np.repeat(self._factor.spectrum, self.k)
+        return np.linalg.eigvalsh(self.rho)
 
     @cached_property
     def pt_spectrum(self) -> np.ndarray:
@@ -151,9 +156,14 @@ def is_ppt(state: BipartiteState, tol: Tolerances | None = None) -> bool:
     """Whether the state has a positive partial transpose.
 
     Reads the spectra the state keeps, so the partial transpose is factored
-    at most once per state.
+    at most once per state; ``rho`` itself is not factored where the
+    constructor's Cholesky proof holds under ``tol``.
     """
-    return _psd_spectrum(state.spectrum, tol) and _psd_spectrum(state.pt_spectrum, tol)
+    proof = state._psd_proof
+    psd = proof is not None and proof <= _tol(tol).psd_abs
+    return (psd or _psd_spectrum(state.spectrum, tol)) and _psd_spectrum(
+        state.pt_spectrum, tol
+    )
 
 
 def partial_trace_first(state: BipartiteState) -> np.ndarray:
@@ -197,12 +207,15 @@ def find_full_rank_vector(
 
 
 def _eigh(state: BipartiteState) -> tuple[np.ndarray, np.ndarray]:
-    """``np.linalg.eigh(state.rho)``; an embedded state lifts its factor's
+    """``np.linalg.eigh(state.rho)``, whose eigenvalues fill the state's
+    ``spectrum`` if it is still empty; an embedded state lifts its factor's
     ``rho = U diag(w) U*`` to the eigenvectors ``Id_m (x) U (x) Id_k`` and
     ``w`` repeated alike, put in ascending order by one stable sort."""
     factor = state._factor
     if factor is None:
-        return np.linalg.eigh(state.rho)
+        eigs, vecs = np.linalg.eigh(state.rho)
+        vars(state).setdefault("spectrum", eigs)
+        return eigs, vecs
     w, u = _eigh(factor)
     k, m = factor.k, factor.m
     eigs = np.tile(np.repeat(w, k), m)
@@ -305,12 +318,14 @@ def embed_rectangular(state: BipartiteState) -> BipartiteState:
     PPT property, and its decision problem matches the rectangular original.
     The result keeps ``state``: its spectra and ``eigh`` are the factor's,
     each value repeated ``mk`` times, so no ``(mk)^2 x (mk)^2`` matrix is
-    factored, and it is exactly Hermitian, so it is not checked for that.
+    factored.  It is exactly Hermitian and passes the PSD gate with the
+    factor's proof (the same eigenvalues and the same diagonal entries), so
+    it is not checked again.
     """
     k, m = state.k, state.m
     emb = object.__new__(BipartiteState)
-    for name, value in (("k", m * k), ("m", m * k), ("_factor", state)):
+    rho = np.kron(np.kron(np.eye(m), state.rho), np.eye(k))
+    for name, value in (("k", m * k), ("m", m * k), ("rho", rho), ("_factor", state),
+                        ("_psd_proof", state._psd_proof)):
         object.__setattr__(emb, name, value)
-    emb._settle(np.kron(np.kron(np.eye(m), state.rho), np.eye(k)),
-                np.repeat(state.spectrum, m * k))
     return emb

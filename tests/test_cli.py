@@ -304,20 +304,20 @@ def test_analyze_reports_the_operator_schmidt_rank(tmp_path, capsys):
 
 def test_decide_checks_ppt_once(tmp_path, capsys, monkeypatch):
     """decide leaves the PPT test to the decision: the 16 x 16 state is
-    factored by the loader's PSD check, the PPT check of its partial
-    transpose and then the decision's ``eigh``, and nothing else; a non-PPT
-    state still exits 3 with the decision's message."""
+    factored by the loader's PSD check (a Cholesky), the PPT check of its
+    partial transpose and then the decision's ``eigh``, and nothing else; a
+    non-PPT state still exits 3 with the decision's message."""
     path = write_state(tmp_path, hidden_blocky(4, [2, 2], np.random.default_rng(3)))
     npt = write_state(tmp_path, maximally_entangled(2), "npt.json")
     calls = []
-    for name in ("eigh", "eigvalsh"):
+    for name in ("eigh", "eigvalsh", "cholesky"):
         def counted(a, *args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
             if np.shape(a) == (16, 16):
                 calls.append(_name)
             return _fn(a, *args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
     assert main(["decide", path]) == 0
-    assert calls == ["eigvalsh", "eigvalsh", "eigh"]
+    assert calls == ["cholesky", "eigvalsh", "eigh"]
     capsys.readouterr()
     assert main(["decide", npt]) == 3
     assert capsys.readouterr().err == "filternorm: state is not PPT\n"
@@ -325,21 +325,22 @@ def test_decide_checks_ppt_once(tmp_path, capsys, monkeypatch):
 
 def test_analyze_factors_the_state_once(tmp_path, capsys, monkeypatch):
     """analyze reads rank and PPT status off the spectra the state keeps: the
-    16 x 16 state is factored by the loader's PSD check, the range search's
-    ``eigh``, the PPT check of its partial transpose and the SVD of its
-    realignment, and nothing else."""
+    16 x 16 state is factored by the loader's PSD check (a Cholesky), the
+    range search's ``eigh`` (whose eigenvalues give the rank), the PPT check
+    of its partial transpose and the SVD of its realignment, and nothing
+    else."""
     state = hidden_blocky(4, [2, 2], np.random.default_rng(3))
     path = write_state(tmp_path, state)
     want_rank = rank_eps(state.rho)
     calls = []
-    for name in ("eigh", "eigvalsh", "svd", "eig", "eigvals", "qr"):
+    for name in ("eigh", "eigvalsh", "svd", "eig", "eigvals", "qr", "cholesky"):
         def counted(a, *args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
             if np.shape(a) == (16, 16):
                 calls.append(_name)
             return _fn(a, *args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
     assert main(["analyze", path, "--json"]) == 0
-    assert calls == ["eigvalsh", "eigh", "eigvalsh", "svd"]
+    assert calls == ["cholesky", "eigh", "eigvalsh", "svd"]
     doc = json.loads(capsys.readouterr().out)
     assert doc["rank"] == want_rank == 8
     assert doc["ppt"] is True
@@ -374,6 +375,23 @@ def test_numerical_breakdown_exits_inconclusive(tmp_path, capsys, monkeypatch):
         assert capsys.readouterr().err.startswith("filternorm: decision broke down: ")
         assert main(["normal-form", path, "--output", out]) == 4
         assert capsys.readouterr().err.startswith("filternorm: decision broke down: ")
+
+
+def test_failed_normal_form_output_check_exits_inconclusive(tmp_path, capsys, monkeypatch):
+    """normal-form exits 4 when its own filtered state fails the PSD gate:
+    the library reports that as a numerical error, not as bad input."""
+    from filternorm import scaling
+    from filternorm.states import BipartiteState
+
+    def negated(state, left, right, tol=None):
+        return BipartiteState(k=state.k, m=state.m, rho=-state.rho)
+
+    path = write_state(tmp_path, separable_full_rank(2, np.random.default_rng(6)))
+    monkeypatch.setattr(scaling, "apply_filter", negated)
+    assert main(["normal-form", path, "--output", str(tmp_path / "nf.json")]) == 4
+    assert capsys.readouterr().err == (
+        "filternorm: scaling broke down: normal form state failed its positivity check\n"
+    )
 
 
 def test_scaling_breakdown_exits_inconclusive(tmp_path, capsys, monkeypatch):

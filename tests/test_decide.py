@@ -50,7 +50,7 @@ from filternorm.linalg import (
     rank_eps,
     same_subspace,
 )
-from filternorm.maps import _corner_perron, _krylov_perron
+from filternorm.maps import _arnoldi, _corner_perron, _krylov_perron
 from helpers import (
     blocky_state,
     cli_env,
@@ -213,7 +213,10 @@ def test_find_irreducible_corner_analyses_an_irreducible_corner_once(monkeypatch
     """An irreducible corner costs one corner representation and one SVD of it,
     not two: the search hands the adjoint Perron vector on, so
     ``solve_adjoint_block`` builds no representation of ``T`` again (only of
-    the normalized map, for its postcondition)."""
+    the normalized map, for its postcondition).  A whole space with k^2
+    above the Arnoldi budget (k = 10, a mixture of eight unitaries, whose
+    second eigenvalue sits well inside the disc) is certified by matvecs and
+    costs neither."""
     corners, svds = [], []
 
     def counted_rep(*args, **kwargs):
@@ -228,14 +231,15 @@ def test_find_irreducible_corner_analyses_an_irreducible_corner_once(monkeypatch
     monkeypatch.setattr("filternorm.decide.corner_rep", counted_rep)
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
     rng = np.random.default_rng(3)
-    for k in (2, 4, 6):
-        T = unitary_mixture(k, 3, rng)
+    for k, nops in ((2, 3), (4, 3), (6, 3), (10, 8)):
+        T = unitary_mixture(k, nops, rng)
         corners.clear()
         svds.clear()
         V, lam, delta = find_irreducible_corner(T, identity_projection(k))
+        dense = int(k * k <= 64)
         assert V.rank == k
-        assert [(M is T, P.rank) for M, P in corners] == [(True, k)]
-        assert svds.count((k * k, k * k)) == 1
+        assert [(M is T, P.rank) for M, P in corners] == [(True, k)] * dense
+        assert svds.count((k * k, k * k)) == dense
         solve_adjoint_block(T, V, lam, delta)
         assert not any(M is T for M, _ in corners[1:])
     _, T = anchor_transform(neq2_state(), U2)
@@ -249,16 +253,21 @@ def test_arnoldi_search_finds_the_corners_of_the_dense_search(monkeypatch):
     """The search with its Arnoldi path returns a corner of the same rank and
     root (to 1e-8) as the dense-only search of ``oracles.dense_corner_search``
     on periodic maps, a degenerate root (two equal blocks), the defective
-    ``kron(J, J)`` and ``kron(I2, triu(ones(3)))`` diagonal states and ten
-    scrambled upper-triangular k=12 draws.  The periodic maps fall through to
-    the dense analysis; at least ten corners, some of them below the whole
-    space, are cut by Arnoldi."""
-    cuts = []
+    ``kron(J, J)`` and ``kron(I2, triu(ones(3)))`` diagonal states, ten
+    scrambled upper-triangular k=12 draws and irreducible inputs: unitary
+    mixtures, ``separable_full_rank(12)`` and embedded 3x4 and 4x5 patterns.
+    The periodic maps fall through to the dense analysis; at least ten
+    corners, some of them below the whole space, are cut by Arnoldi.  No
+    whole space of the first group is certified irreducible, and the
+    separable and embedded ones are (a unitary mixture's simplicity test
+    may run out of budget on its clustered spectrum and fall through)."""
+    cuts, certified = [], []
 
     def counted(T, V, tol, _search=_krylov_perron):
-        gamma = _search(T, V, tol)
-        cuts.append(gamma is not None and rank_eps(gamma) < V.rank)
-        return gamma
+        found = _search(T, V, tol)
+        cuts.append(found is not None and rank_eps(found[1]) < V.rank)
+        certified.append(found is not None and found[2] is not None)
+        return found
 
     monkeypatch.setattr("filternorm.decide._krylov_perron", counted)
     rng = np.random.default_rng(12)
@@ -275,13 +284,64 @@ def test_arnoldi_search_finds_the_corners_of_the_dense_search(monkeypatch):
               diagonal_state(np.kron(np.eye(2), np.triu(np.ones((3, 3)))))]
     states += [hidden_upper_triangular(12, np.random.default_rng(seed)) for seed in range(10)]
     maps += [anchor_transform(st, find_full_rank_vector(st))[1] for st in states]
-    for T in maps:
+    mixtures = [unitary_mixture(k, 3, rng) for k in (9, 10, 12)]
+    patterns = [apply_filter(pattern_state(rng.uniform(0.2, 2.0, size=(k, m))),
+                             random_invertible(k, rng), random_invertible(m, rng))
+                for k, m in ((3, 4), (4, 5))]
+    certifiable = [anchor_transform(st, find_full_rank_vector(st))[1] for st in
+                   [separable_full_rank(12, rng)] + [embed_rectangular(p) for p in patterns]]
+    for T in maps + mixtures + certifiable:
         whole = identity_projection(T.src_dim)
+        certified.clear()
         V, lam, _ = find_irreducible_corner(T, whole)
         V0, lam0, _ = oracles.dense_corner_search(T, whole, DEFAULT_TOL)
         assert V.rank == V0.rank
         assert abs(lam - lam0) <= 1e-8 * max(1.0, lam0)
+        if T not in mixtures:
+            assert certified[:1] == [T in certifiable]
     assert sum(cuts) >= 10
+
+
+def test_degenerate_roots_on_large_corners_are_never_certified(monkeypatch):
+    """Corners above the Arnoldi budget whose root is not simple reach the
+    simplicity test with definite Perron vectors on both sides and fail it
+    (its Arnoldi run ends without a Ritz value it accepts):
+    the periodic shift ``X -> U X U*`` by the cyclic permutation (s = 9, 10),
+    whose root 1 has multiplicity s, and repeated-block maps (3 x 3, 2 x 5
+    and 3 x 4 copies).  The search falls through to the dense analysis and
+    returns the oracle's corner and root.  The rank-one Kraus shift
+    ``E_ii -> E_(i+1)(i+1)`` has period s too but a simple root, and the
+    shift in ``(X + T(X))/(1 + lam)`` moves its other peripheral values
+    inside the disc, so it is certified irreducible."""
+    runs = []
+
+    def counted(op, start, accept, _run=_arnoldi):
+        found = _run(op, start, accept)
+        runs.append(found is not None)
+        return found
+
+    monkeypatch.setattr("filternorm.maps._arnoldi", counted)
+    rng = np.random.default_rng(9)
+    degenerate, simple = [], []
+    for s in (9, 10):
+        eye = np.eye(s, dtype=complex)
+        degenerate.append(CpMap(src_dim=s, dst_dim=s, kraus=[np.roll(eye, 1, axis=0)]))
+        simple.append(CpMap(src_dim=s, dst_dim=s,
+                            kraus=[np.outer(eye[(i + 1) % s], eye[i]) for i in range(s)]))
+    for copies, d in ((3, 3), (2, 5), (3, 4)):
+        st = repeated_block_state(copies, d, rng)
+        degenerate.append(anchor_transform(st, find_full_rank_vector(st))[1])
+    for T in degenerate + simple:
+        whole = identity_projection(T.src_dim)
+        runs.clear()
+        V, lam, _ = find_irreducible_corner(T, whole)
+        V0, lam0, _ = oracles.dense_corner_search(T, whole, DEFAULT_TOL)
+        # the Perron vectors of the map and of its adjoint, then the simplicity test
+        assert runs[:3] == [True, True, T in simple]
+        assert V.rank == V0.rank
+        assert (V.rank == T.src_dim) == (T in simple)
+        assert abs(lam - lam0) <= 1e-8 * max(1.0, lam0)
+        assert is_irreducible(T, whole) == (T in simple)
 
 
 def test_corner_search_factors_no_matrix_of_the_ambient_space(monkeypatch):
@@ -686,14 +746,17 @@ def test_decide_factors_the_state_once(monkeypatch):
     factorization is the PPT check of the partial transpose, which comes
     first, and the state keeps that spectrum: after ``is_ppt`` the decision
     runs only the ``eigh``, and a state that is not PPT is rejected with no
-    ``eigh`` at all.  The corner search cuts the whole space by its Arnoldi
-    search, so a two-block decision factors no real k^2 x k^2 corner
-    representation either (no ``eigvals``, no SVD).
+    ``eigh`` at all.  The constructor's PSD gate is a Cholesky, so ``rho``
+    gets no ``eigvalsh``.  The corner search cuts the whole space by its
+    Arnoldi search, so a two-block decision factors no real k^2 x k^2 corner
+    representation either (no ``eigvals``, no SVD), and it certifies an
+    irreducible whole space by matvecs: ``separable_full_rank(12)`` and an
+    embedded 4 x 5 pattern factor no 144 x 144 or 400 x 400 one.
     """
     calls = []
-    for name in ("eigh", "eigvalsh", "svd", "eig", "eigvals", "qr"):
+    for name in ("eigh", "eigvalsh", "svd", "eig", "eigvals", "qr", "cholesky"):
         def counted(a, *args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
-            if np.shape(a) in ((16, 16), (64, 64)):
+            if np.shape(a) in ((16, 16), (64, 64), (144, 144), (400, 400)):
                 calls.append((_name, np.iscomplexobj(a), np.array(a)))
             return _fn(a, *args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
@@ -708,8 +771,10 @@ def test_decide_factors_the_state_once(monkeypatch):
         assert [name for name, _ in state_calls()] == ["eigvalsh", "eigh"]
         assert np.abs(state_calls()[0][1] - partial_transpose(st)).max() == 0.0
         assert np.array_equal(state_calls()[1][1], st.rho)
+        calls.clear()
         fresh = BipartiteState(k=st.k, m=st.m, rho=st.rho)
         assert is_ppt(fresh)
+        assert [name for name, _ in state_calls()] == ["cholesky", "eigvalsh"]
         calls.clear()
         decide_equivalence(fresh)
         assert [name for name, _ in state_calls()] == ["eigh"]
@@ -724,6 +789,14 @@ def test_decide_factors_the_state_once(monkeypatch):
     assert verdict.outcome == OUTCOME_EQUIVALENT
     assert not [name for name, cplx, a in calls
                 if not cplx and a.shape == (64, 64) and name in ("eigvals", "svd")]
+    w = rng.uniform(0.2, 2.0, size=(4, 5))
+    pattern = apply_filter(pattern_state(w), random_invertible(4, rng), random_invertible(5, rng))
+    for st in (separable_full_rank(12, rng), embed_rectangular(pattern)):
+        calls.clear()
+        verdict = decide_equivalence(st)
+        assert [V.rank for V, _ in verdict.blocks] == [st.k]
+        assert not [name for name, cplx, a in calls
+                    if not cplx and a.shape[0] == st.k ** 2 and name in ("eigvals", "svd")]
 
 
 def test_embedded_decision_factors_only_the_factor(monkeypatch):

@@ -11,6 +11,7 @@ import oracles
 from filternorm import (
     BipartiteState,
     CpMap,
+    NotPositiveError,
     ScalingConvergenceError,
     SingularMarginalError,
     Tolerances,
@@ -32,7 +33,7 @@ from filternorm import (
     state_to_map,
 )
 from filternorm import scaling
-from filternorm.linalg import dagger
+from filternorm.linalg import DEFAULT_TOL, dagger
 from filternorm.scaling import _PAULI, _su2_from_rotation
 from helpers import (
     cli_env,
@@ -335,12 +336,13 @@ def test_normal_form_of_a_one_by_one_state():
 
 def test_normal_form_builds_one_filtered_state(monkeypatch):
     """A normal form factors one k^2 x k^2 matrix: the returned state's
-    validation.  The trace (and for two qubits the Pauli rotation) is read off
-    the filters, so no unnormalized state is built first; the state keeps
-    trace 1 all the same.
+    validation, a Cholesky of it shifted by a multiple of the identity below
+    ``psd_abs``.  The trace (and for two qubits the Pauli rotation) is read
+    off the filters, so no unnormalized state is built first; the state
+    keeps trace 1 all the same.
     """
     calls = []
-    for name in ("eigh", "eigvalsh", "svd", "eig", "eigvals", "qr"):
+    for name in ("eigh", "eigvalsh", "svd", "eig", "eigvals", "qr", "cholesky"):
         def counted(a, *args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
             if np.iscomplexobj(a):
                 calls.append((_name, np.array(a)))
@@ -353,9 +355,27 @@ def test_normal_form_builds_one_filtered_state(monkeypatch):
         calls.clear()
         nf = filter_normal_form(st, verdict)
         big = [(name, a) for name, a in calls if a.shape == (st.k ** 2, st.k ** 2)]
-        assert [name for name, _ in big] == ["eigvalsh"]
-        assert np.abs(big[0][1] - nf.state.rho).max() == 0.0
+        assert [name for name, _ in big] == ["cholesky"]
+        shift = big[0][1] - nf.state.rho
+        assert 0.0 < shift[0, 0].real < DEFAULT_TOL.psd_abs
+        assert np.abs(shift - shift[0, 0] * np.eye(st.k ** 2)).max() < 1e-15
         assert abs(np.trace(nf.state.rho).real - 1.0) < 1e-12
+
+
+def test_normal_form_reports_a_failed_output_check_as_numerical(monkeypatch):
+    """A filtered state that fails the PSD gate, for an input that passed it,
+    is a numerical failure of the normal form and not bad input: a
+    ``RuntimeError`` chained from the ``NotPositiveError``."""
+    def negated(state, left, right, tol=None):
+        return BipartiteState(k=state.k, m=state.m, rho=-state.rho)
+
+    st = separable_full_rank(2, np.random.default_rng(6))
+    verdict = decide_equivalence(st)
+    monkeypatch.setattr(scaling, "apply_filter", negated)
+    with pytest.raises(RuntimeError, match="positivity") as info:
+        filter_normal_form(st, verdict)
+    assert isinstance(info.value.__cause__, NotPositiveError)
+    assert not isinstance(info.value, ValueError)
 
 
 def test_normal_form_requires_a_square_state():

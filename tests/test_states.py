@@ -21,7 +21,7 @@ from filternorm import (
     state_to_map,
     vec_to_matrix,
 )
-from filternorm.linalg import rank_eps
+from filternorm.linalg import Tolerances, psd_check, rank_eps
 from filternorm.states import _eigh
 
 
@@ -33,6 +33,44 @@ def test_state_constructor_rejects_bad_input():
         BipartiteState(k=2, m=2, rho=np.eye(3, dtype=complex))
     with pytest.raises(ValueError):
         BipartiteState(k=2, m=3, rho=np.eye(4, dtype=complex))
+
+
+def test_psd_gate_answers_as_the_spectrum_does(monkeypatch):
+    """The constructor's shifted Cholesky only ever proves "passes", and only
+    where the spectrum's test passes too.  Hermitian matrices of sizes 4, 36
+    and 144 with largest eigenvalue 1 and smallest at +-0.1, +-0.5, +-0.9,
+    +-1.1 and +-2 times the gate's threshold ``psd_abs (1 + 1)`` are accepted
+    exactly when ``psd_check`` accepts them; those at or above -0.1 times it
+    are accepted with no ``eigvalsh``.  ``is_ppt`` agrees with the two
+    ``psd_check`` calls under the default and under a much tighter
+    ``psd_abs``, for which the Cholesky proof does not hold."""
+    eigvalsh_sizes = []
+
+    def counted(a, *args, _fn=np.linalg.eigvalsh, **kwargs):
+        eigvalsh_sizes.append(np.shape(a)[0])
+        return _fn(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    rng = np.random.default_rng(17)
+    threshold = 2.0 * DEFAULT_TOL.psd_abs
+    tight = Tolerances(psd_abs=1e-13)
+    for k in (2, 6, 12):
+        n = k * k
+        for c in (0.1, 0.5, 0.9, 1.1, 2.0, -0.1, -0.5, -0.9, -1.1, -2.0):
+            spectrum = np.concatenate([[c * threshold, 1.0], rng.uniform(0.0, 1.0, n - 2)])
+            U = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+            rho = (U * spectrum) @ U.conj().T
+            eigvalsh_sizes.clear()
+            try:
+                st = BipartiteState(k=k, m=k, rho=rho)
+            except ValueError:
+                st = None
+            assert (n in eigvalsh_sizes) == (c < -0.1)
+            assert (st is not None) == psd_check(rho) == (c >= -1.0)
+            if st is not None:
+                for tol in (None, tight):
+                    want = psd_check(st.rho, tol) and psd_check(partial_transpose(st), tol)
+                    assert is_ppt(st, tol) == want
 
 
 def test_partial_transpose_involution_trace_hermiticity():
