@@ -35,9 +35,8 @@ from .linalg import (
 )
 from .maps import (
     CpMap,
-    _corner_perron,
     _invariance_defect,
-    _krylov_perron,
+    _perron_data,
     _top_eigenvalue,
     adjoint,
     apply,
@@ -226,37 +225,6 @@ def _anchor_filter(
 # ---------------------------------------------------------------------------
 
 
-def _boundary_rank_drop(
-    space: np.ndarray, gamma: np.ndarray, tol: Tolerances
-) -> np.ndarray:
-    """Step from a full-rank Perron vector to the PSD boundary of its eigenspace.
-
-    ``space`` and ``gamma`` are ``_corner_perron``'s, ``s x s`` in corner
-    coordinates, and ``gamma`` is positive definite.  For an
-    eigenspace direction ``h`` trace-orthogonal to it, ``r = gamma^(1/2)``
-    and ``m = r^-1 h r^-1`` give ``gamma - t h = r (Id - t m) r``; since
-    ``tr(gamma h) = 0``, ``m`` has eigenvalues of both signs and the ray
-    leaves the cone at ``t = 1/mu`` for the largest one.  Returns that
-    boundary point, PSD of rank below ``s``, in the same coordinates.
-    """
-    d = space.shape[0]
-    # coefficients of gamma in the (trace-orthonormal) eigenspace basis
-    g = np.real(np.einsum("nij,ij->n", space.conj(), gamma))
-    g_norm = np.linalg.norm(g)
-    if g_norm < 1e-14:
-        raise RuntimeError("Perron vector fell outside its own eigenspace")
-    # a direction perpendicular to gamma inside the eigenspace
-    q, _ = np.linalg.qr(np.concatenate([g[:, None] / g_norm, np.eye(d)], axis=1))
-    h = np.einsum("n,nij->ij", q[:, 1], space)
-    r, r_inv = hermitian_sqrt_pinv(gamma, tol)
-    mu, u = np.linalg.eigh(r_inv @ h @ r_inv)
-    if mu[-1] <= 0.0:
-        raise RuntimeError("eigenspace direction never leaves the PSD cone")
-    weights = 1.0 - mu / mu[-1]  # the last one is exactly zero
-    root = r @ u
-    return (root * weights) @ dagger(root)
-
-
 def find_irreducible_corner(
     T: CpMap, V: Projection, tol: Tolerances | None = None
 ) -> tuple[Projection, float, np.ndarray]:
@@ -268,45 +236,21 @@ def find_irreducible_corner(
     decreases at every shrink, so the search terminates after at most
     ``rank(V)`` rounds.
 
-    Arnoldi cuts a corner to a rank-deficient PSD Perron vector, or certifies
-    one with ``s^2`` above its budget irreducible; what it leaves, a run out
-    of budget too, gets the dense ``_corner_perron``.  Both work in corner
-    coordinates: cuts are lifted by the corner basis, ``delta`` on return.
+    Each round is one ``maps._perron_data`` call, which picks the Arnoldi or
+    the dense analysis, and at most one cut, made in corner coordinates and
+    lifted by the corner basis (as ``delta`` is on return).
     """
     tol = _tol(tol)
     if T.src_dim != T.dst_dim or T.src_dim != V.dim:
         raise ValueError("find_irreducible_corner requires a square map matching V")
-    current, support_cut = V, False
+    current, search = V, True
     for _ in range(V.rank):
-        # one-dimensional corners are irreducible when nonzero; the projector
-        # is the compressed adjoint's trace-one Perron vector there
-        if current.rank == 1:
-            lam = float(corner_rep(T, current)[0, 0])
-            if lam <= tol.rank_rel:
-                raise ValueError("the map vanishes on a candidate corner")
-            return current, lam, current.matrix
-        # Arnoldi, skipped on ranks 2-3 (no cheaper) and on a support cut (gamma is
-        # definite), settles a corner it cuts or certifies irreducible
-        found = None
-        if current.rank > 3 and not support_cut:
-            found = _krylov_perron(T, current, tol)
-        if found is not None:
-            if current.rank < current.dim:
-                corner_rep(T, current)  # for its invariance guard
-            (lam, gamma, delta), space = found, found[1][None]
-        else:
-            lam, space, gamma, delta = _corner_perron(T, current, tol)
-        if gamma is None:
-            raise RuntimeError("no PSD Perron eigenvector in the top eigenspace")
-        full = rank_eps(gamma, tol) == current.rank
-        # a degenerate root: step to the cone boundary inside the eigenspace
-        if full and space.shape[0] > 1:
-            gamma = _boundary_rank_drop(space, gamma, tol)
-            full = False
-        # a rank-deficient Perron vector spans a smaller corner (cut at its widest gap)
-        if not full:
-            cut = gap_split(gamma, tol)[0]
-            current, support_cut = projector_onto(current.basis @ cut), True
+        lam, gamma, delta = _perron_data(T, current, tol, search)
+        b = current.basis
+        # a rank-deficient Perron vector spans a smaller corner (cut at its widest
+        # gap), on which it is definite: no Arnoldi cut search there
+        if rank_eps(gamma, tol) < current.rank:
+            current, search = projector_onto(b @ gap_split(gamma, tol)[0]), False
             continue
         # the compressed adjoint's Perron vector: full rank means irreducible,
         # otherwise its kernel cuts out a smaller invariant corner
@@ -314,10 +258,9 @@ def find_irreducible_corner(
             raise RuntimeError(
                 "compressed adjoint has no PSD eigenvector at the spectral radius"
             )
-        b = current.basis
         if rank_eps(delta, tol) == current.rank:
             return current, lam, b @ delta @ dagger(b)
-        current, support_cut = projector_onto(b @ gap_split(delta, tol)[1]), False
+        current, search = projector_onto(b @ gap_split(delta, tol)[1]), True
     raise RuntimeError("irreducible corner search did not terminate")
 
 

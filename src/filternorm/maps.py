@@ -8,10 +8,11 @@ Most of the decision machinery lives on *corners*: for a projection ``V`` of
 rank ``s`` with orthonormal basis ``b``, the compression ``V M V = b M_s b*`` is
 an invariant subalgebra when ``T(V X V)`` stays inside it, and ``T`` restricted
 there is encoded as a real ``s^2 x s^2`` matrix over ``hermitian_basis(s)``.
-Spectral-radius (Perron) data drives the irreducibility tests: Arnoldi finds
-it by matvecs, and certifies a corner too large for a cheap dense analysis of
-that matrix irreducible; what it does not settle gets the dense analysis.  It
-stays ``s x s``, in corner coordinates, lifted by ``b X b*`` only where needed.
+Spectral-radius (Perron) data drive the irreducibility tests, and
+``_perron_data`` alone makes them: Arnoldi finds them by matvecs, and
+certifies a corner too large for a cheap dense analysis irreducible; what it
+does not settle gets the dense analysis.  They stay ``s x s``, in corner
+coordinates, lifted by ``b X b*`` only where needed.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .linalg import (
     _tol,
     dagger,
     hermitian_basis,
+    hermitian_sqrt_pinv,
     mirror_hermitian,
     psd_check,
     rank_eps,
@@ -340,7 +342,7 @@ def _krylov_perron(
 ) -> tuple[float, np.ndarray, np.ndarray | None] | None:
     """``(lam, gamma, delta)`` of ``T`` on the corner of ``V`` by matvecs alone,
     ``s x s`` in corner coordinates, where they settle the corner, else
-    ``None``; invariance is not checked.
+    ``None``; invariance is not checked.  Only :func:`_perron_data` calls it.
 
     A rank-deficient Perron vector ``gamma`` settles it (``delta`` is
     ``None``).  A definite one does where ``s^2`` exceeds the Arnoldi budget
@@ -419,6 +421,67 @@ def _corner_perron(
     return lam, space, _psd_normalized(space[0], tol), _psd_normalized(delta, tol)
 
 
+def _boundary_rank_drop(
+    space: np.ndarray, gamma: np.ndarray, tol: Tolerances
+) -> np.ndarray:
+    """Step from a full-rank Perron vector to the PSD boundary of its eigenspace.
+
+    ``space`` and ``gamma`` are ``_corner_perron``'s, ``s x s`` in corner
+    coordinates, and ``gamma`` is positive definite.  For an
+    eigenspace direction ``h`` trace-orthogonal to it, ``r = gamma^(1/2)``
+    and ``m = r^-1 h r^-1`` give ``gamma - t h = r (Id - t m) r``; since
+    ``tr(gamma h) = 0``, ``m`` has eigenvalues of both signs and the ray
+    leaves the cone at ``t = 1/mu`` for the largest one.  Returns that
+    boundary point, PSD of rank below ``s``, in the same coordinates.
+    """
+    d = space.shape[0]
+    # coefficients of gamma in the (trace-orthonormal) eigenspace basis
+    g = np.real(np.einsum("nij,ij->n", space.conj(), gamma))
+    g_norm = np.linalg.norm(g)
+    if g_norm < 1e-14:
+        raise RuntimeError("Perron vector fell outside its own eigenspace")
+    # a direction perpendicular to gamma inside the eigenspace
+    q, _ = np.linalg.qr(np.concatenate([g[:, None] / g_norm, np.eye(d)], axis=1))
+    h = np.einsum("n,nij->ij", q[:, 1], space)
+    r, r_inv = hermitian_sqrt_pinv(gamma, tol)
+    mu, u = np.linalg.eigh(r_inv @ h @ r_inv)
+    if mu[-1] <= 0.0:
+        raise RuntimeError("eigenspace direction never leaves the PSD cone")
+    weights = 1.0 - mu / mu[-1]  # the last one is exactly zero
+    root = r @ u
+    return (root * weights) @ dagger(root)
+
+
+def _perron_data(
+    T: CpMap, V: Projection, tol: Tolerances, search: bool = True
+) -> tuple[float, np.ndarray, np.ndarray | None]:
+    """``(lam, gamma, delta)`` of ``T`` on the corner of ``V``, ``s x s`` in
+    corner coordinates; ``delta`` is ``None`` unless the root is simple, and a
+    rank-deficient ``gamma`` spans a smaller invariant corner.
+
+    The one place that picks the path: Arnoldi (:func:`_krylov_perron`) where
+    ``s^2`` exceeds its budget (the certificate) or, with ``search``, ``s > 3``
+    (the cut search; ranks 2-3 are no cheaper).  What it leaves gets the dense
+    :func:`_corner_perron`, and a degenerate root steps ``gamma`` to the PSD
+    boundary of its eigenspace.  ``corner_rep``'s invariance guard runs once
+    on every proper corner.  Raises ``ValueError`` as ``_corner_perron`` does,
+    ``RuntimeError`` on no PSD ``gamma`` or a failed boundary step.
+    """
+    s = V.rank
+    if s * s > _ARNOLDI_CHECKPOINTS[-1] or (search and s > 3):
+        found = _krylov_perron(T, V, tol)
+        if found is not None:
+            if s < V.dim:
+                corner_rep(T, V)  # for its invariance guard
+            return found
+    lam, space, gamma, delta = _corner_perron(T, V, tol)
+    if gamma is None:
+        raise RuntimeError("no PSD Perron eigenvector in the top eigenspace")
+    if len(space) > 1 and rank_eps(gamma, tol) == s:
+        gamma = _boundary_rank_drop(space, gamma, tol)
+    return lam, gamma, delta
+
+
 def is_doubly_stochastic(T: CpMap, tol: Tolerances | None = None) -> bool:
     """Whether ``T(Id/sqrt(k)) = Id/sqrt(m)`` and ``T*(Id/sqrt(m)) = Id/sqrt(k)``.
 
@@ -438,20 +501,12 @@ def is_irreducible(T: CpMap, V: Projection, tol: Tolerances | None = None) -> bo
 
     Holds exactly when the Perron eigenvectors of the corner restriction and of
     the compressed adjoint both have image equal to ``Im(V)`` and the top
-    eigenvalue has geometric multiplicity one.  :func:`_krylov_perron` tries a
-    corner above its budget after the invariance guard; the rest runs densely.
+    eigenvalue has geometric multiplicity one, read off :func:`_perron_data`
+    without the cut search; a corner whose analysis fails is not irreducible.
     """
     tol = _tol(tol)
     try:
-        if V.rank ** 2 > _ARNOLDI_CHECKPOINTS[-1]:
-            if V.rank < V.dim:
-                corner_rep(T, V)  # for its invariance guard
-            found = _krylov_perron(T, V, tol)
-            if found is not None:
-                return found[2] is not None
-        _, space, gamma, delta = _corner_perron(T, V, tol)
-    except ValueError:
+        _, gamma, delta = _perron_data(T, V, tol, search=False)
+    except (ValueError, RuntimeError):
         return False
-    return space.shape[0] == 1 and all(
-        x is not None and rank_eps(x, tol) == V.rank for x in (gamma, delta)
-    )
+    return all(x is not None and rank_eps(x, tol) == V.rank for x in (gamma, delta))

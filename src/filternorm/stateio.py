@@ -48,11 +48,12 @@ def _matrix_from_json(rows: object) -> np.ndarray:
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != out.shape[1]:
             raise StateFormatError("matrix rows are ragged")
+        # exact types: JSON true and false load as bool, an int subclass
         for j, entry in enumerate(row):
             if (
                 not isinstance(entry, list)
                 or len(entry) != 2
-                or not all(isinstance(part, (int, float)) for part in entry)
+                or not all(type(part) in (int, float) for part in entry)
             ):
                 raise StateFormatError(
                     f"matrix entry ({i}, {j}) is not an [re, im] pair"
@@ -83,7 +84,8 @@ def load_state(path: str | Path) -> BipartiteState:
         if key not in doc:
             raise StateFormatError(f"state file is missing the '{key}' key")
     k, m = doc["k"], doc["m"]
-    if not isinstance(k, int) or not isinstance(m, int) or k < 1 or m < 1:
+    # exact types here too: a JSON true must not pass for 1
+    if type(k) is not int or type(m) is not int or k < 1 or m < 1:
         raise StateFormatError("'k' and 'm' must be positive integers")
     M = _matrix_from_json(doc["matrix"])
     if M.shape != (k * m, k * m):

@@ -454,9 +454,8 @@ def dense_corner_search(T, V, tol):
     its kernel.  Perron data are in corner coordinates: each cut is lifted by
     the corner basis ``b``, and so is the returned ``delta``.
     """
-    from filternorm.decide import _boundary_rank_drop
     from filternorm.linalg import gap_split, projector_onto, rank_eps
-    from filternorm.maps import _corner_perron, corner_rep
+    from filternorm.maps import _boundary_rank_drop, _corner_perron, corner_rep
 
     current = V
     for _ in range(V.rank):

@@ -94,3 +94,22 @@ def test_module_all_lists_exactly_its_public_definitions(module):
             defined.update(t.id for t in node.targets if isinstance(t, ast.Name))
     public = {name for name in defined if not name.startswith("_")}
     assert sorted(mod.__all__) == sorted(public | REEXPORTS.get(module, set()))
+
+
+SOURCES = sorted(p.stem for p in Path(filternorm.__file__).parent.glob("*.py"))
+
+
+@pytest.mark.parametrize("module", [m for m in SOURCES if m != "__init__"])
+def test_module_uses_every_name_it_imports(module):
+    """A top-level import that the module neither uses nor re-exports in
+    ``__all__`` is dead: a helper moved elsewhere must take its imports along."""
+    mod = importlib.import_module(f"filternorm.{module}")
+    tree = ast.parse(Path(mod.__file__).read_text())
+    imported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - used - set(mod.__all__)) == []

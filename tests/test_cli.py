@@ -83,11 +83,19 @@ def test_exit_codes_for_malformed_files(tmp_path):
         '{"k": 1, "m": 2, "matrix": [[[%s, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}'
         % entry for entry in ("NaN", "Infinity", "1e400")
     ]
+    # JSON booleans are not numbers, though Python's bool is an int
+    flags = [[[True, False], [0.0, 0.0]], [[0.0, 0.0], [True, False]]]
+    bad_docs += [
+        {"k": True, "m": 2, "matrix": rows},
+        {"k": 2, "m": True, "matrix": rows},
+        {"k": 1, "m": 2, "matrix": flags},
+    ]
     for i, doc in enumerate(bad_docs):
         path = write_doc(tmp_path, doc, name=f"bad{i}.json")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert main(["analyze", path]) == 2, doc
+        for command in ("analyze", "decide"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main([command, path]) == 2, (command, doc)
 
 
 def test_exit_code_for_non_positive_matrices(tmp_path):
@@ -114,6 +122,15 @@ def test_decide_exit_codes(tmp_path, capsys):
     prod = write_state(tmp_path, product_state(), "prod.json")
     assert main(["decide", prod]) == 4
     capsys.readouterr()
+
+
+def test_a_tiny_state_is_decided_like_its_unit_trace_one(tmp_path, capsys):
+    """``1e-10 diag(1, 0, 0, 1)/2`` has the verdict and normal form of
+    ``diag(1, 0, 0, 1)/2``: decide and normal-form exit 0, not 4."""
+    tiny = write_state(tmp_path, diagonal_state(1e-10 * np.diag([0.5, 0.5])))
+    assert main(["decide", tiny]) == 0
+    out = str(tmp_path / "out.json")
+    assert main(["normal-form", tiny, "--output", out]) == 0
 
 
 def test_decide_human_output(tmp_path, capsys):

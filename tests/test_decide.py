@@ -36,7 +36,6 @@ from filternorm import (
     transform,
 )
 from filternorm.decide import (
-    _boundary_rank_drop,
     _coords_to_block,
     adjoint_block_quadratic,
     normalize_corner,
@@ -50,7 +49,7 @@ from filternorm.linalg import (
     rank_eps,
     same_subspace,
 )
-from filternorm.maps import _arnoldi, _corner_perron, _krylov_perron
+from filternorm.maps import _arnoldi, _boundary_rank_drop, _corner_perron, _krylov_perron
 from helpers import (
     blocky_state,
     cli_env,
@@ -269,7 +268,7 @@ def test_arnoldi_search_finds_the_corners_of_the_dense_search(monkeypatch):
         certified.append(found is not None and found[2] is not None)
         return found
 
-    monkeypatch.setattr("filternorm.decide._krylov_perron", counted)
+    monkeypatch.setattr("filternorm.maps._krylov_perron", counted)
     rng = np.random.default_rng(12)
     eye = np.eye(6, dtype=complex)
     cycle = [w * np.outer(eye[(i + 1) % 4], eye[i])
@@ -342,6 +341,51 @@ def test_degenerate_roots_on_large_corners_are_never_certified(monkeypatch):
         assert (V.rank == T.src_dim) == (T in simple)
         assert abs(lam - lam0) <= 1e-8 * max(1.0, lam0)
         assert is_irreducible(T, whole) == (T in simple)
+
+
+def test_the_corner_alone_picks_the_perron_path(monkeypatch):
+    """One rule, in ``maps._perron_data``, picks Arnoldi or the dense
+    analysis by the corner's rank.  A corner with ``s^2`` above the 64-step
+    budget gets the Arnoldi certificate even when it was just cut to a
+    Perron vector's support: the whole space of a 12 x 12 map with an
+    invariant leading 10 x 10 block is cut to that block and certified, with
+    no ``eigvals`` or SVD of its 100 x 100 representation, and the oracle's
+    corner and root.  Corners of rank 2-3, and ``is_irreducible`` on ranks
+    4-8, run no Arnoldi at all."""
+    maps = [CpMap(src_dim=12, dst_dim=12,
+                  kraus=upper_triangular_map_kraus(12, 10, np.random.default_rng(seed)))
+            for seed in range(4)]
+    want = [oracles.dense_corner_search(T, identity_projection(12), DEFAULT_TOL)
+            for T in maps]
+    large, runs = [], []
+    for name in ("eigvals", "svd"):
+        def counted(a, *args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
+            if np.shape(a) == (100, 100):
+                large.append(_name)
+            return _fn(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    for T, (V0, lam0, _) in zip(maps, want):
+        V, lam, _ = find_irreducible_corner(T, identity_projection(12))
+        assert V.rank == 10 and same_subspace(V, V0)
+        assert abs(lam - lam0) <= 1e-8 * max(1.0, lam0)
+    assert large == []
+
+    def counted_arnoldi(op, start, accept, _run=_arnoldi):
+        runs.append(start.size)
+        return _run(op, start, accept)
+
+    monkeypatch.setattr("filternorm.maps._arnoldi", counted_arnoldi)
+    rng = np.random.default_rng(6)
+    small = [unitary_mixture(k, 3, rng) for k in (2, 3)]
+    small.append(CpMap(src_dim=3, dst_dim=3, kraus=upper_triangular_map_kraus(3, 2, rng)))
+    for T in small:
+        V, _, _ = find_irreducible_corner(T, identity_projection(T.src_dim))
+        assert is_irreducible(T, V)
+    for k in range(4, 9):
+        assert is_irreducible(unitary_mixture(k, 3, rng), identity_projection(k))
+        T = CpMap(src_dim=12, dst_dim=12, kraus=upper_triangular_map_kraus(12, k, rng))
+        assert is_irreducible(T, projector_onto(np.eye(12, dtype=complex)[:, :k]))
+    assert runs == []
 
 
 def test_corner_search_factors_no_matrix_of_the_ambient_space(monkeypatch):
@@ -421,6 +465,33 @@ def test_find_irreducible_corner_output_contract():
         assert oracles.leaves_invariant(T.kraus, V.basis)
         assert is_irreducible(T, V)
         assert lam > 0
+
+
+def test_decisions_do_not_depend_on_the_scale_of_the_state():
+    """``c rho`` has the map ``c T``, so it gets the verdict of ``rho``: the
+    same outcome, witness stage and block ranks, every root times ``c`` and
+    the same ``min_f`` (the quadratic model is built on the ``1/lam``-scaled
+    map), each to 1e-10 relative, for c from 1e-15 to 1e12.  An absolute
+    floor on a root once made the search raise "the map vanishes on a
+    candidate corner" from c = 1e-10 (1e-9 for the hidden blocks) down."""
+    states = [diagonal_state(np.eye(2)), diagonal_state([[1.0, 1.0], [0.0, 1.0]]),
+              hidden_blocky(6, [3, 2, 1], np.random.default_rng(5)),
+              hidden_blocky(8, [4, 4], np.random.default_rng(5)),
+              hidden_upper_triangular(6, np.random.default_rng(3))]
+    for st in states:
+        want = decide_equivalence(st)
+        for c in (1e-15, 1e-12, 1e-10, 1e-9, 1e6, 1e12):
+            got = decide_equivalence(BipartiteState(k=st.k, m=st.m, rho=c * st.rho))
+            assert got.outcome == want.outcome, c
+            assert [V.rank for V, _ in got.blocks] == [V.rank for V, _ in want.blocks]
+            for (_, lam), (_, lam0) in zip(got.blocks, want.blocks):
+                assert abs(lam / c - lam0) <= 1e-10 * lam0, c
+            if want.witness is not None:
+                assert got.witness.stage == want.witness.stage
+                min_f, min_f0 = got.witness.min_f, want.witness.min_f
+                assert abs(min_f - min_f0) <= 1e-10 * abs(min_f0), c
+    assert {decide_equivalence(st).outcome for st in states} == {
+        OUTCOME_EQUIVALENT, OUTCOME_NOT_EQUIVALENT}
 
 
 def test_normalize_corner_neq2_hand_formula():
