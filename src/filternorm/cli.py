@@ -11,7 +11,7 @@ Exit codes
 ----------
 0  success (for ``decide``: the state's map is equivalent)
 1  decided: not equivalent
-2  malformed state file
+2  malformed state file or invalid arguments
 3  input rejected (not PSD, not PPT where required, or wrong shape)
 4  inconclusive (no full-tensor-rank vector found, the decision broke down
    numerically, or scaling failed)
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 
 import numpy as np
@@ -84,17 +85,39 @@ def _tolerances(args: argparse.Namespace) -> Tolerances:
     return dataclasses.replace(DEFAULT_TOL, **overrides) if overrides else DEFAULT_TOL
 
 
+def _positive_float(text: str) -> float:
+    """A tolerance flag's value: a positive finite number, else a usage error."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (value > 0.0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
+    return value
+
+
+def _seed(text: str) -> int:
+    """A ``--seed`` value: a non-negative integer, else a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return value
+
+
 def _add_tolerance_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--tol-rank", type=float, default=None, metavar="EPS",
+        "--tol-rank", type=_positive_float, default=None, metavar="EPS",
         help="relative singular-value cutoff for numerical ranks",
     )
     parser.add_argument(
-        "--tol-zero-f", type=float, default=None, metavar="EPS",
+        "--tol-zero-f", type=_positive_float, default=None, metavar="EPS",
         help="threshold below which the quadratic minimum counts as zero",
     )
     parser.add_argument(
-        "--tol-residual", type=float, default=None, metavar="EPS",
+        "--tol-residual", type=_positive_float, default=None, metavar="EPS",
         help="marginal residual at which Sinkhorn scaling stops",
     )
 
@@ -110,7 +133,7 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="inspect a state file")
     p.add_argument("state", help="path to a state JSON file")
     p.add_argument(
-        "--seed", type=int, default=0,
+        "--seed", type=_seed, default=0,
         help="seed for the range-vector search (default 0)",
     )
     p.add_argument("--json", action="store_true", help="machine-readable output")
@@ -120,7 +143,7 @@ def make_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("state", help="path to a state JSON file (square unless --embed)")
     p.add_argument(
-        "--seed", type=int, default=0,
+        "--seed", type=_seed, default=0,
         help="seed for the range-vector search (default 0)",
     )
     p.add_argument(
@@ -139,7 +162,7 @@ def make_parser() -> argparse.ArgumentParser:
         "--filters", default=None,
         help="path for the filter pair (default: derived from --output)",
     )
-    p.add_argument("--seed", type=int, default=0, help="seed for the decision stage")
+    p.add_argument("--seed", type=_seed, default=0, help="seed for the decision stage")
     p.add_argument("--json", action="store_true", help="machine-readable summary")
     _add_tolerance_flags(p)
 

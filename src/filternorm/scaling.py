@@ -2,7 +2,8 @@
 
 A square CP map is scaled to a doubly stochastic one by alternately fixing
 the two marginals ``T(Id/sqrt(s))`` and ``T*(Id/sqrt(s))``, each one GEMM of
-the Kraus operators laid side by side; on each irreducible block certified
+the Kraus operators laid side by side and one ``eigh`` of the ``s x s``
+marginal for its inverse square root; on each irreducible block certified
 by the decision stage this converges, and the block scalings assemble into
 local filters that bring the state to its normal form (unit trace, both
 partial traces proportional to the identity), built once.  For two qubits a
@@ -19,6 +20,7 @@ Sinkhorn fails on them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -29,7 +31,6 @@ from .linalg import (
     dagger,
     hermitian_basis,
     identity_projection,
-    mirror_hermitian,
 )
 from .maps import CpMap, _superop, restrict_to_corner
 from .states import (
@@ -85,22 +86,30 @@ def _backward(F: np.ndarray) -> np.ndarray:
 def _inverse_sqrt_marginal(G: np.ndarray, s: int, tol: Tolerances) -> np.ndarray:
     """``s^{-1/4} G^{-1/2}``, raising when the marginal is numerically singular.
 
-    One ``eigh`` serves both: once the collapse check passes the marginal is
-    positive definite, so every eigenvalue enters the inverse root.
+    One ``eigh`` serves both, and it reads only the lower triangle of ``G``,
+    so ``G`` is not mirrored first: once the collapse check passes the
+    marginal is positive definite, so every eigenvalue enters the inverse
+    root.  Non-finite entries are a ``ValueError``, tested before ``eigh``,
+    which may answer a NaN with finite eigenvalues or fail to converge; NaN
+    eigenvalues count as a collapse.
     """
-    eigs, vecs = np.linalg.eigh(mirror_hermitian(G))
-    if eigs[-1] <= 0.0 or eigs[0] <= tol.rank_rel * eigs[-1]:
+    if not np.isfinite(G).all():
+        raise ValueError("hermitian matrix contains non-finite entries")
+    eigs, vecs = np.linalg.eigh(G)
+    if not (eigs[-1] > 0.0 and eigs[0] > tol.rank_rel * eigs[-1]):
         raise SingularMarginalError(
             f"marginal collapsed during scaling (eigenvalues in "
             f"[{eigs[0]:.3e}, {eigs[-1]:.3e}])"
         )
-    return s ** (-0.25) * mirror_hermitian((vecs * (1.0 / np.sqrt(eigs))) @ dagger(vecs))
+    return (vecs * (s ** (-0.25) / np.sqrt(eigs))) @ dagger(vecs)
 
 
-def _hermitian_exp(H: np.ndarray) -> np.ndarray:
-    """``exp(H)`` of a Hermitian matrix, from one ``eigh``."""
-    eigs, vecs = np.linalg.eigh(H)
-    return (vecs * np.exp(eigs)) @ vecs.conj().T
+@lru_cache(maxsize=16)
+def _newton_basis(s: int) -> np.ndarray:
+    """Read-only ``hermitian_basis(s)`` as ``s^2 x s^2`` rows, built once per size."""
+    basis = hermitian_basis(s).reshape(s * s, s * s)
+    basis.flags.writeable = False
+    return basis
 
 
 def _newton_filters(
@@ -116,7 +125,7 @@ def _newton_filters(
     the ``T*`` block is its transpose.  ``(Id, -Id)`` spans the null space
     (it rescales both sides against each other), so ``lstsq`` returns the
     minimum-norm step.  ``fwd`` and ``bwd`` are the marginals of
-    ``Id/sqrt(s)``.
+    ``Id/sqrt(s)``.  Both exponentials come from one stacked ``eigh``.
 
     Returns ``None`` when the second-smallest singular value of ``J`` is
     below ``sqrt(rank_rel)`` times the largest: the step is then ill-posed,
@@ -124,13 +133,14 @@ def _newton_filters(
     """
     s = kraus.shape[1]
     n = s * s
-    stack = hermitian_basis(s)
-    basis = stack.reshape(n, n)
+    basis = _newton_basis(s)
+    basis_conj = basis.conj()
+    stack = basis.reshape(n, s, s)
     superop = _superop(kraus)
 
     def coords(images: np.ndarray) -> np.ndarray:
         """Real matrix of a map on Hermitian matrices from its basis images."""
-        return np.real(basis.conj() @ images.reshape(n, n).T)
+        return np.real(basis_conj @ images.reshape(n, n).T)
 
     fwd_id, bwd_id = np.sqrt(s) * fwd, np.sqrt(s) * bwd
     jac = np.empty((2 * n, 2 * n))
@@ -140,17 +150,13 @@ def _newton_filters(
     jac[n:, n:] = coords(stack @ bwd_id + bwd_id @ stack) / 2.0
     eye = np.eye(s)
     gaps = np.stack([eye - fwd_id, eye - bwd_id]).reshape(2, n)
-    rhs = np.real(gaps @ basis.conj().T).reshape(2 * n)
-    step, _, _, sv = np.linalg.lstsq(jac, rhs)
+    rhs = np.real(gaps @ basis_conj.T).reshape(2 * n)
+    step, _, _, sv = np.linalg.lstsq(jac, rhs, rcond=None)
     if sv[-2] < np.sqrt(tol.rank_rel) * sv[0]:
         return None
-    h, g = (step.reshape(2, n) @ basis).reshape(2, s, s)
-    return _hermitian_exp(h / 2.0), _hermitian_exp(g / 2.0)
-
-
-def _residual(F: np.ndarray, ident: np.ndarray) -> float:
-    """Larger deviation of the two marginals of ``Id/sqrt(s)`` from it."""
-    return max(np.abs(_forward(F) - ident).max(), np.abs(_backward(F) - ident).max())
+    eigs, vecs = np.linalg.eigh((step.reshape(2, n) @ basis).reshape(2, s, s) / 2.0)
+    left, right = (vecs * np.exp(eigs)[:, None, :]) @ dagger(vecs)
+    return left, right
 
 
 def scale_to_doubly_stochastic(
@@ -171,18 +177,24 @@ def scale_to_doubly_stochastic(
     is each filter update: ``L F``, and ``G R`` on the stacked operators.  A
     round computes each marginal once: the forward marginal of the stopping
     check is the one the output filter inverts, and the adjoint marginal is
-    needed for the check only once the forward one passes.
+    needed for the check only once the forward one passes.  Each half-step
+    is one ``eigh`` of the marginal, read from its lower triangle with no
+    mirroring; it serves the collapse check and the inverse square root,
+    whose ``s^{-1/4}`` rides on the eigenvalue weights.  A non-finite
+    marginal raises ``ValueError``.
 
     Near the boundary of the scalable maps a round shrinks the residual by a
     factor close to one.  When a round fails to halve the forward residual
     (a stall), the loop switches to Newton steps on both filters
     (:func:`_newton_filters`) and keeps taking them while each one lowers the
     larger of the two residuals; a step that does not is dropped for a
-    Sinkhorn round, and a later stall tries Newton again.  Newton is refused
-    once the second-smallest singular value of its system falls below
-    ``sqrt(rank_rel)`` times the largest, as it does while the filters
-    diverge on a map without total support; the rest of that run is plain
-    Sinkhorn.  ``iterations`` counts both kinds of step.
+    Sinkhorn round, and a later stall tries Newton again.  An accepted step
+    hands the two marginals of its residual test to the next iteration, so
+    they are not computed again.  Newton is refused once the second-smallest
+    singular value of its system falls below ``sqrt(rank_rel)`` times the
+    largest, as it does while the filters diverge on a map without total
+    support; the rest of that run is plain Sinkhorn.  ``iterations`` counts
+    both kinds of step.
     """
     tol = _tol(tol)
     if T.src_dim != T.dst_dim:
@@ -196,12 +208,12 @@ def scale_to_doubly_stochastic(
     last = np.inf  # forward residual before the latest Sinkhorn round
     newton = False  # the latest step was an accepted Newton step
     refused = False  # the Newton guard refused once
+    fwd, bwd = _forward(F), None  # the marginals of F; bwd only once needed
     while True:
-        fwd = _forward(F)
         res = np.abs(fwd - ident).max()
-        bwd = None
         if res <= tol.sinkhorn_residual:
-            bwd = _backward(F)
+            if bwd is None:
+                bwd = _backward(F)
             if max(res, np.abs(bwd - ident).max()) <= tol.sinkhorn_residual:
                 break
         if iterations >= tol.sinkhorn_max_iters:
@@ -217,8 +229,11 @@ def scale_to_doubly_stochastic(
             if not refused:
                 L, R = filters
                 trial = ((L @ F).reshape(-1, s) @ R).reshape(s, -1)
-                if _residual(trial, ident) < max(res, np.abs(bwd - ident).max()):
+                trial_fwd, trial_bwd = _forward(trial), _backward(trial)
+                trial_res = max(np.abs(trial_fwd - ident).max(), np.abs(trial_bwd - ident).max())
+                if trial_res < max(res, np.abs(bwd - ident).max()):
                     F, left, right = trial, L @ left, right @ R
+                    fwd, bwd = trial_fwd, trial_bwd
                     newton = True
                     continue
             newton = False
@@ -229,6 +244,7 @@ def scale_to_doubly_stochastic(
         R = _inverse_sqrt_marginal(_backward(F), s, tol)
         F = (F.reshape(-1, s) @ R).reshape(s, -1)
         right = right @ R
+        fwd, bwd = _forward(F), None
     scaled = CpMap(src_dim=s, dst_dim=s, kraus=F.reshape(s, -1, s).transpose(1, 0, 2))
     return ScalingResult(left=left, right=right, scaled=scaled, iterations=iterations)
 
@@ -301,11 +317,12 @@ def filter_normal_form(
 
     # undo the map-side history: input transforms act transposed on the first
     # factor of the state, output transforms act directly on the second; the
-    # filtered state's trace is tr(rho (L*L (x) R*R)): it is built once, normalized
+    # filtered state's trace is tr(rho (L*L (x) R*R)), read off the blocks of
+    # rho with no Kronecker product: it is built once, normalized
     left_filter = right_glob.T @ np.linalg.inv(accumulated).T @ prefilter
     right_filter = left_glob @ accumulated
     grams = [dagger(F) @ F for F in (left_filter, right_filter)]
-    total = float(np.vdot(state.rho, np.kron(*grams)).real)
+    total = float(np.einsum("ijkl,ki,lj->", state.blocks(), *grams).real)
     if total <= 0.0:
         raise RuntimeError("scaled state has nonpositive trace")
     left_filter = left_filter / np.sqrt(total)

@@ -133,6 +133,31 @@ def test_a_tiny_state_is_decided_like_its_unit_trace_one(tmp_path, capsys):
     assert main(["normal-form", tiny, "--output", out]) == 0
 
 
+BAD_ARGUMENTS = [["--seed", "-1"], ["--tol-rank", "0"], ["--tol-residual", "-1"],
+                 ["--tol-zero-f", "nan"], ["--tol-rank", "inf"]]
+
+
+@pytest.mark.parametrize("command", ["analyze", "decide", "normal-form"])
+def test_invalid_arguments_are_usage_errors(tmp_path, capsys, command):
+    """A negative seed or a tolerance that is not positive and finite exits 2
+    with a usage message naming the flag, before the state is read; the
+    same flags with valid values still run.  ``analyze`` takes only
+    ``--seed``."""
+    path = write_state(tmp_path, diagonal_state(np.diag([0.5, 0.5])))
+    extra = ["--output", str(tmp_path / "out.json")] if command == "normal-form" else []
+    bad = BAD_ARGUMENTS[:1] if command == "analyze" else BAD_ARGUMENTS
+    for flag, value in bad:
+        with pytest.raises(SystemExit) as exc:
+            main([command, path, *extra, flag, value])
+        assert exc.value.code == 2, (flag, value)
+        assert f"argument {flag}:" in capsys.readouterr().err, (flag, value)
+    good = ["--seed", "3"]
+    if command != "analyze":
+        good += ["--tol-rank", "1e-9", "--tol-residual", "1e-8", "--tol-zero-f", "1e-8"]
+    assert main([command, path, *extra, *good]) == 0
+    capsys.readouterr()
+
+
 def test_decide_human_output(tmp_path, capsys):
     """The human-readable verdict lists outcome, blocks, and iterations."""
     eq = write_state(tmp_path, diagonal_state(np.diag([0.5, 0.5])), "eq.json")

@@ -249,6 +249,37 @@ def test_scaling_fails_like_the_per_operator_loop():
     assert stops == {"singular", "cap"}
 
 
+def test_a_sinkhorn_round_runs_two_eigh_and_no_mirror():
+    """Each round factors each marginal once, straight from its lower
+    triangle: ``2 x iterations`` calls of ``eigh``, all on ``s x s``
+    marginals, and no ``mirror_hermitian`` anywhere inside the loop."""
+    T = _random_map(3, 9, np.random.default_rng(3))
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_name in ("eigh", "mirror_hermitian"):
+            arr = frame.f_locals.get("a", frame.f_locals.get("mat"))
+            calls.append((frame.f_code.co_name, np.shape(arr)))
+
+    sys.setprofile(profile)
+    try:
+        result = scale_to_doubly_stochastic(T)
+    finally:
+        sys.setprofile(None)
+    assert result.iterations >= 3
+    assert calls == [("eigh", (3, 3))] * (2 * result.iterations)
+
+
+def test_an_overflowing_marginal_is_a_value_error():
+    """A marginal with infinite entries stops the loop with ``ValueError``
+    at once, instead of scaling on with NaN filters or running to the cap."""
+    T = _random_map(3, 4, np.random.default_rng(4))
+    huge = CpMap(src_dim=3, dst_dim=3, kraus=1e160 * T.kraus)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="non-finite"):
+            scale_to_doubly_stochastic(huge)
+
+
 BOUNDARY_EPS = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)
 
 
