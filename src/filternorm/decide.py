@@ -406,8 +406,8 @@ def adjoint_block_quadratic(T1: CpMap, s: int) -> QuadraticModel:
     # with C_j = T1(-off(b_j)).  Every basis block has a single unit entry, so
     # each contraction picks one matrix entry and is exact in floating point;
     # the last two are -conj(E) S E^t, E_j = off(b_j) flattened: two entries each.
-    t1 = np.einsum("iap,jap->ij", basis.conj() @ A[:s, :s].T, basis)
-    t2 = np.einsum("icb,jcb->ij", lam_low @ basis, basis.conj())
+    t1 = (basis.conj() @ A[:s, :s].T).reshape(n, -1) @ basis.reshape(n, -1).T
+    t2 = (lam_low @ basis).reshape(n, -1) @ basis.conj().reshape(n, -1).T
     E = off(basis).reshape(n, k * k)
     pos = np.nonzero(E)[1].reshape(n, 2)
     coef = E[np.arange(n)[:, None], pos]
@@ -422,7 +422,7 @@ def adjoint_block_quadratic(T1: CpMap, s: int) -> QuadraticModel:
     x = np.random.default_rng(2026).standard_normal((30, n))
     X = _coords_to_block(x, ns, s)
     want = f_direct(X)
-    got = constant + x @ linear + np.einsum("pi,ij,pj->p", x, gram, x)
+    got = constant + x @ linear + ((x @ gram) * x).sum(1)
     scale = np.maximum(1.0, np.maximum(np.abs(want), np.abs(got)))
     misfit = np.maximum(np.abs(got - want), np.abs(got - f_original(X)))
     if np.any(misfit > 1e-8 * scale):
@@ -510,7 +510,7 @@ def _verify_paired_block(
 ) -> None:
     """Guard the four defining properties of the paired block."""
     Ta = adjoint(T)
-    guard = 1e-7 * max(1.0, kraus_norm(Ta))
+    guard = 1e-7 * kraus_norm(Ta)
     rank_ones = np.einsum("ip,jp->pij", W.basis, W.basis.conj())
     if _invariance_defect(apply(Ta, rank_ones), W.matrix) > guard:
         raise RuntimeError("paired block is not invariant under the adjoint map")

@@ -160,10 +160,13 @@ def restrict_to_corner(T: CpMap, V: Projection) -> CpMap:
     """Compress a square map to the corner of ``V``: Kraus ``K -> B* K B``.
 
     Faithful as the corner restriction when ``T`` leaves ``V M V`` invariant.
+    The whole space in the standard basis returns ``T``, superoperator and all.
     """
     if T.src_dim != T.dst_dim or T.src_dim != V.dim:
         raise ValueError("corner restriction requires a square map matching V")
     b = V.basis
+    if np.array_equal(b, np.eye(V.dim)):
+        return T
     return CpMap(src_dim=V.rank, dst_dim=V.rank, kraus=dagger(b) @ T.kraus @ b)
 
 
@@ -188,7 +191,7 @@ def corner_rep(T: CpMap, V: Projection) -> np.ndarray:
     b = V.basis
     basis = b @ hermitian_basis(V.rank) @ dagger(b)
     images = apply(T, basis)
-    guard = 1e-6 * max(1.0, kraus_norm(T))
+    guard = 1e-6 * kraus_norm(T)
     if _invariance_defect(images, V.matrix) > guard:
         raise ValueError("corner is not invariant under the map")
     n = len(basis)
@@ -362,8 +365,7 @@ def _krylov_perron(
     ``1 - sqrt(rank_rel)``, with a residual under 1% of the distance to it.
     """
     s = V.rank
-    whole = np.array_equal(V.basis, np.eye(V.dim))
-    S = T.superop if whole else restrict_to_corner(T, V).superop
+    S = restrict_to_corner(T, V).superop
     found = _perron_by_arnoldi(S, tol)
     if found is None or rank_eps(found[1], tol) < s:
         return None if found is None else (*found, None)

@@ -1,8 +1,8 @@
 """Operator Sinkhorn scaling and filter normal forms.
 
 A square CP map is scaled to a doubly stochastic one by alternately fixing
-the two marginals ``T(Id/sqrt(s))`` and ``T*(Id/sqrt(s))``, each one GEMM of
-the Kraus operators laid side by side and one ``eigh`` of the ``s x s``
+the two marginals ``T(Id/sqrt(s))`` and ``T*(Id/sqrt(s))``, each one product
+of the map's superoperator with a vector and one ``eigh`` of the ``s x s``
 marginal for its inverse square root; on each irreducible block certified
 by the decision stage this converges, and the block scalings assemble into
 local filters that bring the state to its normal form (unit trace, both
@@ -19,8 +19,8 @@ Sinkhorn fails on them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .linalg import (
     hermitian_basis,
     identity_projection,
 )
-from .maps import CpMap, _superop, restrict_to_corner
+from .maps import CpMap, restrict_to_corner, transform
 from .states import (
     BipartiteState,
     NotPositiveError,
@@ -64,23 +64,18 @@ class ScalingConvergenceError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class ScalingResult:
-    """Scaling certificate: ``scaled(X) = left T(right X right*) left*``."""
+    """Scaling certificate: ``scaled(X) = left T(right X right*) left*``,
+    built from ``T`` and the filters on first read."""
 
     left: np.ndarray
     right: np.ndarray
-    scaled: CpMap
     iterations: int
+    _map: CpMap = field(repr=False)
 
-
-def _forward(F: np.ndarray) -> np.ndarray:
-    """``T(Id/sqrt(s)) = F F*/sqrt(s)``, ``F[a, i s + b] = K_i[a, b]`` (``s x rs``)."""
-    return F @ dagger(F) / np.sqrt(len(F))
-
-
-def _backward(F: np.ndarray) -> np.ndarray:
-    """``T*(Id/sqrt(s)) = G* G/sqrt(s)``, ``G = F.reshape(rs, s)`` the stacked ``K_i``."""
-    G = F.reshape(-1, len(F))
-    return dagger(G) @ G / np.sqrt(len(F))
+    @cached_property
+    def scaled(self) -> CpMap:
+        """The doubly stochastic map, Kraus ``K -> left K right``."""
+        return transform(self._map, self.left, self.right)
 
 
 def _inverse_sqrt_marginal(G: np.ndarray, s: int, tol: Tolerances) -> np.ndarray:
@@ -113,50 +108,50 @@ def _newton_basis(s: int) -> np.ndarray:
 
 
 def _newton_filters(
-    kraus: np.ndarray, fwd: np.ndarray, bwd: np.ndarray, tol: Tolerances
+    S: np.ndarray, left: np.ndarray, right: np.ndarray, fwd: np.ndarray, bwd: np.ndarray,
+    tol: Tolerances,
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """Filters ``(e^{h/2}, e^{g/2})`` of one Newton step on both marginals.
 
-    ``K -> e^{h/2} K e^{g/2}`` moves ``T(Id)`` by ``{h, T(Id)}/2 + T(g)`` and
-    ``T*(Id)`` by ``T*(h) + {g, T*(Id)}/2`` to first order.  In the
-    coordinates of :func:`hermitian_basis` this is a real symmetric
-    ``2s^2 x 2s^2`` system ``J``; its ``T`` block comes from the
-    superoperator ``sum K (x) conj(K)``, one GEMM of the flattened stack, and
-    the ``T*`` block is its transpose.  ``(Id, -Id)`` spans the null space
-    (it rescales both sides against each other), so ``lstsq`` returns the
-    minimum-norm step.  ``fwd`` and ``bwd`` are the marginals of
-    ``Id/sqrt(s)``.  Both exponentials come from one stacked ``eigh``.
+    The scaled map is ``T'(X) = left T(right X right*) left*``, ``S`` is the
+    superoperator of ``T`` over ``sqrt(s)``, and ``fwd``, ``bwd`` are the
+    marginals.  ``K -> e^{h/2} K e^{g/2}`` moves ``fwd`` by
+    ``{h, fwd}/2 + T'(g)/sqrt(s)`` and ``bwd`` by ``T'*(h)/sqrt(s) + {g, bwd}/2``
+    to first order.  In the coordinates of :func:`hermitian_basis` this is a
+    real symmetric ``2s^2 x 2s^2`` system ``J``; its ``T'`` block
+    ``Re tr(left* E_i left T(right E_j right*))`` is two GEMMs with ``S``, the
+    ``T'*`` block its transpose.  ``(Id, -Id)`` spans the null space (it
+    rescales both sides against each other), so ``lstsq``, cutting singular
+    values below ``rank_rel`` of the largest, returns the minimum-norm step:
+    computed from the filters, ``J`` annuls it only to rounding times their
+    condition numbers.  Both exponentials come from one stacked ``eigh``.
 
     Returns ``None`` when the second-smallest singular value of ``J`` is
     below ``sqrt(rank_rel)`` times the largest: the step is then ill-posed,
     as on maps without total support, whose filters diverge.
     """
-    s = kraus.shape[1]
+    s = len(fwd)
     n = s * s
     basis = _newton_basis(s)
     basis_conj = basis.conj()
     stack = basis.reshape(n, s, s)
-    superop = _superop(kraus)
-
-    def coords(images: np.ndarray) -> np.ndarray:
-        """Real matrix of a map on Hermitian matrices from its basis images."""
-        return np.real(basis_conj @ images.reshape(n, n).T)
-
-    fwd_id, bwd_id = np.sqrt(s) * fwd, np.sqrt(s) * bwd
+    marginals = np.stack([fwd, bwd])[:, None]
+    # basis images of the two anticommutators, and of T' on the filtered basis
+    anti = (stack @ marginals + marginals @ stack).reshape(2, n, n)
+    outer = (dagger(left) @ stack @ left).reshape(n, n)
+    inner = (right @ stack @ dagger(right)).reshape(n, n)
     jac = np.empty((2 * n, 2 * n))
-    jac[:n, :n] = coords(stack @ fwd_id + fwd_id @ stack) / 2.0
-    jac[:n, n:] = coords(basis @ superop.T)
+    jac[:n, :n], jac[n:, n:] = np.real(basis_conj @ anti.swapaxes(1, 2)) / 2.0
+    jac[:n, n:] = np.real(outer.conj() @ S @ inner.T)
     jac[n:, :n] = jac[:n, n:].T
-    jac[n:, n:] = coords(stack @ bwd_id + bwd_id @ stack) / 2.0
-    eye = np.eye(s)
-    gaps = np.stack([eye - fwd_id, eye - bwd_id]).reshape(2, n)
+    gaps = (np.eye(s) / np.sqrt(s) - marginals).reshape(2, n)
     rhs = np.real(gaps @ basis_conj.T).reshape(2 * n)
-    step, _, _, sv = np.linalg.lstsq(jac, rhs, rcond=None)
+    step, _, _, sv = np.linalg.lstsq(jac, rhs, rcond=tol.rank_rel)
     if sv[-2] < np.sqrt(tol.rank_rel) * sv[0]:
         return None
     eigs, vecs = np.linalg.eigh((step.reshape(2, n) @ basis).reshape(2, s, s) / 2.0)
-    left, right = (vecs * np.exp(eigs)[:, None, :]) @ dagger(vecs)
-    return left, right
+    L, R = (vecs * np.exp(eigs)[:, None, :]) @ dagger(vecs)
+    return L, R
 
 
 def scale_to_doubly_stochastic(
@@ -172,48 +167,54 @@ def scale_to_doubly_stochastic(
     marginal degenerates and :class:`ScalingConvergenceError` at the
     ``sinkhorn_max_iters`` cap.
 
-    The loop keeps the operators side by side in one ``s x rs`` matrix ``F``,
-    so each marginal is one GEMM (:func:`_forward`, :func:`_backward`), and so
-    is each filter update: ``L F``, and ``G R`` on the stacked operators.  A
-    round computes each marginal once: the forward marginal of the stopping
-    check is the one the output filter inverts, and the adjoint marginal is
-    needed for the check only once the forward one passes.  Each half-step
-    is one ``eigh`` of the marginal, read from its lower triangle with no
-    mirroring; it serves the collapse check and the inverse square root,
-    whose ``s^{-1/4}`` rides on the eigenvalue weights.  A non-finite
-    marginal raises ``ValueError``.
+    ``T`` stays unscaled and the loop accumulates the two filters, so each
+    marginal is one product of ``T``'s superoperator ``S`` (over ``sqrt(s)``)
+    with a vector, ``s^4`` multiplications for any number of Kraus operators:
+    ``left T(right right*) left*`` and ``right* T*(left* left) right``.  A
+    whole-space map from the decision has built ``S`` already.  A round
+    computes each marginal once: the forward one of the stopping check is
+    the one the output filter inverts, and the adjoint one is needed for the
+    check only once the forward one passes.  Each half-step is one ``eigh``
+    of the marginal's lower triangle, which serves the collapse check and the
+    inverse square root (``s^{-1/4}`` on its eigenvalue weights); a
+    non-finite marginal raises ``ValueError``.
 
     Near the boundary of the scalable maps a round shrinks the residual by a
     factor close to one.  When a round fails to halve the forward residual
     (a stall), the loop switches to Newton steps on both filters
     (:func:`_newton_filters`) and keeps taking them while each one lowers the
-    larger of the two residuals; a step that does not is dropped for a
-    Sinkhorn round, and a later stall tries Newton again.  An accepted step
-    hands the two marginals of its residual test to the next iteration, so
-    they are not computed again.  Newton is refused once the second-smallest
-    singular value of its system falls below ``sqrt(rank_rel)`` times the
-    largest, as it does while the filters diverge on a map without total
-    support; the rest of that run is plain Sinkhorn.  ``iterations`` counts
-    both kinds of step.
+    larger of the two residuals, handing that test's two marginals to the
+    next iteration; a step that does not is dropped for a Sinkhorn round, and
+    a later stall tries Newton again.  Newton is refused for the rest of the
+    run once the second-smallest singular value of its system falls below
+    ``sqrt(rank_rel)`` times the largest, as it does while the filters
+    diverge on a map without total support.  ``iterations`` counts both
+    kinds of step.
     """
     tol = _tol(tol)
     if T.src_dim != T.dst_dim:
         raise ValueError("scaling requires a square map")
     s = T.src_dim
-    ident = np.eye(s, dtype=complex) / np.sqrt(s)
-    left = np.eye(s, dtype=complex)
-    right = np.eye(s, dtype=complex)
-    F = T.kraus.transpose(1, 0, 2).reshape(s, -1)
+    S = T.superop / np.sqrt(s)
+
+    def forward(L, R):  # L T(R R*) L* / sqrt(s)
+        return L @ (S @ (R @ R.conj().T).ravel()).reshape(s, s) @ L.conj().T
+
+    def backward(L, R):  # R* T*(L* L) R / sqrt(s), T*(Y) = conj(conj(vec Y) S)
+        return R.conj().T @ ((L.T @ L.conj()).ravel() @ S).conj().reshape(s, s) @ R
+
+    left = right = np.eye(s, dtype=complex)  # rebound, never written in place
+    ident = left / np.sqrt(s)
     iterations = 0
     last = np.inf  # forward residual before the latest Sinkhorn round
     newton = False  # the latest step was an accepted Newton step
     refused = False  # the Newton guard refused once
-    fwd, bwd = _forward(F), None  # the marginals of F; bwd only once needed
+    fwd, bwd = forward(left, right), None  # the scaled marginals; bwd only once needed
     while True:
         res = np.abs(fwd - ident).max()
         if res <= tol.sinkhorn_residual:
             if bwd is None:
-                bwd = _backward(F)
+                bwd = backward(left, right)
             if max(res, np.abs(bwd - ident).max()) <= tol.sinkhorn_residual:
                 break
         if iterations >= tol.sinkhorn_max_iters:
@@ -223,30 +224,23 @@ def scale_to_doubly_stochastic(
         iterations += 1
         if not refused and (newton or res > 0.5 * last):
             if bwd is None:
-                bwd = _backward(F)
-            filters = _newton_filters(F.reshape(s, -1, s).transpose(1, 0, 2), fwd, bwd, tol)
+                bwd = backward(left, right)
+            filters = _newton_filters(S, left, right, fwd, bwd, tol)
             refused = filters is None
             if not refused:
-                L, R = filters
-                trial = ((L @ F).reshape(-1, s) @ R).reshape(s, -1)
-                trial_fwd, trial_bwd = _forward(trial), _backward(trial)
+                trial = filters[0] @ left, right @ filters[1]
+                trial_fwd, trial_bwd = forward(*trial), backward(*trial)
                 trial_res = max(np.abs(trial_fwd - ident).max(), np.abs(trial_bwd - ident).max())
                 if trial_res < max(res, np.abs(bwd - ident).max()):
-                    F, left, right = trial, L @ left, right @ R
-                    fwd, bwd = trial_fwd, trial_bwd
+                    (left, right), fwd, bwd = trial, trial_fwd, trial_bwd
                     newton = True
                     continue
             newton = False
         last = res
-        L = _inverse_sqrt_marginal(fwd, s, tol)
-        F = L @ F
-        left = L @ left
-        R = _inverse_sqrt_marginal(_backward(F), s, tol)
-        F = (F.reshape(-1, s) @ R).reshape(s, -1)
-        right = right @ R
-        fwd, bwd = _forward(F), None
-    scaled = CpMap(src_dim=s, dst_dim=s, kraus=F.reshape(s, -1, s).transpose(1, 0, 2))
-    return ScalingResult(left=left, right=right, scaled=scaled, iterations=iterations)
+        left = _inverse_sqrt_marginal(fwd, s, tol) @ left
+        right = right @ _inverse_sqrt_marginal(backward(left, right), s, tol)
+        fwd, bwd = forward(left, right), None
+    return ScalingResult(left=left, right=right, iterations=iterations, _map=T)
 
 
 # ---------------------------------------------------------------------------
@@ -317,12 +311,10 @@ def filter_normal_form(
 
     # undo the map-side history: input transforms act transposed on the first
     # factor of the state, output transforms act directly on the second; the
-    # filtered state's trace is tr(rho (L*L (x) R*R)), read off the blocks of
-    # rho with no Kronecker product: it is built once, normalized
+    # filtered state is built once, normalized by a trace read off the filters
     left_filter = right_glob.T @ np.linalg.inv(accumulated).T @ prefilter
     right_filter = left_glob @ accumulated
-    grams = [dagger(F) @ F for F in (left_filter, right_filter)]
-    total = float(np.einsum("ijkl,ki,lj->", state.blocks(), *grams).real)
+    total = _filtered_trace(state, left_filter, right_filter)
     if total <= 0.0:
         raise RuntimeError("scaled state has nonpositive trace")
     left_filter = left_filter / np.sqrt(total)
@@ -347,6 +339,12 @@ def filter_normal_form(
         residual=residual,
         iterations=iterations,
     )
+
+
+def _filtered_trace(state: BipartiteState, left: np.ndarray, right: np.ndarray) -> float:
+    """``tr(rho (L*L (x) R*R))`` off the blocks of ``rho``, one Gram at a time."""
+    partial = np.einsum("ijkl,ki->jl", state.blocks(), dagger(left) @ left)
+    return float(np.vdot(dagger(right) @ right, partial).real)  # conj(R*R) = (R*R)^T
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ from filternorm import (
 )
 from filternorm.decide import (
     _coords_to_block,
+    _verify_paired_block,
     adjoint_block_quadratic,
     normalize_corner,
 )
@@ -645,6 +646,18 @@ def test_decide_embedded_one_by_three_diagonal_state():
     verdict = decide_equivalence(embedded)
     assert verdict.outcome == OUTCOME_EQUIVALENT
     assert [V.rank for V, _ in verdict.blocks] == [3]
+
+
+def test_paired_block_guard_is_relative_to_the_map():
+    """A block the adjoint does not leave invariant fails the paired-block
+    guard at every scale of the map, down to ``1e-12``: the guard is a share
+    of the map's Kraus norm with no absolute floor."""
+    kraus = np.random.default_rng(0).standard_normal((2, 4, 4))
+    lead = projector_onto(np.eye(4, dtype=complex)[:, :2])
+    for c in (1.0, 1e-3, 1e-6, 1e-8, 1e-10, 1e-12):
+        T = CpMap(src_dim=4, dst_dim=4, kraus=np.sqrt(c) * kraus)
+        with pytest.raises(RuntimeError, match="not invariant under the adjoint"):
+            _verify_paired_block(T, lead, lead, DEFAULT_TOL)
 
 
 def test_decide_rejects_npt_and_rectangular_states():

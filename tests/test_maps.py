@@ -313,6 +313,18 @@ def test_corner_rep_of_adjoint_is_the_transpose():
     assert np.abs(rep_adj - rep.T).max() < 1e-10
 
 
+def test_invariance_guard_is_relative_to_the_map():
+    """``corner_rep`` rejects a corner the map does not leave invariant at
+    every scale of the map, down to ``1e-12``: the guard is a share of the
+    map's Kraus norm with no absolute floor."""
+    kraus = np.random.default_rng(0).standard_normal((2, 4, 4))
+    lead = lead_projection(4, 2)
+    for c in (1.0, 1e-3, 1e-6, 1e-8, 1e-10, 1e-12):
+        T = CpMap(src_dim=4, dst_dim=4, kraus=np.sqrt(c) * kraus)
+        with pytest.raises(ValueError, match="not invariant"):
+            corner_rep(T, lead)
+
+
 def test_spectral_radius_dominates_eigenvalues():
     """The Perron value is at least the modulus of every representation eigenvalue."""
     rng = np.random.default_rng(13)

@@ -22,15 +22,18 @@ from filternorm import (
     conjugate,
     decide_equivalence,
     diagonal_state,
+    embed_rectangular,
     filter_normal_form,
     is_doubly_stochastic,
     maximally_entangled,
     partial_trace_first,
     partial_trace_second,
     pauli_coefficients,
+    random_state,
     restrict_to_corner,
     scale_to_doubly_stochastic,
     state_to_map,
+    transform,
 )
 from filternorm import scaling
 from filternorm.linalg import DEFAULT_TOL, dagger
@@ -39,6 +42,7 @@ from helpers import (
     cli_env,
     hidden_blocky,
     neq2_state,
+    pattern_state,
     random_invertible,
     random_unitary,
     separable_full_rank,
@@ -147,6 +151,11 @@ def _oracle_maps():
         maps[f"hidden-block corner {i}"] = restrict_to_corner(verdict.certificate.final_map, V)
     maps["singular marginal"] = CpMap(
         src_dim=2, dst_dim=2, kraus=(np.diag([1.0, 0.0]).astype(complex),))
+    # full Choi rank (r = s^2) behind ill-conditioned filters: the marginals
+    # come from the superoperator and the filters, never from scaled operators
+    rng = np.random.default_rng(15)
+    maps["full Choi rank k=5, filtered"] = transform(
+        _random_map(5, 25, rng), random_invertible(5, rng), random_invertible(5, rng))
     return maps
 
 
@@ -229,7 +238,7 @@ def test_scaling_agrees_with_the_per_operator_loop(monkeypatch):
                     assert np.abs(_trace_normalized(g) - _trace_normalized(w)).max() < 1e-6
             continue
         _assert_agrees(got, want, name)
-    assert len(iterations) == 10
+    assert len(iterations) == 11
     assert iterations["s=1"] == 1
     assert max(iterations[name] for name in stalled) <= 20
     assert min(iterations.values()) >= 1
@@ -268,6 +277,62 @@ def test_a_sinkhorn_round_runs_two_eigh_and_no_mirror():
         sys.setprofile(None)
     assert result.iterations >= 3
     assert calls == [("eigh", (3, 3))] * (2 * result.iterations)
+
+
+class _WatchedStack(np.ndarray):
+    """A Kraus stack that records every ufunc it enters, ``@`` among them."""
+
+    entered = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        _WatchedStack.entered.append(ufunc.__name__)
+        inputs = tuple(x.view(np.ndarray) if isinstance(x, _WatchedStack) else x
+                       for x in inputs)
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+def test_normal_form_reuses_the_superoperator_of_the_decision():
+    """A one-block verdict's normal form scales the certificate's map itself:
+    it builds no superoperator (the decision built it), and its Sinkhorn loop
+    evaluates the map through it, with no product with the ``(r, s, s)``
+    Kraus stack.  Both an embedded 2 x 3 state and separable full-rank states,
+    below and above the Arnoldi budget (k = 3 and 9), are such verdicts."""
+    rng = np.random.default_rng(16)
+    w = rng.uniform(0.2, 2.0, size=(2, 3))
+    embedded = embed_rectangular(apply_filter(
+        pattern_state(w), random_invertible(2, rng), random_invertible(3, rng)))
+    for st in (embedded, separable_full_rank(3, rng), separable_full_rank(9, rng)):
+        verdict = decide_equivalence(st)
+        assert [V.rank for V, _ in verdict.blocks] == [st.k]
+        T = verdict.certificate.final_map
+        assert "superop" in vars(T)
+        object.__setattr__(T, "kraus", T.kraus.view(_WatchedStack))
+        _WatchedStack.entered.clear()
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code.co_name == "_superop":
+                calls.append(frame.f_code.co_name)
+
+        sys.setprofile(profile)
+        try:
+            nf = filter_normal_form(st, verdict)
+        finally:
+            sys.setprofile(None)
+        assert calls == [] and _WatchedStack.entered == []
+        assert nf.residual <= 10.0 * Tolerances().sinkhorn_residual
+
+
+def test_filtered_trace_matches_the_kronecker_form():
+    """The normal form's trace ``tr(rho (L*L (x) R*R))``, read off the blocks
+    of ``rho``, is ``vdot(rho, kron(L*L, R*R))`` to 1e-13 relative."""
+    rng = np.random.default_rng(17)
+    for k in (2, 4, 20):
+        st = random_state(k, k, rng=rng)
+        L, R = random_invertible(k, rng), random_invertible(k, rng)
+        want = np.vdot(st.rho, np.kron(dagger(L) @ L, dagger(R) @ R)).real
+        got = scaling._filtered_trace(st, L, R)
+        assert abs(got - want) <= 1e-13 * abs(want), k
 
 
 def test_an_overflowing_marginal_is_a_value_error():
