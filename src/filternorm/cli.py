@@ -10,8 +10,9 @@ embed        embed a rectangular state into a square one
 Exit codes
 ----------
 0  success (for ``decide``: the state's map is equivalent)
-1  decided: not equivalent
-2  malformed state file or invalid arguments
+1  decided: not equivalent, and nothing else
+2  invalid arguments, an unreadable or unparsable state file, or an
+   unwritable output
 3  input rejected (not PSD, not PPT where required, or wrong shape)
 4  inconclusive (no full-tensor-rank vector found, the decision broke down
    numerically, or scaling failed)
@@ -20,7 +21,6 @@ Exit codes
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import sys
 
@@ -74,15 +74,18 @@ def _err(message: str) -> None:
     print(f"filternorm: {message}", file=sys.stderr)
 
 
+class _Rejected(Exception):
+    """Input that the command does not take: exit 3."""
+
+
+class _Breakdown(Exception):
+    """A numerical failure on input that passed every check: exit 4."""
+
+
 def _tolerances(args: argparse.Namespace) -> Tolerances:
-    overrides = {}
-    if getattr(args, "tol_rank", None) is not None:
-        overrides["rank_rel"] = args.tol_rank
-    if getattr(args, "tol_zero_f", None) is not None:
-        overrides["zero_f"] = args.tol_zero_f
-    if getattr(args, "tol_residual", None) is not None:
-        overrides["sinkhorn_residual"] = args.tol_residual
-    return dataclasses.replace(DEFAULT_TOL, **overrides) if overrides else DEFAULT_TOL
+    return Tolerances(
+        rank_rel=args.tol_rank, zero_f=args.tol_zero_f, sinkhorn_residual=args.tol_residual
+    )
 
 
 def _positive_float(text: str) -> float:
@@ -109,15 +112,16 @@ def _seed(text: str) -> int:
 
 def _add_tolerance_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--tol-rank", type=_positive_float, default=None, metavar="EPS",
+        "--tol-rank", type=_positive_float, default=DEFAULT_TOL.rank_rel, metavar="EPS",
         help="relative singular-value cutoff for numerical ranks",
     )
     parser.add_argument(
-        "--tol-zero-f", type=_positive_float, default=None, metavar="EPS",
+        "--tol-zero-f", type=_positive_float, default=DEFAULT_TOL.zero_f, metavar="EPS",
         help="threshold below which the quadratic minimum counts as zero",
     )
     parser.add_argument(
-        "--tol-residual", type=_positive_float, default=None, metavar="EPS",
+        "--tol-residual", type=_positive_float, default=DEFAULT_TOL.sinkhorn_residual,
+        metavar="EPS",
         help="marginal residual at which Sinkhorn scaling stops",
     )
 
@@ -172,32 +176,31 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(path: str):
+def _decide(state, tol: Tolerances, seed: int):
+    """``decide_equivalence`` with its numerical breakdowns wrapped for
+    :func:`main`; a not-PPT state's ``NotPositiveError`` passes through."""
     try:
-        return load_state(path), EXIT_OK
-    except StateFormatError as exc:
-        _err(str(exc))
-        return None, EXIT_BAD_FORMAT
-    except NotPositiveError as exc:
-        _err(str(exc))
-        return None, EXIT_BAD_STATE
+        return decide_equivalence(state, tol=tol, rng=np.random.default_rng(seed))
+    except NotPositiveError:
+        raise
+    except (ValueError, RuntimeError) as exc:
+        raise _Breakdown(f"decision broke down: {exc}") from exc
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    state, code = _load(args.state)
-    if state is None:
-        return code
+    state = load_state(args.state)
     vector = find_full_rank_vector(state, rng=np.random.default_rng(args.seed))
     k, m = state.k, state.m
     # the operator Schmidt rank is the rank of the realigned state
     realigned = state.blocks().transpose(0, 2, 1, 3).reshape(k * k, m * m)
-    # rank and PPT status read the spectra the state keeps
-    magnitudes = np.abs(state.spectrum)
+    # rank and PPT status read the spectra the state keeps; the rank is
+    # counted by the decision's range cut
+    eigs = state.spectrum
     doc = {
         "k": state.k,
         "m": state.m,
         "trace": float(np.real(np.trace(state.rho))),
-        "rank": int(np.count_nonzero(magnitudes > DEFAULT_TOL.rank_rel * magnitudes.max())),
+        "rank": int(np.count_nonzero(eigs > DEFAULT_TOL.rank_rel * eigs.max(initial=0.0))),
         "ppt": bool(is_ppt(state)),
         "partial_trace_first": matrix_to_json(partial_trace_first(state)),
         "partial_trace_second": matrix_to_json(partial_trace_second(state)),
@@ -225,25 +228,13 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_decide(args: argparse.Namespace) -> int:
-    state, code = _load(args.state)
-    if state is None:
-        return code
+    state = load_state(args.state)
     tol = _tolerances(args)
     if state.k != state.m:
         if not args.embed:
-            _err("state is rectangular; pass --embed to square it first")
-            return EXIT_BAD_STATE
+            raise _Rejected("state is rectangular; pass --embed to square it first")
         state = embed_rectangular(state)
-    try:
-        verdict = decide_equivalence(
-            state, tol=tol, rng=np.random.default_rng(args.seed)
-        )
-    except NotPositiveError as exc:
-        _err(str(exc))
-        return EXIT_BAD_STATE
-    except (ValueError, RuntimeError) as exc:
-        _err(f"decision broke down: {exc}")
-        return EXIT_INCONCLUSIVE
+    verdict = _decide(state, tol, args.seed)
 
     witness = verdict.witness
     if (
@@ -284,23 +275,15 @@ def _cmd_decide(args: argparse.Namespace) -> int:
 
 
 def _cmd_normal_form(args: argparse.Namespace) -> int:
-    state, code = _load(args.state)
-    if state is None:
-        return code
+    state = load_state(args.state)
     tol = _tolerances(args)
     if state.k != state.m:
-        _err("state is rectangular; run 'embed' first")
-        return EXIT_BAD_STATE
+        raise _Rejected("state is rectangular; run 'embed' first")
 
     try:
-        verdict = decide_equivalence(
-            state, tol=tol, rng=np.random.default_rng(args.seed)
-        )
+        verdict = _decide(state, tol, args.seed)
     except NotPositiveError:
         verdict = None  # not PPT: there is no decision, the whole map is scaled
-    except (ValueError, RuntimeError) as exc:
-        _err(f"decision broke down: {exc}")
-        return EXIT_INCONCLUSIVE
     if verdict is not None:
         if verdict.outcome == OUTCOME_NOT_EQUIVALENT:
             _err("state has no normal form (map is not equivalent)")
@@ -313,8 +296,7 @@ def _cmd_normal_form(args: argparse.Namespace) -> int:
         result = filter_normal_form(state, verdict, tol)
     except (ValueError, RuntimeError) as exc:
         # the input passed every check above, so this is a numerical breakdown
-        _err(f"scaling broke down: {exc}")
-        return EXIT_INCONCLUSIVE
+        raise _Breakdown(f"scaling broke down: {exc}") from exc
 
     save_state(result.state, args.output)
     filters_path = args.filters
@@ -355,9 +337,7 @@ def _cmd_normal_form(args: argparse.Namespace) -> int:
 
 
 def _cmd_embed(args: argparse.Namespace) -> int:
-    state, code = _load(args.state)
-    if state is None:
-        return code
+    state = load_state(args.state)
     embedded = embed_rectangular(state)
     save_state(embedded, args.output)
     print(
@@ -376,8 +356,19 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; every error it raises gets its one exit code here."""
     args = make_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except (StateFormatError, OSError) as exc:
+        _err(str(exc))
+        return EXIT_BAD_FORMAT
+    except (NotPositiveError, _Rejected) as exc:
+        _err(str(exc))
+        return EXIT_BAD_STATE
+    except _Breakdown as exc:
+        _err(str(exc))
+        return EXIT_INCONCLUSIVE
 
 
 def entry() -> None:

@@ -58,7 +58,10 @@ def _matrix_from_json(rows: object) -> np.ndarray:
                 raise StateFormatError(
                     f"matrix entry ({i}, {j}) is not an [re, im] pair"
                 )
-            out[i, j] = complex(entry[0], entry[1])
+            try:
+                out[i, j] = complex(entry[0], entry[1])
+            except OverflowError as exc:  # an integer beyond float range
+                raise StateFormatError(f"matrix entry ({i}, {j}): {exc}") from exc
     if not np.all(np.isfinite(out)):
         raise StateFormatError("matrix has non-finite entries")
     return out
@@ -74,9 +77,11 @@ def save_state(state: BipartiteState, path: str | Path) -> None:
 
 def load_state(path: str | Path) -> BipartiteState:
     """Parse a state file, separating format errors from positivity errors."""
+    # bytes, so that the encoding check does not depend on the locale; deep
+    # nesting raises RecursionError
     try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        doc = json.loads(Path(path).read_bytes())
+    except (OSError, ValueError, RecursionError) as exc:
         raise StateFormatError(f"cannot parse state file: {exc}") from exc
     if not isinstance(doc, dict):
         raise StateFormatError("state file must hold a JSON object")
@@ -89,9 +94,8 @@ def load_state(path: str | Path) -> BipartiteState:
         raise StateFormatError("'k' and 'm' must be positive integers")
     M = _matrix_from_json(doc["matrix"])
     if M.shape != (k * m, k * m):
-        raise StateFormatError(
-            f"matrix shape {M.shape} does not match k*m = {k * m}"
-        )
+        # k and m, not their product, which may be too long to print
+        raise StateFormatError(f"matrix shape {M.shape} does not match k = {k}, m = {m}")
     return BipartiteState(k=k, m=m, rho=M)
 
 

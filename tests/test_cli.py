@@ -1,9 +1,11 @@
 """Command-line interface: file formats, exit codes, and output documents."""
 
 import json
+import re
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from filternorm import (
 )
 from filternorm.cli import main
 from filternorm.linalg import rank_eps
+from filternorm.states import state_to_map
 from filternorm.stateio import NotPositiveError, StateFormatError
 from helpers import cli_env, hidden_blocky, neq2_state, separable_full_rank
 
@@ -32,8 +35,20 @@ def write_state(tmp_path, state, name="state.json"):
 
 def write_doc(tmp_path, doc, name="bad.json"):
     path = tmp_path / name
-    path.write_text(json.dumps(doc) if not isinstance(doc, str) else doc)
+    if isinstance(doc, bytes):
+        path.write_bytes(doc)
+    else:
+        path.write_text(json.dumps(doc) if not isinstance(doc, str) else doc)
     return str(path)
+
+
+# files that Python's json cannot turn into a matrix: bytes that are not
+# UTF-8, nesting past the recursion limit, an integer beyond float range
+UNPARSABLE_DOCS = [
+    b'{"k": 1, "m": 1, "matrix": [[[1.0, 0.0]]], "note": "\xff\xfe"}',
+    "[" * 100_000 + "]" * 100_000,
+    '{"k": 1, "m": 2, "matrix": [[[%d, 0], [0, 0]], [[0, 0], [1, 0]]]}' % 10**400,
+]
 
 
 def product_state():
@@ -54,8 +69,9 @@ def test_state_file_round_trip(tmp_path):
 
 def test_load_state_error_classes(tmp_path):
     """Structural problems and positivity problems raise different errors."""
-    with pytest.raises(StateFormatError):
-        load_state(write_doc(tmp_path, "{not json"))
+    for i, doc in enumerate(["{not json", *UNPARSABLE_DOCS]):
+        with pytest.raises(StateFormatError):
+            load_state(write_doc(tmp_path, doc, name=f"bad{i}.json"))
     herm = np.array([[0.5, 0.5], [0.5, -0.5]])
     doc = {"k": 1, "m": 2, "matrix": [[[v, 0.0] for v in row] for row in herm]}
     with pytest.raises(NotPositiveError):
@@ -90,12 +106,66 @@ def test_exit_codes_for_malformed_files(tmp_path):
         {"k": 2, "m": True, "matrix": rows},
         {"k": 1, "m": 2, "matrix": flags},
     ]
+    bad_docs += UNPARSABLE_DOCS
+    # a k*m too long for Python to print (4,300 digits at most)
+    bad_docs.append('{"k": %d, "m": %d, "matrix": [[[1, 0]]]}' % (10**3000, 10**3000))
     for i, doc in enumerate(bad_docs):
         path = write_doc(tmp_path, doc, name=f"bad{i}.json")
         for command in ("analyze", "decide"):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 assert main([command, path]) == 2, (command, doc)
+
+
+def test_a_malformed_file_never_exits_1(tmp_path):
+    """From the shell too, a file that is not UTF-8 exits 2 with one line and
+    no traceback, not 1, which means only "decided: not equivalent"."""
+    path = write_doc(tmp_path, UNPARSABLE_DOCS[0])
+    done = subprocess.run([sys.executable, "-m", "filternorm.cli", "decide", path],
+                          capture_output=True, env=cli_env())
+    assert done.returncode == 2
+    assert done.stderr.startswith(b"filternorm: cannot parse state file: ")
+    assert done.stderr.count(b"\n") == 1 and b"Traceback" not in done.stderr
+
+
+def test_unwritable_outputs_exit_2(tmp_path, capsys):
+    """An --output or --filters path in a missing directory exits 2 with a
+    one-line message, for normal-form and for embed."""
+    square = write_state(tmp_path, diagonal_state(np.diag([0.5, 0.5])), "square.json")
+    rect = write_state(tmp_path, diagonal_state(np.ones((2, 3)) / 6.0), "rect.json")
+    missing = str(tmp_path / "missing" / "out.json")
+    for argv in (
+        ["normal-form", square, "--output", missing],
+        ["normal-form", square, "--output", str(tmp_path / "nf.json"), "--filters", missing],
+        ["embed", rect, "--output", missing],
+    ):
+        capsys.readouterr()
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("filternorm: ") and err.count("\n") == 1, err
+        assert missing in err
+
+
+def test_every_documented_exit_code_is_reached(tmp_path, capsys):
+    """README's exit-code table and the cli docstring list the same codes, and
+    each is what some input gets; for 2 that is a state file that is missing."""
+    from filternorm import cli
+
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    table = readme.split("### Exit codes", 1)[1].split("\n## ", 1)[0]
+    documented = {int(code) for code in re.findall(r"^\| (\d) ", table, re.M)}
+    assert documented == {int(code) for code in re.findall(r"^(\d)  ", cli.__doc__, re.M)}
+    reach = {
+        0: write_state(tmp_path, diagonal_state(np.diag([0.5, 0.5])), "eq.json"),
+        1: write_state(tmp_path, neq2_state(), "neq.json"),
+        2: str(tmp_path / "missing.json"),
+        3: write_state(tmp_path, maximally_entangled(2), "npt.json"),
+        4: write_state(tmp_path, product_state(), "prod.json"),
+    }
+    assert documented == set(reach)
+    for code, path in reach.items():
+        assert main(["decide", path]) == code, path
+    capsys.readouterr()
 
 
 def test_exit_code_for_non_positive_matrices(tmp_path):
@@ -327,6 +397,15 @@ def test_analyze_outputs(tmp_path, capsys):
     prod = write_state(tmp_path, product_state(), "prod.json")
     assert main(["analyze", prod]) == 0
     assert "no full-tensor-rank vector found" in capsys.readouterr().out
+
+
+def test_analyze_reports_the_rank_the_decision_uses(tmp_path, capsys):
+    """analyze counts the eigenvalues that the decision's range cut keeps: a
+    tiny negative one that passes the PSD gate is not counted."""
+    state = BipartiteState(k=2, m=2, rho=np.diag([1.0, 1.0, 1.0, -1.5e-9]).astype(complex))
+    assert len(state_to_map(state).kraus) == 3
+    assert main(["analyze", write_state(tmp_path, state), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["rank"] == 3
 
 
 def test_analyze_reports_the_operator_schmidt_rank(tmp_path, capsys):
