@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 import numpy as np
@@ -35,8 +36,9 @@ from .decide import (
 from .linalg import DEFAULT_TOL, Tolerances, rank_eps
 from .scaling import check_2x2_inequality, filter_normal_form, pauli_coefficients
 from .states import (
+    _cholesky_range,
+    _full_rank_vector,
     embed_rectangular,
-    find_full_rank_vector,
     is_ppt,
     partial_trace_first,
     partial_trace_second,
@@ -189,18 +191,17 @@ def _decide(state, tol: Tolerances, seed: int):
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     state = load_state(args.state)
-    vector = find_full_rank_vector(state, rng=np.random.default_rng(args.seed))
     k, m = state.k, state.m
+    # one factor gives the range search and the rank, cut as the decision cuts
+    factor, basis = _cholesky_range(state, DEFAULT_TOL)
+    vector = _full_rank_vector(basis, k, m, np.random.default_rng(args.seed), DEFAULT_TOL)
     # the operator Schmidt rank is the rank of the realigned state
     realigned = state.blocks().transpose(0, 2, 1, 3).reshape(k * k, m * m)
-    # rank and PPT status read the spectra the state keeps; the rank is
-    # counted by the decision's range cut
-    eigs = state.spectrum
     doc = {
         "k": state.k,
         "m": state.m,
         "trace": float(np.real(np.trace(state.rho))),
-        "rank": int(np.count_nonzero(eigs > DEFAULT_TOL.rank_rel * eigs.max(initial=0.0))),
+        "rank": factor.shape[1],
         "ppt": bool(is_ppt(state)),
         "partial_trace_first": matrix_to_json(partial_trace_first(state)),
         "partial_trace_second": matrix_to_json(partial_trace_second(state)),
@@ -298,12 +299,16 @@ def _cmd_normal_form(args: argparse.Namespace) -> int:
         # the input passed every check above, so this is a numerical breakdown
         raise _Breakdown(f"scaling broke down: {exc}") from exc
 
-    save_state(result.state, args.output)
     filters_path = args.filters
     if filters_path is None:
         root = args.output[:-5] if args.output.endswith(".json") else args.output
         filters_path = root + ".filters.json"
-    save_filters(filters_path, result.left, result.right)
+    save_state(result.state, args.output)
+    try:
+        save_filters(filters_path, result.left, result.right)
+    except OSError:
+        os.remove(args.output)  # an exit 2 leaves no half-written result
+        raise
 
     doc = {
         "residual": result.residual,

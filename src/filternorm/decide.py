@@ -49,10 +49,9 @@ from .maps import (
 from .states import (
     BipartiteState,
     NotPositiveError,
-    _eigh,
+    _cholesky_range,
     _full_rank_vector,
-    _range,
-    _spectral_map,
+    _kraus_map,
     is_ppt,
     vec_to_matrix,
 )
@@ -200,24 +199,25 @@ def anchor_transform(
     tol = _tol(tol)
     if state.k != state.m:
         raise ValueError("anchoring requires a square state")
-    eigs, basis = _range(*_eigh(state), tol)
-    return _anchor_filter(v, eigs, basis, state.k, tol)
+    F, basis = _cholesky_range(state, tol)
+    return _anchor_filter(v, F, basis, state.k, tol)
 
 
 def _anchor_filter(
-    v: np.ndarray, eigs: np.ndarray, basis: np.ndarray, k: int, tol: Tolerances
+    v: np.ndarray, F: np.ndarray, basis: np.ndarray | None, k: int, tol: Tolerances
 ) -> tuple[np.ndarray, CpMap]:
-    """``P`` and the anchored map of :func:`anchor_transform`, from the state's
-    spectrum as :func:`_range` keeps it."""
+    """``P`` and the anchored map of :func:`anchor_transform`, from the
+    state's factor and range basis as ``states._cholesky_range`` gives them."""
     v = np.asarray(v, dtype=complex).reshape(-1)
     coeff = vec_to_matrix(v, k, k)
     if rank_eps(coeff, tol) < k:
         raise ValueError("anchor vector does not have full tensor rank")
-    resid = np.linalg.norm(basis @ (basis.conj().T @ v) - v)
-    if resid > 1e-8 * max(1.0, np.linalg.norm(v)):
-        raise ValueError("anchor vector is not in the range of the state")
+    if basis is not None:
+        resid = np.linalg.norm(basis @ (basis.conj().T @ v) - v)
+        if resid > 1e-8 * max(1.0, np.linalg.norm(v)):
+            raise ValueError("anchor vector is not in the range of the state")
     P = np.linalg.inv(coeff)
-    return P, transform(_spectral_map(eigs, basis, k, k), np.eye(k), P.T)
+    return P, transform(_kraus_map(F, k, k), np.eye(k), P.T)
 
 
 # ---------------------------------------------------------------------------
@@ -586,7 +586,7 @@ def decide_equivalence(
     samples one from the range with the given ``rng`` (default seed 0); if
     none of full tensor rank is found the verdict is inconclusive rather than
     negative.  The map decided on is :func:`anchor_transform`'s, built from
-    the decision's single ``eigh`` of ``rho``.
+    the decision's single factor of ``rho``, a pivoted Cholesky one.
 
     Returns a :class:`Verdict` whose certificate (for equivalent outcomes)
     carries everything the scaling stage needs.
@@ -596,14 +596,13 @@ def decide_equivalence(
         raise ValueError(
             "decision requires a square state; embed rectangular states first"
         )
-    # the PPT gate reads the spectra the state keeps; then one eigendecomposition
-    # of rho gives the range and the Kraus operators
+    # the PPT gate reads the proofs and spectra the state keeps; then one
+    # factor of rho gives the range and the Kraus operators
     if not is_ppt(state, tol):
         raise NotPositiveError("state is not PPT")
-    eigs, vecs = _eigh(state)
+    F, basis = _cholesky_range(state, tol)
     k = state.k
     rng = np.random.default_rng(0) if rng is None else rng
-    eigs, basis = _range(eigs, vecs, tol)
 
     if v is None:
         v = _full_rank_vector(basis, k, k, rng, tol)
@@ -622,7 +621,7 @@ def decide_equivalence(
             )
 
     # anchoring filters the Kraus operators, K -> K P^t; rho is never rebuilt
-    prefilter, T = _anchor_filter(v, eigs, basis, k, tol)
+    prefilter, T = _anchor_filter(v, F, basis, k, tol)
     Vprime = identity_projection(k)
     accumulated = np.eye(k, dtype=complex)
     blocks: list[tuple[Projection, float]] = []

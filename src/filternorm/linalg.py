@@ -43,7 +43,9 @@ class Tolerances:
     Attributes
     ----------
     rank_rel : float
-        Relative singular-value cutoff for rank decisions.  Also serves as the
+        Relative singular-value cutoff for rank decisions; for a state's
+        ``rho``, the pivoted Cholesky's cut (a pivot at most ``rank_rel``
+        times ``rho``'s largest diagonal entry ends the factor).  Also the
         relative positive-definiteness threshold for the quadratic model's Gram
         matrix (both default to 1e-9; they are deliberately the same knob).
         Its square root is the relative cutoff for principal angles in

@@ -5,7 +5,7 @@ index ``i*m + j`` (0-based), so ``numpy.kron`` and ``reshape(k, m)`` agree with
 the on-disk matrix layout.  A state's map acts as ``T(X) = G_rho(X^t)`` where
 ``G_rho(Y) = sum_i tr(A_i Y) B_i`` for any expansion ``rho = sum_i A_i (x) B_i``;
 in Kraus form the operators are the transposed coefficient matrices of the
-spectral decomposition, which makes ``rho`` the Choi matrix of ``T``.
+columns of a factor ``rho = F F*``, which makes ``rho`` the Choi matrix of ``T``.
 """
 
 from __future__ import annotations
@@ -106,6 +106,13 @@ class BipartiteState:
             return np.repeat(self._factor.pt_spectrum, self.k)
         return np.linalg.eigvalsh(partial_transpose(self))
 
+    @cached_property
+    def _pt_psd_proof(self) -> float | None:
+        """``_psd_proof`` for the partial transpose; an embedded state's is its factor's."""
+        if self._factor is not None:
+            return self._factor._pt_psd_proof
+        return _cholesky_psd_abs(partial_transpose(self))
+
     @property
     def order(self) -> int:
         return self.k * self.m
@@ -155,15 +162,16 @@ def partial_transpose(state: BipartiteState) -> np.ndarray:
 def is_ppt(state: BipartiteState, tol: Tolerances | None = None) -> bool:
     """Whether the state has a positive partial transpose.
 
-    Reads the spectra the state keeps, so the partial transpose is factored
-    at most once per state; ``rho`` itself is not factored where the
-    constructor's Cholesky proof holds under ``tol``.
+    ``rho`` and its partial transpose each pass by a shifted Cholesky's proof
+    where it holds under ``tol``, else by the spectrum the state keeps: only
+    a state that is not PPT, or not proved PPT, pays an ``eigvalsh``.
     """
-    proof = state._psd_proof
-    psd = proof is not None and proof <= _tol(tol).psd_abs
-    return (psd or _psd_spectrum(state.spectrum, tol)) and _psd_spectrum(
-        state.pt_spectrum, tol
-    )
+    def psd(proof: float | None, spectrum) -> bool:
+        return (proof is not None and proof <= _tol(tol).psd_abs) or _psd_spectrum(
+            spectrum(), tol)
+
+    return psd(state._psd_proof, lambda: state.spectrum) and psd(
+        state._pt_psd_proof, lambda: state.pt_spectrum)
 
 
 def partial_trace_first(state: BipartiteState) -> np.ndarray:
@@ -202,62 +210,86 @@ def find_full_rank_vector(
     """
     tol = _tol(tol)
     rng = np.random.default_rng(0) if rng is None else rng
-    _, basis = _range(*_eigh(state), tol)
+    _, basis = _cholesky_range(state, tol)
     return _full_rank_vector(basis, state.k, state.m, rng, tol)
 
 
-def _eigh(state: BipartiteState) -> tuple[np.ndarray, np.ndarray]:
-    """``np.linalg.eigh(state.rho)``, whose eigenvalues fill the state's
-    ``spectrum`` if it is still empty; an embedded state lifts its factor's
-    ``rho = U diag(w) U*`` to the eigenvectors ``Id_m (x) U (x) Id_k`` and
-    ``w`` repeated alike, put in ascending order by one stable sort."""
-    factor = state._factor
-    if factor is None:
-        eigs, vecs = np.linalg.eigh(state.rho)
-        vars(state).setdefault("spectrum", eigs)
-        return eigs, vecs
-    w, u = _eigh(factor)
-    k, m = factor.k, factor.m
-    eigs = np.tile(np.repeat(w, k), m)
-    order = np.argsort(eigs, kind="stable")
-    return eigs[order], np.kron(np.kron(np.eye(m), u), np.eye(k))[:, order]
+def _pivoted_cholesky(rho: np.ndarray, rank_rel: float) -> np.ndarray:
+    """``F`` with ``rho = F F*`` up to rounding, by a pivoted Cholesky.
 
-
-def _range(
-    eigs: np.ndarray, vecs: np.ndarray, tol: Tolerances
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues above ``rank_rel`` of the top one, and their eigenvectors.
-
-    From the ``eigh`` of a state, this is its range and spectral expansion;
-    one factorization serves :func:`find_full_rank_vector`, the anchor's
-    range check and :func:`state_to_map`.
+    Each column pivots on the largest diagonal entry of the Schur complement,
+    and the factor stops once that is at most ``rank_rel`` times ``rho``'s
+    largest diagonal entry (Higham, 1990).  Columns come in blocks of 128,
+    each corrected by its block's earlier ones; one GEMM per block updates
+    the Schur complement (Lucas, 2004).
     """
-    keep = eigs > tol.rank_rel * float(eigs.max(initial=0.0))
-    return eigs[keep], vecs[:, keep]
+    n = rho.shape[0]
+    schur, diag, index = rho, rho.diagonal().real.copy(), np.arange(n)
+    cut = rank_rel * diag.max(initial=0.0)
+    rows = np.zeros((n, n), dtype=complex)  # F's columns, as rows
+    r, block = 0, np.empty((0, n), dtype=complex)
+    while diag.max() > cut:
+        left = diag > -np.inf
+        if not left.all():  # take the last block out of the Schur complement
+            rest = block[:, left]
+            schur = schur[np.ix_(left, left)]
+            schur -= rest.T @ rest.conj()
+            diag, index = diag[left], index[left]
+        block = np.empty((min(128, diag.size), diag.size), dtype=complex)
+        for c in range(len(block)):
+            p = int(diag.argmax())
+            if not diag[p] > cut:
+                block = block[:c]
+                break
+            col = schur[p].conj()
+            if c:
+                col -= block[:c, p].conj() @ block[:c]
+            block[c] = col = col / np.sqrt(diag[p])
+            diag -= col.real ** 2 + col.imag ** 2
+            diag[p] = -np.inf  # a pivot taken
+        rows[r:r + len(block), index] = block
+        r += len(block)
+    return rows[:r].T
+
+
+def _cholesky_range(
+    state: BipartiteState, tol: Tolerances, basis: bool = True
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The pivoted Cholesky factor ``F`` of ``rho`` and, if ``basis``, an
+    orthonormal basis of its range (``None`` where that is the whole space);
+    an embedded state lifts its factor's to ``Id_m (x) F (x) Id_k``."""
+    factor = state._factor
+    if factor is not None:
+        eye_m, eye_k = np.eye(factor.m), np.eye(factor.k)
+        return tuple(None if x is None else np.kron(np.kron(eye_m, x), eye_k)
+                     for x in _cholesky_range(factor, tol, basis))
+    F = _pivoted_cholesky(state.rho, tol.rank_rel)
+    whole = not basis or F.shape[1] == state.order
+    return F, None if whole else np.linalg.qr(F)[0]
 
 
 def _full_rank_vector(
-    basis: np.ndarray, k: int, m: int, rng: np.random.Generator, tol: Tolerances
+    basis: np.ndarray | None, k: int, m: int, rng: np.random.Generator, tol: Tolerances
 ) -> np.ndarray | None:
-    """The search of :func:`find_full_rank_vector` in an orthonormal range basis.
+    """The search of :func:`find_full_rank_vector` in an orthonormal range
+    basis (``None``: the whole space).
 
     The 64 samples come from one draw (real, then imaginary parts) and one
     stacked SVD ranks them.  Each is normalized by its own norm, so it has the
     bits of a sample drawn alone, and ties (all samples score alike on a
     rank-one range or when ``k`` or ``m`` is one) go to the first.
     """
-    r = basis.shape[1]
+    r = k * m if basis is None else basis.shape[1]
     if r == 0:
         return None
     if k == m:
         u = np.eye(k, dtype=complex).reshape(k * k)
         u = u / np.linalg.norm(u)
-        residual = u - basis @ (basis.conj().T @ u)
-        if np.linalg.norm(residual) <= 1e-10:
+        if basis is None or np.linalg.norm(u - basis @ (basis.conj().T @ u)) <= 1e-10:
             return u
     draws = rng.standard_normal((64, 2, r))
     coeffs = draws[:, 0] + 1j * draws[:, 1]
-    vs = (basis @ coeffs[..., None])[..., 0]
+    vs = coeffs if basis is None else (basis @ coeffs[..., None])[..., 0]
     vs = vs / np.array([np.linalg.norm(v) for v in vs])[:, None]
     sv = np.linalg.svd(vs.reshape(-1, k, m), compute_uv=False)
     full = np.count_nonzero(sv > tol.rank_rel * sv[:, :1], axis=1) == min(k, m)
@@ -269,18 +301,18 @@ def _full_rank_vector(
 def state_to_map(state: BipartiteState, tol: Tolerances | None = None) -> CpMap:
     """The CP map ``T(X) = G_rho(X^t)`` whose Choi matrix is the state.
 
-    Kraus operators are the transposed coefficient matrices of the spectral
-    vectors (eigenvalues below ``rank_rel`` of the top are dropped).
+    Kraus operators are the transposed coefficient matrices of the columns of
+    the pivoted Cholesky factor ``rho = F F*``, one per unit of its rank.
     """
-    eigs, vecs = _range(*_eigh(state), _tol(tol))
-    return _spectral_map(eigs, vecs, state.k, state.m)
+    F, _ = _cholesky_range(state, _tol(tol), basis=False)
+    return _kraus_map(F, state.k, state.m)
 
 
-def _spectral_map(eigs: np.ndarray, vecs: np.ndarray, k: int, m: int) -> CpMap:
-    """The map of :func:`state_to_map` from the spectrum kept by :func:`_range`."""
-    if eigs.size == 0:
+def _kraus_map(F: np.ndarray, k: int, m: int) -> CpMap:
+    """The map of :func:`state_to_map` from a factor ``rho = F F*``."""
+    if F.shape[1] == 0:
         raise ValueError("the zero state has no associated map")
-    coeffs = (np.sqrt(eigs) * vecs).T.reshape(-1, k, m)
+    coeffs = F.T.reshape(-1, k, m)
     return CpMap(src_dim=k, dst_dim=m, kraus=np.ascontiguousarray(coeffs.swapaxes(1, 2)))
 
 
@@ -316,11 +348,11 @@ def embed_rectangular(state: BipartiteState) -> BipartiteState:
     ``(C^m (x) C^k) (x) (C^m (x) C^k)``; in operator Schmidt terms it is
     ``sum_n w_n (Id_m (x) C_n) (x) (D_n (x) Id_k)``.  It is PSD, inherits the
     PPT property, and its decision problem matches the rectangular original.
-    The result keeps ``state``: its spectra and ``eigh`` are the factor's,
-    each value repeated ``mk`` times, so no ``(mk)^2 x (mk)^2`` matrix is
-    factored.  It is exactly Hermitian and passes the PSD gate with the
-    factor's proof (the same eigenvalues and the same diagonal entries), so
-    it is not checked again.
+    The result keeps ``state``: its spectra are the factor's, each value
+    repeated ``mk`` times, and its Cholesky factor is the factor's, lifted,
+    so no ``(mk)^2 x (mk)^2`` matrix is factored.  It is exactly Hermitian
+    and passes the PSD gate with the factor's proof (the same eigenvalues
+    and the same diagonal entries), so it is not checked again.
     """
     k, m = state.k, state.m
     emb = object.__new__(BipartiteState)

@@ -130,7 +130,8 @@ def test_a_malformed_file_never_exits_1(tmp_path):
 
 def test_unwritable_outputs_exit_2(tmp_path, capsys):
     """An --output or --filters path in a missing directory exits 2 with a
-    one-line message, for normal-form and for embed."""
+    one-line message, for normal-form and for embed, and leaves no output
+    behind: an unwritable --filters path takes back the written state."""
     square = write_state(tmp_path, diagonal_state(np.diag([0.5, 0.5])), "square.json")
     rect = write_state(tmp_path, diagonal_state(np.ones((2, 3)) / 6.0), "rect.json")
     missing = str(tmp_path / "missing" / "out.json")
@@ -144,6 +145,7 @@ def test_unwritable_outputs_exit_2(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("filternorm: ") and err.count("\n") == 1, err
         assert missing in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["rect.json", "square.json"]
 
 
 def test_every_documented_exit_code_is_reached(tmp_path, capsys):
@@ -425,9 +427,10 @@ def test_analyze_reports_the_operator_schmidt_rank(tmp_path, capsys):
 
 def test_decide_checks_ppt_once(tmp_path, capsys, monkeypatch):
     """decide leaves the PPT test to the decision: the 16 x 16 state is
-    factored by the loader's PSD check (a Cholesky), the PPT check of its
-    partial transpose and then the decision's ``eigh``, and nothing else; a
-    non-PPT state still exits 3 with the decision's message."""
+    factored by the loader's PSD check and the decision's PPT check of its
+    partial transpose (two Choleskys) and by the decision's pivoted Cholesky,
+    which is numpy code, and by no ``eigh`` or ``eigvalsh``; a non-PPT state
+    still exits 3 with the decision's message."""
     path = write_state(tmp_path, hidden_blocky(4, [2, 2], np.random.default_rng(3)))
     npt = write_state(tmp_path, maximally_entangled(2), "npt.json")
     calls = []
@@ -438,18 +441,18 @@ def test_decide_checks_ppt_once(tmp_path, capsys, monkeypatch):
             return _fn(a, *args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
     assert main(["decide", path]) == 0
-    assert calls == ["cholesky", "eigvalsh", "eigh"]
+    assert calls == ["cholesky", "cholesky"]
     capsys.readouterr()
     assert main(["decide", npt]) == 3
     assert capsys.readouterr().err == "filternorm: state is not PPT\n"
 
 
 def test_analyze_factors_the_state_once(tmp_path, capsys, monkeypatch):
-    """analyze reads rank and PPT status off the spectra the state keeps: the
-    16 x 16 state is factored by the loader's PSD check (a Cholesky), the
-    range search's ``eigh`` (whose eigenvalues give the rank), the PPT check
-    of its partial transpose and the SVD of its realignment, and nothing
-    else."""
+    """analyze reads rank and PPT status off one factor and the proofs the
+    state keeps: the 16 x 16 state is factored by the loader's PSD check (a
+    Cholesky), the range search's pivoted Cholesky (numpy code, whose column
+    count is the rank), the PPT check of its partial transpose (a Cholesky)
+    and the SVD of its realignment, and by no ``eigh`` or ``eigvalsh``."""
     state = hidden_blocky(4, [2, 2], np.random.default_rng(3))
     path = write_state(tmp_path, state)
     want_rank = rank_eps(state.rho)
@@ -461,10 +464,24 @@ def test_analyze_factors_the_state_once(tmp_path, capsys, monkeypatch):
             return _fn(a, *args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
     assert main(["analyze", path, "--json"]) == 0
-    assert calls == ["cholesky", "eigh", "eigvalsh", "svd"]
+    assert calls == ["cholesky", "cholesky", "svd"]
     doc = json.loads(capsys.readouterr().out)
     assert doc["rank"] == want_rank == 8
     assert doc["ppt"] is True
+
+
+def test_importing_the_cli_loads_no_third_party_module_but_numpy():
+    """numpy is the only runtime dependency: beyond what the interpreter had
+    loaded at start, importing ``filternorm.cli`` loads the package, numpy
+    and standard-library modules only."""
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import filternorm.cli\n"
+            "added = {name.split('.')[0] for name in set(sys.modules) - before}\n"
+            "print(' '.join(sorted(added - set(sys.stdlib_module_names))))\n")
+    out = subprocess.run([sys.executable, "-c", code], env=cli_env(), capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == ["filternorm", "numpy"]
 
 
 def test_verdict_json_is_reproducible_for_a_fixed_seed(tmp_path):

@@ -33,6 +33,7 @@ from filternorm import (
     partial_transpose,
     solve_adjoint_block,
     state_to_map,
+    states,
     transform,
 )
 from filternorm.decide import (
@@ -822,19 +823,21 @@ def test_quadratic_model_matches_the_pairwise_reference_loop(k, s):
 
 
 def test_decide_factors_the_state_once(monkeypatch):
-    """One decision runs one eigendecomposition of the k^2 x k^2 state.
+    """One decision factors the k^2 x k^2 state once, by a pivoted Cholesky,
+    and runs no ``eigh`` or ``eigvalsh`` of a k^2 x k^2 matrix.
 
     Its range, the anchor's range check and the Kraus operators all read that
-    ``eigh``; the anchored map is the Kraus stack times ``P^t``, so no
-    filtered state is built and factored.  The only other k^2 x k^2
-    factorization is the PPT check of the partial transpose, which comes
-    first, and the state keeps that spectrum: after ``is_ppt`` the decision
-    runs only the ``eigh``, and a state that is not PPT is rejected with no
-    ``eigh`` at all.  The constructor's PSD gate is a Cholesky, so ``rho``
-    gets no ``eigvalsh``.  The corner search cuts the whole space by its
-    Arnoldi search, so a two-block decision factors no real k^2 x k^2 corner
-    representation either (no ``eigvals``, no SVD), and it certifies an
-    irreducible whole space by matvecs: ``separable_full_rank(12)`` and an
+    factor; the anchored map is the Kraus stack times ``P^t``, so no filtered
+    state is built and factored.  The PPT gate proves the partial transpose
+    PSD by one shifted Cholesky, which comes first, and the state keeps that
+    proof: after ``is_ppt`` the decision runs no ``numpy.linalg``
+    factorization of a k^2 x k^2 matrix at all, and a state that is not PPT
+    is rejected after one ``eigvalsh`` of its partial transpose, before
+    ``rho`` is factored.  The constructor's PSD gate is a Cholesky, so
+    ``rho`` gets no ``eigvalsh``.  The corner search cuts the whole space by
+    its Arnoldi search, so a two-block decision factors no real k^2 x k^2
+    corner representation either (no ``eigvals``, no SVD), and it certifies
+    an irreducible whole space by matvecs: ``separable_full_rank(12)`` and an
     embedded 4 x 5 pattern factor no 144 x 144 or 400 x 400 one.
     """
     calls = []
@@ -844,35 +847,50 @@ def test_decide_factors_the_state_once(monkeypatch):
                 calls.append((_name, np.iscomplexobj(a), np.array(a)))
             return _fn(a, *args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
+    factored = []
+
+    def pivoted_cholesky(rho, *args, _fn=states._pivoted_cholesky):
+        factored.append(np.array(rho))
+        return _fn(rho, *args)
+    monkeypatch.setattr(states, "_pivoted_cholesky", pivoted_cholesky)
 
     def state_calls():
         return [(name, a) for name, cplx, a in calls if cplx and a.shape == (16, 16)]
 
+    def eigendecompositions(n):
+        return [name for name, cplx, a in calls
+                if a.shape == (n, n) and name in ("eigh", "eigvalsh")]
+
     rng = np.random.default_rng(9)
     for st in (hidden_blocky(4, [2, 2], rng), hidden_upper_triangular(4, rng)):
         calls.clear()
+        factored.clear()
         decide_equivalence(st)
-        assert [name for name, _ in state_calls()] == ["eigvalsh", "eigh"]
-        assert np.abs(state_calls()[0][1] - partial_transpose(st)).max() == 0.0
-        assert np.array_equal(state_calls()[1][1], st.rho)
+        assert [name for name, _ in state_calls()] == ["cholesky"]
+        assert np.abs(state_calls()[0][1] - partial_transpose(st)).max() <= 1e-8
+        assert len(factored) == 1 and np.array_equal(factored[0], st.rho)
         calls.clear()
         fresh = BipartiteState(k=st.k, m=st.m, rho=st.rho)
         assert is_ppt(fresh)
-        assert [name for name, _ in state_calls()] == ["cholesky", "eigvalsh"]
+        assert [name for name, _ in state_calls()] == ["cholesky", "cholesky"]
         calls.clear()
+        factored.clear()
         decide_equivalence(fresh)
-        assert [name for name, _ in state_calls()] == ["eigh"]
+        assert state_calls() == [] and len(factored) == 1
     npt = maximally_entangled(4)
     calls.clear()
+    factored.clear()
     with pytest.raises(NotPositiveError):
         decide_equivalence(npt)
-    assert [name for name, _ in state_calls()] == ["eigvalsh"]
+    assert [name for name, _ in state_calls()] == ["cholesky", "eigvalsh"]
+    assert factored == []
     st = hidden_blocky(8, [4, 4], rng)
     calls.clear()
     verdict = decide_equivalence(st)
     assert verdict.outcome == OUTCOME_EQUIVALENT
     assert not [name for name, cplx, a in calls
                 if not cplx and a.shape == (64, 64) and name in ("eigvals", "svd")]
+    assert eigendecompositions(64) == []
     w = rng.uniform(0.2, 2.0, size=(4, 5))
     pattern = apply_filter(pattern_state(w), random_invertible(4, rng), random_invertible(5, rng))
     for st in (separable_full_rank(12, rng), embed_rectangular(pattern)):
@@ -881,37 +899,71 @@ def test_decide_factors_the_state_once(monkeypatch):
         assert [V.rank for V, _ in verdict.blocks] == [st.k]
         assert not [name for name, cplx, a in calls
                     if not cplx and a.shape[0] == st.k ** 2 and name in ("eigvals", "svd")]
+        assert eigendecompositions(st.k ** 2) == []
 
 
 def test_embedded_decision_factors_only_the_factor(monkeypatch):
     """An embedded 4 x 5 state is decided from its 20 x 20 factor.
 
-    Embedding it, its PPT test and its decision run no ``eigh`` or
-    ``eigvalsh`` of the 400 x 400 embedded matrix or of its partial
-    transpose: the spectra and the ``eigh`` are the factor's, lifted.  The
-    same matrix as a plain state, which carries no factor, does factor it.
+    Embedding it, its PPT test and its decision factor neither the 400 x 400
+    embedded matrix nor its partial transpose: the PPT proofs and the
+    pivoted Cholesky factor are the factor's, and no ``eigh`` or
+    ``eigvalsh`` runs on the factor, its partial transpose or a 400 x 400
+    matrix (the 20 x 20 ones left are the corner's Perron data).  The same
+    matrix as a plain state, which carries no factor, does factor it.  It
+    runs no ``eigh``; its entries reach 11, too large for the shifted
+    Cholesky's rounding bound at n = 400, so its PSD and PPT gates fall back
+    to ``eigvalsh``.
     """
-    calls = []
-    for name in ("eigh", "eigvalsh"):
-        def counted(a, *args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
-            calls.append((_name, np.shape(a)))
-            return _fn(a, *args, **kwargs)
-        monkeypatch.setattr(np.linalg, name, counted)
-
     rng = np.random.default_rng(45)
     w = rng.uniform(0.2, 2.0, size=(4, 5))
     st = apply_filter(pattern_state(w), random_invertible(4, rng), random_invertible(5, rng))
+    calls = []
+    for name in ("eigh", "eigvalsh", "cholesky"):
+        def counted(a, *args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
+            if _name == "cholesky" or np.shape(a) == (400, 400) or any(
+                    np.array_equal(a, b) for b in (st.rho, partial_transpose(st))):
+                calls.append((_name, np.shape(a)))
+            return _fn(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+
+    def pivoted_cholesky(rho, *args, _fn=states._pivoted_cholesky):
+        calls.append(("pivoted_cholesky", np.shape(rho)))
+        return _fn(rho, *args)
+    monkeypatch.setattr(states, "_pivoted_cholesky", pivoted_cholesky)
+
     calls.clear()
     emb = embed_rectangular(st)
     assert is_ppt(emb)
     verdict = decide_equivalence(emb)
     assert verdict.outcome == OUTCOME_EQUIVALENT
     assert [V.rank for V, _ in verdict.blocks] == [20]
-    assert not [c for c in calls if c[1] == (400, 400)]
-    assert ("eigvalsh", (20, 20)) in calls and ("eigh", (20, 20)) in calls
+    assert calls == [("cholesky", (20, 20)), ("pivoted_cholesky", (20, 20))]
     calls.clear()
     decide_equivalence(BipartiteState(k=emb.k, m=emb.m, rho=emb.rho))
-    assert ("eigh", (400, 400)) in calls
+    assert calls == [("eigvalsh", (400, 400)), ("eigvalsh", (400, 400)),
+                     ("pivoted_cholesky", (400, 400))]
+
+
+def test_the_range_cut_keeps_the_boundary_states_outcomes():
+    """``diag([[1, 1], [eps, 1]]) / (3 + eps)`` on either side of the cut.
+
+    At eps = 2e-9 the factor keeps the eps entry (a pivot above ``rank_rel``
+    times the largest diagonal entry), so the map has four Kraus operators
+    and is equivalent.  At eps = 1e-9 the entry is not above the cut, as its
+    eigenvalue was not above ``rank_rel * lambda_max``: the map is
+    ``neq2``'s, with three operators, and is not equivalent at a positive
+    minimum.
+    """
+    for eps, rank, outcome in [(2e-9, 4, OUTCOME_EQUIVALENT), (1e-9, 3, OUTCOME_NOT_EQUIVALENT)]:
+        st = diagonal_state(np.array([[1.0, 1.0], [eps, 1.0]]) / (3.0 + eps))
+        assert len(state_to_map(st).kraus) == rank, eps
+        verdict = decide_equivalence(st)
+        assert verdict.outcome == outcome, eps
+        if outcome == OUTCOME_NOT_EQUIVALENT:
+            assert verdict.witness.stage == STAGE_F_MIN_POSITIVE
+            want = decide_equivalence(neq2_state()).witness.min_f
+            assert abs(verdict.witness.min_f - want) <= 1e-9 * abs(want)
 
 
 def _separable_mixture(k, m, count, rng):

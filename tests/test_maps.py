@@ -27,6 +27,7 @@ from filternorm.linalg import (
     psd_check,
 )
 from filternorm.maps import _corner_perron
+from filternorm.states import _pivoted_cholesky
 from helpers import random_unitary, unitary_mixture, upper_triangular_map_kraus
 
 
@@ -130,13 +131,13 @@ def test_stacked_kraus_operations_match_the_per_operator_loop():
     R = rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5))
     b = projector_onto(np.linalg.qr(rng.standard_normal((4, 2)))[0]).basis
     st = random_state(3, 2, rank=4, rng=rng)
-    eigs, vecs = np.linalg.eigh(st.rho)
+    F = _pivoted_cholesky(st.rho, 1e-9)
+    assert F.shape == (6, 4)
     cases = [
         (adjoint(T), [dagger(K) for K in T.kraus]),
         (transform(T, L, R), [L @ K @ R for K in T.kraus]),
         (restrict_to_corner(T, projector_onto(b)), [dagger(b) @ K @ b for K in T.kraus]),
-        (state_to_map(st), [(np.sqrt(e) * v).reshape(3, 2).T
-                            for e, v in zip(eigs[-4:], vecs[:, -4:].T)]),
+        (state_to_map(st), [f.reshape(3, 2).T for f in F.T]),
     ]
     for got, want in cases:
         assert np.array_equal(got.kraus, np.stack(want))

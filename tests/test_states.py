@@ -22,7 +22,8 @@ from filternorm import (
     vec_to_matrix,
 )
 from filternorm.linalg import Tolerances, psd_check, rank_eps
-from filternorm.states import _eigh
+from filternorm.states import _cholesky_range, _pivoted_cholesky
+from helpers import hidden_blocky, separable_full_rank
 
 
 def test_state_constructor_rejects_bad_input():
@@ -211,8 +212,9 @@ def test_full_rank_search_matches_the_sample_loop():
     for bit, fails where it fails, and leaves the generator where it does.
     On a rank-one range, and when k or m is one, every sample scores alike,
     so this also pins how ties break.  The loop gets the range basis the
-    search reads: the state's ``eigh``, lifted from the factor for an
-    embedded state (its eigenvalues repeat, so its basis is not unique)."""
+    search reads: the QR of the state's pivoted Cholesky factor (lifted from
+    the factor's for an embedded state), or the standard basis where that
+    factor has full rank."""
     rng = np.random.default_rng(15)
     anti = diagonal_state(np.array([[0.0, 1.0], [1.0, 0.0]]) / 2.0)
     vec = np.kron(np.array([1.0, 0.5]), np.array([1.0, -0.5, 2.0])).astype(complex)
@@ -224,8 +226,8 @@ def test_full_rank_search_matches_the_sample_loop():
     states.append(embed_rectangular(random_state(3, 2, rank=3, rng=rng)))
     misses = 0
     for st in states:
-        eigs, vecs = _eigh(st)
-        basis = vecs[:, eigs > DEFAULT_TOL.rank_rel * eigs.max()]
+        _, basis = _cholesky_range(st, DEFAULT_TOL)
+        basis = np.eye(st.order) if basis is None else basis
         for seed in range(5):
             got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             got = find_full_rank_vector(st, rng=got_rng)
@@ -236,6 +238,35 @@ def test_full_rank_search_matches_the_sample_loop():
             assert got is None or np.array_equal(got, want), (st.k, st.m, seed)
             assert got_rng.bit_generator.state == want_rng.bit_generator.state
     assert 0 < misses < 5 * len(states)
+
+
+def test_pivoted_cholesky_rebuilds_rho_and_cuts_where_eigh_does():
+    """``F F*`` rebuilds ``rho`` to rounding, and the number of columns is
+    the rank that the cut of ``eigh``'s eigenvalues at ``rank_rel`` times the
+    largest gives, on spectra with a clear gap: hidden blocks (at k = 16 the
+    rank 128 fills one block of columns exactly, and the separable k = 12
+    state's 144 takes two), rank one, k = 1, and a zero diagonal entry,
+    whose row of ``F`` is zero."""
+    rng = np.random.default_rng(21)
+    vec = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    padded = random_state(3, 3, rank=5, rng=rng).rho.copy()
+    padded[4, :] = padded[:, 4] = 0.0
+    states = [hidden_blocky(4, [2, 2], rng), hidden_blocky(8, [3, 3, 2], rng),
+              hidden_blocky(16, [8, 8], rng), separable_full_rank(12, rng),
+              BipartiteState(k=2, m=3, rho=np.outer(vec, vec.conj())),
+              random_state(1, 4, rank=2, rng=rng), random_state(1, 1, rng=rng),
+              BipartiteState(k=3, m=3, rho=padded)]
+    ranks = []
+    for st in states:
+        F = _pivoted_cholesky(st.rho, DEFAULT_TOL.rank_rel)
+        eigs = np.linalg.eigvalsh(st.rho)
+        want = np.count_nonzero(eigs > DEFAULT_TOL.rank_rel * eigs.max())
+        assert F.shape == (st.order, want), (st.k, st.m)
+        scale = np.abs(st.rho).max()
+        assert np.abs(F @ F.conj().T - st.rho).max() <= 1e-12 * scale, (st.k, st.m)
+        ranks.append(want)
+    assert ranks == [8, 22, 128, 144, 1, 2, 1, 5]
+    assert not _pivoted_cholesky(padded, DEFAULT_TOL.rank_rel)[4].any()
 
 
 def test_apply_filter_matches_kron_congruence():
@@ -270,9 +301,10 @@ def test_apply_filter_preserves_ppt():
 def test_embed_matches_entrywise_assembly():
     """embed_rectangular equals the index-bookkeeping oracle exactly.
 
-    Its spectrum, partial-transpose spectrum and ``eigh`` come from the
-    factor and match the dense factorizations of the embedded matrix, for
-    full-rank, rank-deficient and NPT factors.
+    Its spectrum and partial-transpose spectrum come from the factor and
+    match the dense factorizations of the embedded matrix, for full-rank,
+    rank-deficient and NPT factors.  So do its Cholesky factor and range
+    basis, lifted: they rebuild the embedded matrix and span its range.
     """
     rng = np.random.default_rng(11)
     factors = [random_state(k, m, rng=rng) for k, m in [(2, 3), (3, 2), (2, 2), (4, 5)]]
@@ -290,11 +322,14 @@ def test_embed_matches_entrywise_assembly():
                            (emb.pt_spectrum, np.linalg.eigvalsh(partial_transpose(emb)))]:
             assert np.abs(got - dense).max() <= 1e-12 * np.abs(dense).max(), (k, m)
         assert is_ppt(emb) == is_ppt(st)
-        eigs, vecs = _eigh(emb)
-        assert np.all(np.diff(eigs) >= 0)
-        rebuilt = (vecs * eigs) @ vecs.conj().T
-        assert np.abs(rebuilt - emb.rho).max() <= 1e-12 * np.abs(emb.rho).max()
-        assert np.abs(vecs.conj().T @ vecs - np.eye(emb.order)).max() <= 1e-12
+        F, basis = _cholesky_range(emb, DEFAULT_TOL)
+        assert F.shape[1] == k * m * _cholesky_range(st, DEFAULT_TOL)[0].shape[1]
+        assert np.abs(F @ F.conj().T - emb.rho).max() <= 1e-12 * np.abs(emb.rho).max()
+        if F.shape[1] == emb.order:
+            assert basis is None
+        else:
+            assert np.abs(basis.conj().T @ basis - np.eye(F.shape[1])).max() <= 1e-12
+            assert np.abs(basis @ (basis.conj().T @ F) - F).max() <= 1e-12
     assert not is_ppt(embed_rectangular(npt))
 
 
