@@ -572,6 +572,9 @@ def alignment_transform(
 # ---------------------------------------------------------------------------
 
 
+_ANCHOR_DRAWS = 3  # anchors a decision tries before it raises a breakdown
+
+
 def decide_equivalence(
     state: BipartiteState,
     v: np.ndarray | None = None,
@@ -588,6 +591,14 @@ def decide_equivalence(
     negative.  The map decided on is :func:`anchor_transform`'s, built from
     the decision's single factor of ``rho``, a pivoted Cholesky one.
 
+    A numerical breakdown (``RuntimeError`` or ``ValueError``) under a
+    sampled anchor says nothing about the state, so the loop runs again on a
+    fresh sample, up to three anchors in all; a retried anchor's negative
+    verdict needs a minimum above ``sqrt(rank_rel)`` times the quadratic
+    model's constant, as a cancellation of the constant is how a breakdown
+    shows up as a wrong negative.  If every anchor breaks down, the first
+    breakdown is raised.  A supplied ``v`` is decided once.
+
     Returns a :class:`Verdict` whose certificate (for equivalent outcomes)
     carries everything the scaling stage needs.
     """
@@ -602,24 +613,39 @@ def decide_equivalence(
         raise NotPositiveError("state is not PPT")
     F, basis = _cholesky_range(state, tol)
     k = state.k
+    if v is not None:
+        return _decide_anchored(v, F, basis, k, tol, retried=False)
     rng = np.random.default_rng(0) if rng is None else rng
-
-    if v is None:
-        v = _full_rank_vector(basis, k, k, rng, tol)
+    first = None
+    for draw in range(_ANCHOR_DRAWS):
+        v = _full_rank_vector(basis, k, k, rng, tol, canonical=not draw)
         if v is None:
-            witness = FailureWitness(
-                stage=STAGE_NO_FULL_RANK_VECTOR,
-                projection=None,
-                min_f=None,
-                gram_min_eig=None,
-            )
-            return Verdict(
-                outcome=OUTCOME_INCONCLUSIVE,
-                blocks=(),
-                iterations=0,
-                witness=witness,
-            )
+            break
+        try:
+            return _decide_anchored(v, F, basis, k, tol, retried=bool(draw))
+        except (RuntimeError, ValueError) as exc:
+            first = exc if first is None else first
+    if first is not None:
+        raise first
+    witness = FailureWitness(
+        stage=STAGE_NO_FULL_RANK_VECTOR,
+        projection=None,
+        min_f=None,
+        gram_min_eig=None,
+    )
+    return Verdict(
+        outcome=OUTCOME_INCONCLUSIVE,
+        blocks=(),
+        iterations=0,
+        witness=witness,
+    )
 
+
+def _decide_anchored(
+    v: np.ndarray, F: np.ndarray, basis: np.ndarray | None, k: int, tol: Tolerances,
+    retried: bool,
+) -> Verdict:
+    """The decision loop of :func:`decide_equivalence` under the anchor ``v``."""
     # anchoring filters the Kraus operators, K -> K P^t; rho is never rebuilt
     prefilter, T = _anchor_filter(v, F, basis, k, tol)
     Vprime = identity_projection(k)
@@ -648,6 +674,9 @@ def decide_equivalence(
 
         result = solve_adjoint_block(T, V, lam, delta, tol)
         if result.W is None:
+            margin = np.sqrt(tol.rank_rel) * result.model.constant
+            if retried and not (result.min_f is not None and result.min_f > margin):
+                raise RuntimeError("retried anchor's negative verdict has no margin")
             stage = STAGE_GRAM_NOT_PD if result.min_f is None else STAGE_F_MIN_POSITIVE
             witness = FailureWitness(
                 stage=stage,

@@ -1,5 +1,6 @@
 """Decision pipeline: anchoring, corner search, quadratic solver, main loop."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -36,6 +37,7 @@ from filternorm import (
     states,
     transform,
 )
+from filternorm import decide as decide_module
 from filternorm.decide import (
     _coords_to_block,
     _verify_paired_block,
@@ -1078,14 +1080,15 @@ def test_gap_cut_decides_under_one_blas_thread():
 def test_gap_cut_on_a_nearly_invariant_corner_gives_no_verdict():
     """Seed 475 of the scrambled upper-triangular k=12 draws.
 
-    The first Perron vector has singular values (relative) 1, ..., 4e-4,
-    4e-7, 5e-8, 5e-9, 7e-10, 1e-14.  Cut at its widest gap (rank 7) the
-    corner's invariance defect is 2e-7 of the map's norm, inside
-    ``corner_rep``'s 1e-6 guard; the ``rank_rel`` cut (rank 10) fails that
-    guard.  Neither corner is invariant to the precision the quadratic
-    model needs, and its cross-check is what stops a verdict.  Certified
-    verdicts (ROADMAP item 1) should turn the raise into ``inconclusive``;
-    a wrong verdict fails here either way.
+    Under the anchor drawn from ``rho``'s eigenvectors, the first Perron
+    vector has singular values (relative) 1, ..., 4e-4, 4e-7, 5e-8, 5e-9,
+    7e-10, 1e-14.  Cut at its widest gap (rank 7) the corner's invariance
+    defect is 2e-7 of the map's norm, inside ``corner_rep``'s 1e-6 guard;
+    the ``rank_rel`` cut (rank 10) fails that guard.  Neither corner is
+    invariant to the precision the quadratic model needs, and its
+    cross-check stopped a verdict there.  The anchor drawn from the pivoted
+    Cholesky factor's range decides it, and a breakdown would be retried
+    under a fresh anchor.  A wrong verdict fails here either way.
     """
     st = hidden_upper_triangular(12, np.random.default_rng(475))
     try:
@@ -1096,6 +1099,85 @@ def test_gap_cut_on_a_nearly_invariant_corner_gives_no_verdict():
         assert verdict.outcome in (OUTCOME_NOT_EQUIVALENT, OUTCOME_INCONCLUSIVE)
         if verdict.outcome == OUTCOME_NOT_EQUIVALENT:
             assert verdict.witness.stage == STAGE_F_MIN_POSITIVE
+
+
+_CORNER_SEARCH, _ANCHOR_FILTER = decide_module.find_irreducible_corner, decide_module._anchor_filter
+
+
+def _break_first_corner_searches(monkeypatch, count):
+    """Make the first ``count`` corner searches of a decision raise; returns
+    the anchors the decision tried and the breakdowns it met."""
+    anchors, breakdowns = [], []
+
+    def corner(T, V, tol):
+        if len(breakdowns) < count:
+            breakdowns.append(f"breakdown {len(breakdowns) + 1}")
+            raise RuntimeError(breakdowns[-1])
+        return _CORNER_SEARCH(T, V, tol)
+
+    def anchor(v, *args):
+        anchors.append(v)
+        return _ANCHOR_FILTER(v, *args)
+
+    monkeypatch.setattr(decide_module, "find_irreducible_corner", corner)
+    monkeypatch.setattr(decide_module, "_anchor_filter", anchor)
+    return anchors, breakdowns
+
+
+def test_a_breakdown_under_a_sampled_anchor_is_decided_under_a_fresh_one(monkeypatch):
+    """A breakdown says nothing about the state, so the decision runs again
+    on a fresh sample from the range: after the maximally entangled vector
+    on a full-rank state, after a sample on a rank-deficient one.  A
+    supplied anchor is decided once, and its breakdown is raised."""
+    rng = np.random.default_rng(21)
+    cases = [(hidden_blocky(4, [2, 2], rng), [2, 2]), (separable_full_rank(3, rng), [3])]
+    for st, ranks in cases:
+        anchors, breakdowns = _break_first_corner_searches(monkeypatch, 1)
+        verdict = decide_equivalence(st)
+        assert verdict.outcome == OUTCOME_EQUIVALENT
+        assert sorted(V.rank for V, _ in verdict.blocks) == ranks
+        assert len(anchors) == 2 and breakdowns == ["breakdown 1"]
+        assert not np.allclose(anchors[0], anchors[1])
+    assert np.allclose(anchors[0], np.eye(3).reshape(9) / np.sqrt(3))
+    anchors, breakdowns = _break_first_corner_searches(monkeypatch, 1)
+    with pytest.raises(RuntimeError, match="^breakdown 1$"):
+        decide_equivalence(st, v=np.eye(3, dtype=complex).reshape(9))
+    assert len(anchors) == 1
+
+
+def test_every_anchor_breaking_down_raises_the_first_breakdown(monkeypatch):
+    """Three anchors in all; the first breakdown is the one raised."""
+    st = hidden_blocky(4, [2, 2], np.random.default_rng(22))
+    anchors, breakdowns = _break_first_corner_searches(monkeypatch, 5)
+    with pytest.raises(RuntimeError, match="^breakdown 1$"):
+        decide_equivalence(st)
+    assert len(anchors) == 3 and len(breakdowns) == 3
+
+
+def test_a_retried_anchor_gives_a_negative_verdict_only_with_a_margin(monkeypatch):
+    """A retried anchor's positive minimum must exceed ``sqrt(rank_rel)``
+    times the quadratic model's constant; a smaller one, the cancellation
+    behind the wrong negatives of ill-filtered states, counts as a breakdown.
+    The first anchor's verdict is not held to that margin."""
+    st = hidden_upper_triangular(6, np.random.default_rng(23))
+    _break_first_corner_searches(monkeypatch, 1)
+    verdict = decide_equivalence(st)
+    assert verdict.outcome == OUTCOME_NOT_EQUIVALENT
+    assert verdict.witness.stage == STAGE_F_MIN_POSITIVE
+
+    real_solve = decide_module.solve_adjoint_block
+
+    def cancelled(*args):
+        result = real_solve(*args)
+        return dataclasses.replace(result, min_f=1e-6 * result.model.constant)
+
+    monkeypatch.setattr(decide_module, "solve_adjoint_block", cancelled)
+    anchors, _ = _break_first_corner_searches(monkeypatch, 1)
+    with pytest.raises(RuntimeError, match="^breakdown 1$"):
+        decide_equivalence(st)
+    assert len(anchors) == 3
+    _break_first_corner_searches(monkeypatch, 0)
+    assert decide_equivalence(st).outcome == OUTCOME_NOT_EQUIVALENT
 
 
 # ``_corner_perron``'s PSD check still fails on some ill-conditioned draws
