@@ -276,6 +276,12 @@ def _cmd_decide(args: argparse.Namespace) -> int:
 
 
 def _cmd_normal_form(args: argparse.Namespace) -> int:
+    filters_path = args.filters
+    if filters_path is None:
+        root = args.output[:-5] if args.output.endswith(".json") else args.output
+        filters_path = root + ".filters.json"
+    if os.path.realpath(filters_path) == os.path.realpath(args.output):
+        raise argparse.ArgumentError(None, "--filters and --output name the same file")
     state = load_state(args.state)
     tol = _tolerances(args)
     if state.k != state.m:
@@ -299,10 +305,6 @@ def _cmd_normal_form(args: argparse.Namespace) -> int:
         # the input passed every check above, so this is a numerical breakdown
         raise _Breakdown(f"scaling broke down: {exc}") from exc
 
-    filters_path = args.filters
-    if filters_path is None:
-        root = args.output[:-5] if args.output.endswith(".json") else args.output
-        filters_path = root + ".filters.json"
     save_state(result.state, args.output)
     try:
         save_filters(filters_path, result.left, result.right)
@@ -365,7 +367,7 @@ def main(argv: list[str] | None = None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (StateFormatError, OSError) as exc:
+    except (StateFormatError, OSError, argparse.ArgumentError) as exc:
         _err(str(exc))
         return EXIT_BAD_FORMAT
     except (NotPositiveError, _Rejected) as exc:

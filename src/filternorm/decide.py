@@ -176,7 +176,6 @@ class AdjointBlockResult:
     min_f: float | None
     gram_min_eig: float | None
     model: QuadraticModel
-    argmin: np.ndarray | None
 
 
 # ---------------------------------------------------------------------------
@@ -342,10 +341,11 @@ def adjoint_block_quadratic(T1: CpMap, s: int) -> QuadraticModel:
     X-free term, the linear part from the upper-right blocks of
     ``T_1(low)`` and ``T_1*(V_1)`` (no map evaluation per basis block), and
     the Gram matrix from the associated bilinear form, contracted over all
-    basis pairs at once.  Both the quadratic expansion and the
-    original expression above are re-evaluated at 30 random points as a
-    mandatory cross-check (RuntimeError on mismatch — it means ``T_1``
-    violates the normalization preconditions).
+    basis pairs at once.  The original expression above, the only reference,
+    is re-evaluated at 30 random points as a mandatory cross-check: the
+    expansion holds only under the normalization's preconditions, so a
+    mismatch (RuntimeError) means ``T_1`` violates them, most often by not
+    keeping the leading corner invariant.
     """
     k = T1.src_dim
     ns = k - s
@@ -373,19 +373,6 @@ def adjoint_block_quadratic(T1: CpMap, s: int) -> QuadraticModel:
         out[..., :s, s:] = dagger(X)
         out[..., s:, :s] = X
         return out
-
-    def f_direct(X: np.ndarray) -> np.ndarray:
-        Xc = dagger(X)
-        b2 = np.zeros(X.shape[:-2] + (k, k), dtype=complex)
-        b2[..., :s, :s] = Xc @ X
-        b2[..., :s, s:] = -Xc
-        b2[..., s:, :s] = -X
-        t2 = _trace(A @ b2)
-        c3 = off(X)
-        c3[..., s:, s:] = X @ Xc
-        t3 = _trace(apply(T1a, c3)[..., s:, s:])
-        t4 = _trace(apply(T1a, off(X)) @ (-off(X)))
-        return np.real(constant + t2 + t3 + t4)
 
     def f_original(X: np.ndarray) -> np.ndarray:
         eye = np.broadcast_to(np.eye(s), X.shape[:-2] + (s, s))
@@ -418,14 +405,12 @@ def adjoint_block_quadratic(T1: CpMap, s: int) -> QuadraticModel:
 
     model = QuadraticModel(n=n, gram=gram, linear=linear, constant=constant)
 
-    # mandatory cross-check against both direct forms
+    # mandatory cross-check against the original objective
     x = np.random.default_rng(2026).standard_normal((30, n))
-    X = _coords_to_block(x, ns, s)
-    want = f_direct(X)
+    want = f_original(_coords_to_block(x, ns, s))
     got = constant + x @ linear + ((x @ gram) * x).sum(1)
     scale = np.maximum(1.0, np.maximum(np.abs(want), np.abs(got)))
-    misfit = np.maximum(np.abs(got - want), np.abs(got - f_original(X)))
-    if np.any(misfit > 1e-8 * scale):
+    if np.any(np.abs(got - want) > 1e-8 * scale):
         raise RuntimeError(
             "quadratic model cross-check failed: the normalized map violates "
             "its invariance preconditions"
@@ -455,54 +440,36 @@ def solve_adjoint_block(
     (numerically) zero minimum yields the block ``W`` as the image of
     ``Q* [Id; S]`` for the minimizing ``S``.  A degenerate Gram matrix or a
     positive minimum means no such block exists and the result carries the
-    diagnostics instead.
+    diagnostics instead.  A corner that is the whole space is its own paired
+    block: the model then has no coordinates, and its constant, the trace of
+    an empty block, is exactly zero.
     """
     tol = _tol(tol)
     k = T.src_dim
     Q, T1, s = normalize_corner(T, V, lam, delta, tol)
     model = adjoint_block_quadratic(T1, s)
-
-    if model.n == 0:
-        if model.constant <= tol.zero_f:
-            W = identity_projection(k)
-            return AdjointBlockResult(
-                W=W,
-                min_f=model.constant,
-                gram_min_eig=None,
-                model=model,
-                argmin=np.zeros(0),
-            )
+    if s == k:
         return AdjointBlockResult(
-            W=None,
-            min_f=model.constant,
-            gram_min_eig=None,
-            model=model,
-            argmin=None,
+            W=identity_projection(k), min_f=model.constant, gram_min_eig=None, model=model
         )
 
     eigs = np.linalg.eigvalsh(model.gram)
     gram_min = float(eigs[0])
     gram_max = float(eigs[-1])
     if gram_max <= 0.0 or gram_min <= tol.rank_rel * gram_max:
-        return AdjointBlockResult(
-            W=None, min_f=None, gram_min_eig=gram_min, model=model, argmin=None
-        )
+        return AdjointBlockResult(W=None, min_f=None, gram_min_eig=gram_min, model=model)
 
     x_star = -0.5 * np.linalg.solve(model.gram, model.linear)
     min_f = model.evaluate(x_star)
     if min_f > tol.zero_f:
-        return AdjointBlockResult(
-            W=None, min_f=min_f, gram_min_eig=gram_min, model=model, argmin=x_star
-        )
+        return AdjointBlockResult(W=None, min_f=min_f, gram_min_eig=gram_min, model=model)
 
     S = _coords_to_block(x_star, k - s, s)
     stacked = np.concatenate([np.eye(s, dtype=complex), S], axis=0)
     W = projector_onto(image_basis(Q.conj().T @ stacked, tol))
 
     _verify_paired_block(T, V, W, tol)
-    return AdjointBlockResult(
-        W=W, min_f=min_f, gram_min_eig=gram_min, model=model, argmin=x_star
-    )
+    return AdjointBlockResult(W=W, min_f=min_f, gram_min_eig=gram_min, model=model)
 
 
 def _verify_paired_block(
@@ -691,13 +658,7 @@ def _decide_anchored(
                 witness=witness,
             )
 
-        W = result.W
-        inside = np.abs(Vprime.matrix @ W.matrix - W.matrix).max()
-        if inside > 1e-7:
-            raise RuntimeError(
-                "paired block escaped the active corner; input may not be PPT"
-            )
-        R = alignment_transform(Vprime, V, W, tol)
+        R = alignment_transform(Vprime, V, result.W, tol)
         T = conjugate(T, R, 1.0, tol)
         accumulated = R @ accumulated
         blocks.append((V, lam))

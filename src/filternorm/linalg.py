@@ -43,15 +43,36 @@ class Tolerances:
     Attributes
     ----------
     rank_rel : float
-        Relative singular-value cutoff for rank decisions; for a state's
-        ``rho``, the pivoted Cholesky's cut (a pivot at most ``rank_rel``
-        times ``rho``'s largest diagonal entry ends the factor).  Also the
-        relative positive-definiteness threshold for the quadratic model's Gram
-        matrix (both default to 1e-9; they are deliberately the same knob).
-        Its square root is the relative cutoff for principal angles in
-        :func:`subspace_intersection` and for the second-smallest singular
-        value of the Newton system in the scaling loop, below which Newton
-        steps are refused for the rest of the run.
+        One relative cutoff, 1e-9 by default, for every job below; they are
+        deliberately the same knob.  The value itself is:
+
+        - the singular-value cutoff for rank decisions, tensor ranks of range
+          vectors included; for a state's ``rho``, the pivoted Cholesky's cut
+          (a pivot at most ``rank_rel`` times ``rho``'s largest diagonal
+          entry ends the factor);
+        - the positive-definiteness threshold for the quadratic model's Gram
+          matrix;
+        - the cut of :func:`hermitian_sqrt_pinv`, below which eigenvalues
+          count as exact zeros;
+        - the dense Perron analysis's kernel cutoff, relative to
+          ``max(sigma_max(rep - lam), lam)``;
+        - the Sinkhorn marginal-collapse test (a marginal's smallest
+          eigenvalue at most ``rank_rel`` times its largest) and the
+          ``rcond`` of the Newton step's ``lstsq``.
+
+        Its square root is:
+
+        - the principal-angle cutoff of :func:`subspace_intersection` and the
+          largest tail at which :func:`gap_split` may cut;
+        - the largest imaginary part of a Perron root, relative to the
+          spectral radius (``maps._top_eigenvalue``);
+        - the Arnoldi simplicity test's gap: the deflated map's top Ritz value
+          must stay below ``1 - sqrt(rank_rel)``;
+        - the Newton guard: a second-smallest singular value of the Newton
+          system below it times the largest refuses Newton steps for the rest
+          of the run;
+        - the margin of a retried anchor's negative verdict, whose minimum
+          must exceed it times the quadratic model's constant.
     psd_abs : float
         Absolute eigenvalue floor (scaled by the spectral magnitude) below
         which a Hermitian matrix still counts as positive semidefinite.

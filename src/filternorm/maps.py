@@ -114,10 +114,10 @@ def apply(T: CpMap, X: np.ndarray) -> np.ndarray:
 
 
 def adjoint(T: CpMap) -> CpMap:
-    """Adjoint in the trace inner product: Kraus operators (and superoperator) daggered."""
+    """Adjoint in the trace inner product: Kraus operators and superoperator
+    daggered (``T``'s superoperator is built if it is not yet)."""
     Ta = CpMap(src_dim=T.dst_dim, dst_dim=T.src_dim, kraus=dagger(T.kraus))
-    if "superop" in vars(T):
-        vars(Ta)["superop"] = T.superop.conj().T
+    vars(Ta)["superop"] = T.superop.conj().T
     return Ta
 
 

@@ -340,6 +340,28 @@ def test_normal_form_honors_the_filters_flag(tmp_path, capsys):
     assert not (tmp_path / "out.filters.json").exists()
 
 
+def test_normal_form_refuses_filters_on_the_output_file(tmp_path, capsys, monkeypatch):
+    """A filters path, given or derived, that resolves to the --output file
+    exits 2 before the decision and writes nothing: the filter pair would
+    overwrite the normal form."""
+    from filternorm import cli
+
+    monkeypatch.setattr(cli, "_decide", lambda *args: pytest.fail("decided"))
+    path = write_state(tmp_path, diagonal_state(np.diag([0.5, 0.5])), "sq.json")
+    out = str(tmp_path / "out.json")
+    (tmp_path / "link.json").symlink_to(tmp_path / "link.filters.json")
+    for argv in (
+        ["--output", out, "--filters", out],
+        ["--output", out, "--filters", f"{tmp_path}/./out.json"],
+        ["--output", str(tmp_path / "link.json")],
+    ):
+        assert main(["normal-form", path, *argv]) == 2, argv
+        assert capsys.readouterr().err == (
+            "filternorm: --filters and --output name the same file\n"
+        )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "sq.json"]
+
+
 def test_normal_form_json_document(tmp_path, capsys):
     """The JSON summary carries the two-qubit separability diagnosis."""
     path = write_state(tmp_path, diagonal_state(np.diag([0.5, 0.5])))

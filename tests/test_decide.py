@@ -565,6 +565,21 @@ def test_quadratic_model_matches_trace_oracles():
             assert abs(got - oracles.objective_f_single_trace(kraus, s1, X)) < 1e-8
 
 
+@pytest.mark.parametrize("k, s", [(3, 1), (4, 2)])
+def test_quadratic_model_cross_check_catches_a_leaking_corner(k, s):
+    """The runtime cross-check accepts a normalized map as it is, and raises
+    once one Kraus operator maps the leading corner out of itself by an
+    off-corner block ``K[s:, :s]`` of about 1e-3 of the stack's size."""
+    rng = np.random.default_rng(9 + k)
+    T1, s1 = normalized_t1(k, s, rng)
+    adjoint_block_quadratic(T1, s1)
+    kraus = T1.kraus.copy()
+    leak = rng.standard_normal((k - s1, s1)) + 1j * rng.standard_normal((k - s1, s1))
+    kraus[0, s1:, :s1] = 1e-3 * np.abs(kraus).max() * leak / np.abs(leak).max()
+    with pytest.raises(RuntimeError, match="quadratic model cross-check failed"):
+        adjoint_block_quadratic(CpMap(src_dim=k, dst_dim=k, kraus=kraus), s1)
+
+
 def test_quadratic_objective_is_nonnegative():
     """The single-trace form makes f >= 0 wherever the model is evaluated."""
     rng = np.random.default_rng(6)
@@ -576,10 +591,11 @@ def test_quadratic_objective_is_nonnegative():
 
 
 def test_solve_adjoint_block_pairs_each_certified_block_with_itself():
-    """On the certified block-diagonal map each corner is its own unique partner."""
+    """On the certified block-diagonal map each corner is its own unique
+    partner, the whole space of a one-block verdict included."""
     rng = np.random.default_rng(7)
     for st in [diagonal_state(np.diag([0.5, 0.5])), blocky_state(3, [1, 2], rng),
-               hidden_blocky(3, [2, 1], rng)]:
+               hidden_blocky(3, [2, 1], rng), separable_full_rank(3, rng)]:
         verdict = decide_equivalence(st)
         assert verdict.outcome == OUTCOME_EQUIVALENT
         cert = verdict.certificate

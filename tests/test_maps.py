@@ -111,13 +111,15 @@ def test_transform_realizes_two_sided_congruence():
 
 
 def test_adjoint_hands_on_a_built_superoperator():
-    """The adjoint of a map whose superoperator is built takes its conjugate
-    transpose, which equals the one built from the daggered Kraus stack."""
+    """The adjoint takes the conjugate transpose of the map's superoperator,
+    built first if it is not yet, which equals the one built from the
+    daggered Kraus stack."""
     T = random_cp_map(2, 3, 2, np.random.default_rng(4))
-    assert T.superop.shape == (9, 4)
+    assert "superop" not in vars(T)
     handed_on = adjoint(T)
-    fresh = adjoint(CpMap(2, 3, T.kraus))
-    assert "superop" in vars(handed_on) and "superop" not in vars(fresh)
+    assert "superop" in vars(T) and "superop" in vars(handed_on)
+    assert T.superop.shape == (9, 4)
+    fresh = CpMap(3, 2, T.kraus.conj().transpose(0, 2, 1))
     scale = np.abs(fresh.superop).max()
     assert np.abs(handed_on.superop - fresh.superop).max() <= 1e-13 * scale
 
