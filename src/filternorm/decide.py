@@ -49,9 +49,8 @@ from .maps import (
 from .states import (
     BipartiteState,
     NotPositiveError,
-    _cholesky_range,
+    _factor_map,
     _full_rank_vector,
-    _kraus_map,
     is_ppt,
     vec_to_matrix,
 )
@@ -192,21 +191,22 @@ def anchor_transform(
     returned ``P`` is the inverse of its coefficient matrix.  The filter acts
     on the Kraus operators: the returned map is :func:`state_to_map`'s with
     ``K -> K P^t``, the map of ``(P (x) Id) rho (P (x) Id)*``, which is never
-    formed.  This map satisfies ``Im T(X) >= Im X`` for PSD inputs, and it is
-    the map :func:`decide_equivalence` decides on.
+    formed.  An embedded state's map keeps its structured form, with ``P^t``
+    as its right congruence.  This map satisfies ``Im T(X) >= Im X`` for PSD
+    inputs, and it is the map :func:`decide_equivalence` decides on.
     """
     tol = _tol(tol)
     if state.k != state.m:
         raise ValueError("anchoring requires a square state")
-    F, basis = _cholesky_range(state, tol)
-    return _anchor_filter(v, F, basis, state.k, tol)
+    T, basis = _factor_map(state, tol)
+    return _anchor_filter(v, T, basis, state.k, tol)
 
 
 def _anchor_filter(
-    v: np.ndarray, F: np.ndarray, basis: np.ndarray | None, k: int, tol: Tolerances
+    v: np.ndarray, T: CpMap, basis: np.ndarray | None, k: int, tol: Tolerances
 ) -> tuple[np.ndarray, CpMap]:
     """``P`` and the anchored map of :func:`anchor_transform`, from the
-    state's factor and range basis as ``states._cholesky_range`` gives them."""
+    state's map and range basis as ``states._factor_map`` gives them."""
     v = np.asarray(v, dtype=complex).reshape(-1)
     coeff = vec_to_matrix(v, k, k)
     if rank_eps(coeff, tol) < k:
@@ -216,7 +216,9 @@ def _anchor_filter(
         if resid > 1e-8 * max(1.0, np.linalg.norm(v)):
             raise ValueError("anchor vector is not in the range of the state")
     P = np.linalg.inv(coeff)
-    return P, transform(_kraus_map(F, k, k), np.eye(k), P.T)
+    # a Kraus stack's product with Id turns its -0.0 entries into 0.0, and square
+    # verdicts and filters are pinned bit for bit; the structured form skips it
+    return P, transform(T, None if T.embedded else np.eye(k), P.T)
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +394,8 @@ def adjoint_block_quadratic(T1: CpMap, s: int) -> QuadraticModel:
     #   tr(A_lead b_i* b_j) + tr(b_i b_j* Lam_low) + tr(b_i* C_j[low]) + tr(b_i C_j[up])
     # with C_j = T1(-off(b_j)).  Every basis block has a single unit entry, so
     # each contraction picks one matrix entry and is exact in floating point;
-    # the last two are -conj(E) S E^t, E_j = off(b_j) flattened: two entries each.
+    # the last two are -conj(E) S E^t, E_j = off(b_j) flattened: two entries each
+    # (an embedded state's structured map assembles S here, on first read).
     t1 = (basis.conj() @ A[:s, :s].T).reshape(n, -1) @ basis.reshape(n, -1).T
     t2 = (lam_low @ basis).reshape(n, -1) @ basis.conj().reshape(n, -1).T
     E = off(basis).reshape(n, k * k)
@@ -556,7 +559,8 @@ def decide_equivalence(
     samples one from the range with the given ``rng`` (default seed 0); if
     none of full tensor rank is found the verdict is inconclusive rather than
     negative.  The map decided on is :func:`anchor_transform`'s, built from
-    the decision's single factor of ``rho``, a pivoted Cholesky one.
+    the decision's single factor of ``rho``, a pivoted Cholesky one; an
+    embedded state's is the structured form over its factor's Kraus stack.
 
     A numerical breakdown (``RuntimeError`` or ``ValueError``) under a
     sampled anchor says nothing about the state, so the loop runs again on a
@@ -578,10 +582,10 @@ def decide_equivalence(
     # factor of rho gives the range and the Kraus operators
     if not is_ppt(state, tol):
         raise NotPositiveError("state is not PPT")
-    F, basis = _cholesky_range(state, tol)
+    T, basis = _factor_map(state, tol)
     k = state.k
     if v is not None:
-        return _decide_anchored(v, F, basis, k, tol, retried=False)
+        return _decide_anchored(v, T, basis, k, tol, retried=False)
     rng = np.random.default_rng(0) if rng is None else rng
     first = None
     for draw in range(_ANCHOR_DRAWS):
@@ -589,7 +593,7 @@ def decide_equivalence(
         if v is None:
             break
         try:
-            return _decide_anchored(v, F, basis, k, tol, retried=bool(draw))
+            return _decide_anchored(v, T, basis, k, tol, retried=bool(draw))
         except (RuntimeError, ValueError) as exc:
             first = exc if first is None else first
     if first is not None:
@@ -609,12 +613,12 @@ def decide_equivalence(
 
 
 def _decide_anchored(
-    v: np.ndarray, F: np.ndarray, basis: np.ndarray | None, k: int, tol: Tolerances,
+    v: np.ndarray, T: CpMap, basis: np.ndarray | None, k: int, tol: Tolerances,
     retried: bool,
 ) -> Verdict:
     """The decision loop of :func:`decide_equivalence` under the anchor ``v``."""
     # anchoring filters the Kraus operators, K -> K P^t; rho is never rebuilt
-    prefilter, T = _anchor_filter(v, F, basis, k, tol)
+    prefilter, T = _anchor_filter(v, T, basis, k, tol)
     Vprime = identity_projection(k)
     accumulated = np.eye(k, dtype=complex)
     blocks: list[tuple[Projection, float]] = []

@@ -4,6 +4,9 @@ A map ``T(X) = sum_i K_i X K_i*`` acts from ``k x k`` to ``m x m`` matrices.
 It is stored as its Kraus stack and evaluated through its superoperator
 ``S = sum_i K_i (x) conj(K_i)``, an ``m^2 x k^2`` matrix built once per map:
 a stack of inputs ``(n, k, k)`` maps to its images by one matrix product.
+The map of an embedded rectangular state keeps a structured form instead:
+the small map's Kraus stack, the embedding and two accumulated congruences,
+evaluated in ``O(n^3)`` per ``n x n`` input with no ``n^2 x n^2`` matrix.
 Most of the decision machinery lives on *corners*: for a projection ``V`` of
 rank ``s`` with orthonormal basis ``b``, the compression ``V M V = b M_s b*`` is
 an invariant subalgebra when ``T(V X V)`` stays inside it, and ``T`` restricted
@@ -17,7 +20,7 @@ coordinates, lifted by ``b X b*`` only where needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -50,7 +53,8 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class CpMap:
-    """Completely positive map given by Kraus operators.
+    """Completely positive map given by Kraus operators, or in the structured
+    form of an embedded state's map.
 
     Attributes
     ----------
@@ -60,12 +64,29 @@ class CpMap:
         Dimension ``m`` of the output matrices.
     kraus : ndarray (r, m, k), complex
         The Kraus operators as one stack; at least one must be nonzero.  Any
-        sequence of ``(m, k)`` operators is accepted and stacked.
+        sequence of ``(m, k)`` operators is accepted and stacked.  In the
+        structured form it is the stack ``(r, b, a)`` of a small map ``t``.
+    embedded : bool
+        The structured form, on ``C^b (x) C^a``:
+        ``X -> left E(right X right*) left*`` with ``E(X) = t(sum_i X_ii) (x) Id_a``
+        over the diagonal ``a x a`` blocks ``X_ii`` of ``X``, which is the
+        map of :func:`~filternorm.states.embed_rectangular`'s state.  Its
+        ``r a b`` Kraus operators are never formed.
+    dual : bool
+        In the structured form, ``E`` is replaced by its adjoint
+        ``Y -> Id_b (x) t*(tr_a Y)``, ``tr_a`` tracing out ``C^a``.
+    left, right : ndarray or None
+        The structured form's congruences, ``dst_dim x ab`` and
+        ``ab x src_dim``; ``None`` is the identity.
     """
 
     src_dim: int
     dst_dim: int
     kraus: np.ndarray
+    embedded: bool = False
+    dual: bool = False
+    left: np.ndarray | None = None
+    right: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if len(self.kraus) == 0:
@@ -75,6 +96,13 @@ class CpMap:
             ops = np.asarray(self.kraus, dtype=complex)
         except ValueError:
             ops = None
+        if ops is not None and self.embedded and ops.ndim == 3:
+            shape = ops.shape[1:]
+            n = shape[0] * shape[1]
+            for side, want in (("left", (self.dst_dim, n)), ("right", (n, self.src_dim))):
+                got = getattr(self, side)
+                if ((n, n) if got is None else np.shape(got)) != want:
+                    raise ValueError(f"the {side} congruence must have shape {want}")
         if ops is None or ops.shape[1:] != shape:
             raise ValueError(f"every Kraus operator must have shape {shape}")
         if not np.isfinite(ops).all():
@@ -85,7 +113,20 @@ class CpMap:
 
     @cached_property
     def superop(self) -> np.ndarray:
-        """``sum_i K_i (x) conj(K_i)``: ``vec(T(X)) = superop @ vec(X)``, row-major."""
+        """``sum_i K_i (x) conj(K_i)``: ``vec(T(X)) = superop @ vec(X)``, row-major.
+
+        The structured form assembles it on first read from the images of the
+        matrix units, ``O(k^5)``; only a reader of its entries needs it.
+        """
+        if not self.embedded:
+            return _superop(self.kraus)
+        k = self.src_dim
+        units = np.eye(k * k, dtype=complex).reshape(k * k, k, k)
+        return apply(self, units).reshape(k * k, -1).T
+
+    @cached_property
+    def _small_superop(self) -> np.ndarray:
+        """The structured form's superoperator of ``t``, ``b^2 x a^2``."""
         return _superop(self.kraus)
 
 
@@ -103,34 +144,81 @@ def apply(T: CpMap, X: np.ndarray) -> np.ndarray:
 
     One GEMM of the flattened inputs with the superoperator.  A stacked image
     agrees with the single-input one to rounding, not bit for bit: BLAS
-    blocks the two products differently.
+    blocks the two products differently.  The structured form applies its
+    right congruence, the block trace, ``t``'s superoperator, the identity
+    factor and its left congruence in turn.
     """
     X = np.asarray(X, dtype=complex)
     k, m = T.src_dim, T.dst_dim
     if X.ndim not in (2, 3) or X.shape[-2:] != (k, k):
         raise ValueError(f"input must be {k} x {k}, got {X.shape}")
+    if T.embedded:
+        return _apply_embedded(T, X)
     images = X.reshape(-1, k * k) @ T.superop.T
     return images.reshape(X.shape[:-2] + (m, m))
 
 
+def _apply_embedded(T: CpMap, X: np.ndarray) -> np.ndarray:
+    """:func:`apply` in the structured form (see :class:`CpMap`)."""
+    _, b, a = T.kraus.shape
+    lead = X.shape[:-2]
+    if T.right is not None:
+        X = T.right @ X @ dagger(T.right)
+    X = X.reshape(lead + (b, a, b, a))
+    if T.dual:  # Id_b (x) t*(tr_a X)
+        Z = np.trace(X, axis1=-3, axis2=-1).reshape(-1, b * b) @ T._small_superop.conj()
+        Y = np.eye(b)[:, None, :, None] * Z.reshape(lead + (1, a, 1, a))
+    else:  # t(sum_i X_ii) (x) Id_a
+        Z = np.trace(X, axis1=-4, axis2=-2).reshape(-1, a * a) @ T._small_superop.T
+        Y = Z.reshape(lead + (b, 1, b, 1)) * np.eye(a)[:, None, :]
+    Y = Y.reshape(lead + (a * b, a * b))
+    return Y if T.left is None else T.left @ Y @ dagger(T.left)
+
+
+def _restructure(T: CpMap, **changes) -> CpMap:
+    """``T`` in the structured form with fields changed; the small map ``t``
+    and its superoperator, if built, are handed on."""
+    new = replace(T, **changes)
+    if "_small_superop" in vars(T):
+        vars(new)["_small_superop"] = T._small_superop
+    return new
+
+
+def _compose(outer: np.ndarray | None, inner: np.ndarray | None) -> np.ndarray | None:
+    """``outer @ inner``, where ``None`` is the identity."""
+    return outer if inner is None else inner if outer is None else outer @ inner
+
+
 def adjoint(T: CpMap) -> CpMap:
     """Adjoint in the trace inner product: Kraus operators and superoperator
-    daggered (``T``'s superoperator is built if it is not yet)."""
+    daggered (``T``'s superoperator is built if it is not yet).  The
+    structured form swaps its congruences, daggered, and toggles ``dual``."""
+    if T.embedded:
+        return _restructure(T, src_dim=T.dst_dim, dst_dim=T.src_dim, dual=not T.dual,
+                            left=None if T.right is None else dagger(T.right),
+                            right=None if T.left is None else dagger(T.left))
     Ta = CpMap(src_dim=T.dst_dim, dst_dim=T.src_dim, kraus=dagger(T.kraus))
     vars(Ta)["superop"] = T.superop.conj().T
     return Ta
 
 
-def transform(T: CpMap, left: np.ndarray, right: np.ndarray) -> CpMap:
-    """Two-sided Kraus transform ``K -> left @ K @ right``.
+def transform(T: CpMap, left: np.ndarray | None, right: np.ndarray | None) -> CpMap:
+    """Two-sided Kraus transform ``K -> left @ K @ right``; ``None`` is an
+    identity side.
 
-    Realizes ``X -> left T(right X right*) left*``.
+    Realizes ``X -> left T(right X right*) left*``.  The structured form
+    composes the two with its congruences, ``O(k^3)``.
     """
-    left = np.asarray(left, dtype=complex)
-    right = np.asarray(right, dtype=complex)
-    return CpMap(
-        src_dim=right.shape[1], dst_dim=left.shape[0], kraus=left @ T.kraus @ right
-    )
+    left = None if left is None else np.asarray(left, dtype=complex)
+    right = None if right is None else np.asarray(right, dtype=complex)
+    src_dim = T.src_dim if right is None else right.shape[1]
+    dst_dim = T.dst_dim if left is None else left.shape[0]
+    if T.embedded:
+        return _restructure(T, src_dim=src_dim, dst_dim=dst_dim,
+                            left=_compose(left, T.left), right=_compose(T.right, right))
+    kraus = T.kraus if left is None else left @ T.kraus
+    return CpMap(src_dim=src_dim, dst_dim=dst_dim,
+                 kraus=kraus if right is None else kraus @ right)
 
 
 def conjugate(
@@ -152,7 +240,10 @@ def conjugate(
 
 
 def kraus_norm(T: CpMap) -> float:
-    """Sum of squared Frobenius norms of the Kraus operators (bounds ``||T||``)."""
+    """Sum of squared Frobenius norms of the Kraus operators (bounds ``||T||``):
+    ``tr T(Id)`` in the structured form, whose operators are not formed."""
+    if T.embedded:
+        return float(np.trace(apply(T, np.eye(T.src_dim))).real)
     return float(np.vdot(T.kraus, T.kraus).real)
 
 
@@ -167,7 +258,7 @@ def restrict_to_corner(T: CpMap, V: Projection) -> CpMap:
     b = V.basis
     if np.array_equal(b, np.eye(V.dim)):
         return T
-    return CpMap(src_dim=V.rank, dst_dim=V.rank, kraus=dagger(b) @ T.kraus @ b)
+    return transform(T, dagger(b), b)
 
 
 def _invariance_defect(images: np.ndarray, P: np.ndarray) -> float:
@@ -326,12 +417,22 @@ def _arnoldi(op, start: np.ndarray, accept) -> tuple[complex, np.ndarray] | None
     return None
 
 
-def _perron_by_arnoldi(S: np.ndarray, tol: Tolerances) -> tuple[float, np.ndarray] | None:
-    """Root and PSD trace-one ``s x s`` vector of the superoperator ``S``, from the
-    identity; the pair counts at ``|beta y_last| <= _RITZ_RESIDUAL |theta|``.
+def _matvec(T: CpMap, dual: bool = False):
+    """``vec(X) -> vec(T(X))`` on row-major vectors of a square map, or the
+    adjoint's with ``dual``: a product with the superoperator (its conjugate
+    transpose), or the structured form's :func:`apply`, which builds none."""
+    if T.embedded:
+        s, M = T.src_dim, adjoint(T) if dual else T
+        return lambda x: apply(M, x.reshape(s, s)).reshape(-1)
+    S = T.superop.conj().T if dual else T.superop
+    return lambda x: S @ x
+
+
+def _perron_by_arnoldi(op, s: int, tol: Tolerances) -> tuple[float, np.ndarray] | None:
+    """Root and PSD trace-one ``s x s`` vector of the map whose matvec is ``op``,
+    from the identity; the pair counts at ``|beta y_last| <= _RITZ_RESIDUAL |theta|``.
     ``None`` when the value is not real and positive or the vector not PSD."""
-    s = int(np.sqrt(S.shape[0]))
-    found = _arnoldi(lambda x: S @ x, np.eye(s).reshape(-1) / np.sqrt(s),
+    found = _arnoldi(op, np.eye(s).reshape(-1) / np.sqrt(s),
                      lambda theta, res: res <= _RITZ_RESIDUAL * abs(theta))
     if found is None or found[0].imag != 0.0 or found[0].real <= 0.0:
         return None
@@ -365,21 +466,22 @@ def _krylov_perron(
     ``1 - sqrt(rank_rel)``, with a residual under 1% of the distance to it.
     """
     s = V.rank
-    S = restrict_to_corner(T, V).superop
-    found = _perron_by_arnoldi(S, tol)
+    corner = restrict_to_corner(T, V)
+    op = _matvec(corner)
+    found = _perron_by_arnoldi(op, s, tol)
     if found is None or rank_eps(found[1], tol) < s:
         return None if found is None else (*found, None)
     if s * s <= _ARNOLDI_CHECKPOINTS[-1]:
         return None
     lam, gamma = found
-    delta = (_perron_by_arnoldi(S.conj().T, tol) or (0.0, None))[1]
+    delta = (_perron_by_arnoldi(_matvec(corner, dual=True), s, tol) or (0.0, None))[1]
     if delta is None or rank_eps(delta, tol) < s:
         return None
     g = gamma.reshape(-1) / np.vdot(delta, gamma).real
     draw = np.random.default_rng(2026).standard_normal((2, s, s))
     start = (draw[0] + 1j * draw[1]) + (draw[0] + 1j * draw[1]).conj().T
     bound = 1.0 - np.sqrt(tol.rank_rel)  # the residual is sized to the gap below
-    simple = _arnoldi(lambda x: (x + S @ x) / (1.0 + lam) - np.vdot(delta, x) * g,
+    simple = _arnoldi(lambda x: (x + op(x)) / (1.0 + lam) - np.vdot(delta, x) * g,
                       start.reshape(-1) / np.linalg.norm(start),
                       lambda mu, res: res < 0.01 * (bound - abs(mu)))
     return None if simple is None else (lam, gamma, delta)

@@ -32,7 +32,7 @@ from .linalg import (
     hermitian_basis,
     identity_projection,
 )
-from .maps import CpMap, restrict_to_corner, transform
+from .maps import CpMap, adjoint, apply, restrict_to_corner, transform
 from .states import (
     BipartiteState,
     NotPositiveError,
@@ -108,23 +108,25 @@ def _newton_basis(s: int) -> np.ndarray:
 
 
 def _newton_filters(
-    S: np.ndarray, left: np.ndarray, right: np.ndarray, fwd: np.ndarray, bwd: np.ndarray,
+    coupling, left: np.ndarray, right: np.ndarray, fwd: np.ndarray, bwd: np.ndarray,
     tol: Tolerances,
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """Filters ``(e^{h/2}, e^{g/2})`` of one Newton step on both marginals.
 
-    The scaled map is ``T'(X) = left T(right X right*) left*``, ``S`` is the
-    superoperator of ``T`` over ``sqrt(s)``, and ``fwd``, ``bwd`` are the
-    marginals.  ``K -> e^{h/2} K e^{g/2}`` moves ``fwd`` by
+    The scaled map is ``T'(X) = left T(right X right*) left*``, and ``fwd``,
+    ``bwd`` are the marginals.  ``K -> e^{h/2} K e^{g/2}`` moves ``fwd`` by
     ``{h, fwd}/2 + T'(g)/sqrt(s)`` and ``bwd`` by ``T'*(h)/sqrt(s) + {g, bwd}/2``
     to first order.  In the coordinates of :func:`hermitian_basis` this is a
     real symmetric ``2s^2 x 2s^2`` system ``J``; its ``T'`` block
-    ``Re tr(left* E_i left T(right E_j right*))`` is two GEMMs with ``S``, the
+    ``Re tr(left* E_i left T(right E_j right*))`` is ``Re coupling(outer, inner)``
+    over the flattened stacks ``left* E_i left`` and ``right E_j right*``
+    (:func:`scale_to_doubly_stochastic`'s, of ``T`` over ``sqrt(s)``), the
     ``T'*`` block its transpose.  ``(Id, -Id)`` spans the null space (it
     rescales both sides against each other), so ``lstsq``, cutting singular
     values below ``rank_rel`` of the largest, returns the minimum-norm step:
     computed from the filters, ``J`` annuls it only to rounding times their
-    condition numbers.  Both exponentials come from one stacked ``eigh``.
+    condition numbers.  Both exponentials come from one stacked ``eigh``;
+    where one overflows, the filters are not finite.
 
     Returns ``None`` when the second-smallest singular value of ``J`` is
     below ``sqrt(rank_rel)`` times the largest: the step is then ill-posed,
@@ -142,7 +144,7 @@ def _newton_filters(
     inner = (right @ stack @ dagger(right)).reshape(n, n)
     jac = np.empty((2 * n, 2 * n))
     jac[:n, :n], jac[n:, n:] = np.real(basis_conj @ anti.swapaxes(1, 2)) / 2.0
-    jac[:n, n:] = np.real(outer.conj() @ S @ inner.T)
+    jac[:n, n:] = np.real(coupling(outer, inner))
     jac[n:, :n] = jac[:n, n:].T
     gaps = (np.eye(s) / np.sqrt(s) - marginals).reshape(2, n)
     rhs = np.real(gaps @ basis_conj.T).reshape(2 * n)
@@ -150,7 +152,8 @@ def _newton_filters(
     if sv[-2] < np.sqrt(tol.rank_rel) * sv[0]:
         return None
     eigs, vecs = np.linalg.eigh((step.reshape(2, n) @ basis).reshape(2, s, s) / 2.0)
-    L, R = (vecs * np.exp(eigs)[:, None, :]) @ dagger(vecs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        L, R = (vecs * np.exp(eigs)[:, None, :]) @ dagger(vecs)
     return L, R
 
 
@@ -168,40 +171,61 @@ def scale_to_doubly_stochastic(
     ``sinkhorn_max_iters`` cap.
 
     ``T`` stays unscaled and the loop accumulates the two filters, so each
-    marginal is one product of ``T``'s superoperator ``S`` (over ``sqrt(s)``)
-    with a vector, ``s^4`` multiplications for any number of Kraus operators:
-    ``left T(right right*) left*`` and ``right* T*(left* left) right``.  A
-    whole-space map from the decision has built ``S`` already.  A round
-    computes each marginal once: the forward one of the stopping check is
-    the one the output filter inverts, and the adjoint one is needed for the
-    check only once the forward one passes.  Each half-step is one ``eigh``
-    of the marginal's lower triangle, which serves the collapse check and the
-    inverse square root (``s^{-1/4}`` on its eigenvalue weights); a
-    non-finite marginal raises ``ValueError``.
+    marginal is one matvec of ``T`` (over ``sqrt(s)``):
+    ``left T(right right*) left*`` and ``right* T*(left* left) right``.  For
+    a Kraus-stack map that is one product of its superoperator ``S`` with a
+    vector, ``s^4`` multiplications for any number of Kraus operators, and a
+    whole-space map from the decision has built ``S`` already.  An embedded
+    state's map in its structured form is applied as it is, ``O(s^3)``, and
+    builds no superoperator.  A round computes each marginal once: the
+    forward one of the stopping check is the one the output filter inverts,
+    and the adjoint one is needed for the check only once the forward one
+    passes.  Each half-step is one ``eigh`` of the marginal's lower triangle,
+    which serves the collapse check and the inverse square root
+    (``s^{-1/4}`` on its eigenvalue weights); a non-finite marginal raises
+    ``ValueError``.
 
     Near the boundary of the scalable maps a round shrinks the residual by a
     factor close to one.  When a round fails to halve the forward residual
     (a stall), the loop switches to Newton steps on both filters
     (:func:`_newton_filters`) and keeps taking them while each one lowers the
     larger of the two residuals, handing that test's two marginals to the
-    next iteration; a step that does not is dropped for a Sinkhorn round, and
-    a later stall tries Newton again.  Newton is refused for the rest of the
-    run once the second-smallest singular value of its system falls below
-    ``sqrt(rank_rel)`` times the largest, as it does while the filters
-    diverge on a map without total support.  ``iterations`` counts both
-    kinds of step.
+    next iteration.  A trial that does not, or whose filters or marginals
+    overflow, is rejected silently for a Sinkhorn round, and Newton then
+    waits out twice as many Sinkhorn rounds as after the previous rejection
+    (2, 4, 8, ...) before a stall tries it again.  Newton is refused for the
+    rest of the run once the second-smallest singular value of its system
+    falls below ``sqrt(rank_rel)`` times the largest, as it does while the
+    filters diverge on a map without total support.  ``iterations`` counts
+    both kinds of step.
     """
     tol = _tol(tol)
     if T.src_dim != T.dst_dim:
         raise ValueError("scaling requires a square map")
     s = T.src_dim
-    S = T.superop / np.sqrt(s)
+    if T.embedded:  # the structured form's own evaluations; no superoperator
+        Ta = adjoint(T)
 
-    def forward(L, R):  # L T(R R*) L* / sqrt(s)
-        return L @ (S @ (R @ R.conj().T).ravel()).reshape(s, s) @ L.conj().T
+        def forward(L, R):  # L T(R R*) L* / sqrt(s)
+            return L @ apply(T, R @ R.conj().T) @ L.conj().T / np.sqrt(s)
 
-    def backward(L, R):  # R* T*(L* L) R / sqrt(s), T*(Y) = conj(conj(vec Y) S)
-        return R.conj().T @ ((L.T @ L.conj()).ravel() @ S).conj().reshape(s, s) @ R
+        def backward(L, R):  # R* T*(L* L) R / sqrt(s)
+            return R.conj().T @ apply(Ta, L.conj().T @ L) @ R / np.sqrt(s)
+
+        def coupling(outer, inner):  # images of the stack inner, as columns
+            images = apply(T, inner.reshape(-1, s, s)) / np.sqrt(s)
+            return outer.conj() @ images.reshape(len(inner), -1).T
+    else:
+        S = T.superop / np.sqrt(s)
+
+        def forward(L, R):  # L T(R R*) L* / sqrt(s)
+            return L @ (S @ (R @ R.conj().T).ravel()).reshape(s, s) @ L.conj().T
+
+        def backward(L, R):  # R* T*(L* L) R / sqrt(s), T*(Y) = conj(conj(vec Y) S)
+            return R.conj().T @ ((L.T @ L.conj()).ravel() @ S).conj().reshape(s, s) @ R
+
+        def coupling(outer, inner):
+            return outer.conj() @ S @ inner.T
 
     left = right = np.eye(s, dtype=complex)  # rebound, never written in place
     ident = left / np.sqrt(s)
@@ -209,6 +233,7 @@ def scale_to_doubly_stochastic(
     last = np.inf  # forward residual before the latest Sinkhorn round
     newton = False  # the latest step was an accepted Newton step
     refused = False  # the Newton guard refused once
+    wait, backoff = 0, 1  # Sinkhorn rounds before Newton may run again, and the next wait
     fwd, bwd = forward(left, right), None  # the scaled marginals; bwd only once needed
     while True:
         res = np.abs(fwd - ident).max()
@@ -222,21 +247,26 @@ def scale_to_doubly_stochastic(
                 f"scaling did not converge after {iterations} iterations"
             )
         iterations += 1
-        if not refused and (newton or res > 0.5 * last):
+        if not refused and not wait and (newton or res > 0.5 * last):
             if bwd is None:
                 bwd = backward(left, right)
-            filters = _newton_filters(S, left, right, fwd, bwd, tol)
+            filters = _newton_filters(coupling, left, right, fwd, bwd, tol)
             refused = filters is None
             if not refused:
-                trial = filters[0] @ left, right @ filters[1]
-                trial_fwd, trial_bwd = forward(*trial), backward(*trial)
-                trial_res = max(np.abs(trial_fwd - ident).max(), np.abs(trial_bwd - ident).max())
+                with np.errstate(over="ignore", invalid="ignore"):
+                    trial = filters[0] @ left, right @ filters[1]
+                    trial_fwd, trial_bwd = forward(*trial), backward(*trial)
+                    trial_res = max(np.abs(trial_fwd - ident).max(),
+                                    np.abs(trial_bwd - ident).max())
                 if trial_res < max(res, np.abs(bwd - ident).max()):
                     (left, right), fwd, bwd = trial, trial_fwd, trial_bwd
                     newton = True
                     continue
+                wait = backoff = 2 * backoff
             newton = False
         last = res
+        if wait:
+            wait -= 1
         left = _inverse_sqrt_marginal(fwd, s, tol) @ left
         right = right @ _inverse_sqrt_marginal(backward(left, right), s, tol)
         fwd, bwd = forward(left, right), None

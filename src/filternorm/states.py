@@ -210,7 +210,7 @@ def find_full_rank_vector(
     """
     tol = _tol(tol)
     rng = np.random.default_rng(0) if rng is None else rng
-    _, basis = _cholesky_range(state, tol)
+    _, basis = _factor_map(state, tol)
     return _full_rank_vector(basis, state.k, state.m, rng, tol)
 
 
@@ -258,16 +258,33 @@ def _cholesky_range(
     state: BipartiteState, tol: Tolerances, basis: bool = True
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """The pivoted Cholesky factor ``F`` of ``rho`` and, if ``basis``, an
-    orthonormal basis of its range (``None`` where that is the whole space);
-    an embedded state lifts its factor's to ``Id_m (x) F (x) Id_k``."""
-    factor = state._factor
-    if factor is not None:
-        eye_m, eye_k = np.eye(factor.m), np.eye(factor.k)
-        return tuple(None if x is None else np.kron(np.kron(eye_m, x), eye_k)
-                     for x in _cholesky_range(factor, tol, basis))
+    orthonormal basis of its range (``None`` where that is the whole space).
+    It factors ``rho`` itself; :func:`_factor_map` reads an embedded state
+    through its factor."""
     F = _pivoted_cholesky(state.rho, tol.rank_rel)
     whole = not basis or F.shape[1] == state.order
     return F, None if whole else np.linalg.qr(F)[0]
+
+
+def _factor_map(
+    state: BipartiteState, tol: Tolerances, basis: bool = True
+) -> tuple[CpMap, np.ndarray | None]:
+    """:func:`state_to_map`'s map and, if ``basis``, :func:`_cholesky_range`'s
+    range basis.
+
+    An embedded state factors its ``k x m`` factor: its map is the structured
+    form over the factor's Kraus stack (:class:`CpMap`), so no factor is
+    lifted, and its range basis is the factor's, lifted to ``Id_m (x) B (x) Id_k``.
+    """
+    factor = state._factor
+    F, range_basis = _cholesky_range(state if factor is None else factor, tol, basis)
+    if factor is None:
+        return _kraus_map(F, state.k, state.m), range_basis
+    small = _kraus_map(F, factor.k, factor.m)
+    T = CpMap(src_dim=state.k, dst_dim=state.m, kraus=small.kraus, embedded=True)
+    if range_basis is not None:
+        range_basis = np.kron(np.kron(np.eye(factor.m), range_basis), np.eye(factor.k))
+    return T, range_basis
 
 
 def _full_rank_vector(
@@ -306,10 +323,14 @@ def state_to_map(state: BipartiteState, tol: Tolerances | None = None) -> CpMap:
     """The CP map ``T(X) = G_rho(X^t)`` whose Choi matrix is the state.
 
     Kraus operators are the transposed coefficient matrices of the columns of
-    the pivoted Cholesky factor ``rho = F F*``, one per unit of its rank.
+    the pivoted Cholesky factor ``rho = F F*``, one per unit of its rank.  A
+    state from :func:`embed_rectangular` gets the structured form of
+    :class:`~filternorm.maps.CpMap`: its ``k x m`` factor's Kraus stack, read
+    as ``X -> T_f(sum_i X_ii) (x) Id_k`` over the diagonal ``k x k`` blocks,
+    with ``T_f`` the factor's map.  The same matrix as a plain state gets
+    ``m r k`` operators of size ``mk``, ``r`` the factor's rank.
     """
-    F, _ = _cholesky_range(state, _tol(tol), basis=False)
-    return _kraus_map(F, state.k, state.m)
+    return _factor_map(state, _tol(tol), basis=False)[0]
 
 
 def _kraus_map(F: np.ndarray, k: int, m: int) -> CpMap:
@@ -353,10 +374,14 @@ def embed_rectangular(state: BipartiteState) -> BipartiteState:
     ``sum_n w_n (Id_m (x) C_n) (x) (D_n (x) Id_k)``.  It is PSD, inherits the
     PPT property, and its decision problem matches the rectangular original.
     The result keeps ``state``: its spectra are the factor's, each value
-    repeated ``mk`` times, and its Cholesky factor is the factor's, lifted,
-    so no ``(mk)^2 x (mk)^2`` matrix is factored.  It is exactly Hermitian
-    and passes the PSD gate with the factor's proof (the same eigenvalues
-    and the same diagonal entries), so it is not checked again.
+    repeated ``mk`` times, and its Cholesky factor and range basis are the
+    factor's, so no ``(mk)^2 x (mk)^2`` matrix is factored.  Its map is the
+    structured form over the factor's Kraus stack (:func:`state_to_map`), so
+    deciding or scaling it builds no ``(mk)^2 x (mk)^2`` superoperator
+    either, unless a proper corner's quadratic model reads its entries.  It
+    is exactly Hermitian and passes the PSD gate with the factor's proof
+    (the same eigenvalues and the same diagonal entries), so it is not
+    checked again.
     """
     k, m = state.k, state.m
     emb = object.__new__(BipartiteState)

@@ -4,6 +4,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ from filternorm import (
     decide_equivalence,
     diagonal_state,
     embed_rectangular,
+    filter_normal_form,
     find_full_rank_vector,
     find_irreducible_corner,
     is_irreducible,
@@ -38,6 +40,7 @@ from filternorm import (
     transform,
 )
 from filternorm import decide as decide_module
+from filternorm import maps as maps_module
 from filternorm.decide import (
     _coords_to_block,
     _verify_paired_block,
@@ -932,7 +935,26 @@ def test_embedded_decision_factors_only_the_factor(monkeypatch):
     runs no ``eigh``; its entries reach 11, too large for the shifted
     Cholesky's rounding bound at n = 400, so its PSD and PPT gates fall back
     to ``eigvalsh``.
+
+    Its map stays in the structured form: the decision and the normal form
+    build the superoperator of the factor's 20 Kraus operators and no
+    ``maps._superop`` of a 400-operator stack, and they assemble no
+    400 x 400 superoperator.  The plain copy's decision builds both.
     """
+    built = []  # the shapes of Kraus stacks given to _superop, and of superoperators read
+
+    def stack_superop(kraus, _fn=maps_module._superop):
+        built.append(("_superop", kraus.shape))
+        return _fn(kraus)
+    monkeypatch.setattr(maps_module, "_superop", stack_superop)
+
+    def superop(T, _fn=vars(CpMap)["superop"].func):
+        S = _fn(T)
+        built.append(("superop", S.shape))
+        return S
+    watched = cached_property(superop)
+    watched.__set_name__(CpMap, "superop")
+    monkeypatch.setattr(CpMap, "superop", watched)
     rng = np.random.default_rng(45)
     w = rng.uniform(0.2, 2.0, size=(4, 5))
     st = apply_filter(pattern_state(w), random_invertible(4, rng), random_invertible(5, rng))
@@ -957,10 +979,14 @@ def test_embedded_decision_factors_only_the_factor(monkeypatch):
     assert verdict.outcome == OUTCOME_EQUIVALENT
     assert [V.rank for V, _ in verdict.blocks] == [20]
     assert calls == [("cholesky", (20, 20)), ("pivoted_cholesky", (20, 20))]
+    filter_normal_form(emb, verdict)
+    assert built == [("_superop", (20, 5, 4))]
     calls.clear()
+    built.clear()
     decide_equivalence(BipartiteState(k=emb.k, m=emb.m, rho=emb.rho))
     assert calls == [("eigvalsh", (400, 400)), ("eigvalsh", (400, 400)),
                      ("pivoted_cholesky", (400, 400))]
+    assert ("_superop", (400, 20, 20)) in built and ("superop", (400, 400)) in built
 
 
 def test_the_range_cut_keeps_the_boundary_states_outcomes():

@@ -41,6 +41,7 @@ from filternorm.scaling import _PAULI, _su2_from_rotation
 from helpers import (
     cli_env,
     hidden_blocky,
+    ill_filtered,
     neq2_state,
     pattern_state,
     random_invertible,
@@ -295,8 +296,11 @@ def test_normal_form_reuses_the_superoperator_of_the_decision():
     """A one-block verdict's normal form scales the certificate's map itself:
     it builds no superoperator (the decision built it), and its Sinkhorn loop
     evaluates the map through it, with no product with the ``(r, s, s)``
-    Kraus stack.  Both an embedded 2 x 3 state and separable full-rank states,
-    below and above the Arnoldi budget (k = 3 and 9), are such verdicts."""
+    Kraus stack.  Separable full-rank states, below and above the Arnoldi
+    budget (k = 3 and 9), are such verdicts.  So is an embedded 2 x 3 state,
+    whose structured map has no superoperator to reuse: neither its decision
+    nor its normal form builds one, and the loop applies the structured form
+    with the small map's superoperator, built by the decision."""
     rng = np.random.default_rng(16)
     w = rng.uniform(0.2, 2.0, size=(2, 3))
     embedded = embed_rectangular(apply_filter(
@@ -305,7 +309,7 @@ def test_normal_form_reuses_the_superoperator_of_the_decision():
         verdict = decide_equivalence(st)
         assert [V.rank for V, _ in verdict.blocks] == [st.k]
         T = verdict.certificate.final_map
-        assert "superop" in vars(T)
+        assert ("superop" in vars(T)) != (st is embedded)
         object.__setattr__(T, "kraus", T.kraus.view(_WatchedStack))
         _WatchedStack.entered.clear()
         calls = []
@@ -320,6 +324,7 @@ def test_normal_form_reuses_the_superoperator_of_the_decision():
         finally:
             sys.setprofile(None)
         assert calls == [] and _WatchedStack.entered == []
+        assert ("superop" in vars(T)) != (st is embedded)
         assert nf.residual <= 10.0 * Tolerances().sinkhorn_residual
 
 
@@ -417,6 +422,57 @@ def test_newton_guard_leaves_unscalable_maps_to_fail():
         scale_to_doubly_stochastic(_boundary_map(1e-12), tol)
     with pytest.raises(ScalingConvergenceError):
         filter_normal_form(neq2_state(), None, tol)
+
+
+def test_rejected_newton_trials_back_off(monkeypatch):
+    """A rejected Newton trial makes Newton wait out a growing number of
+    Sinkhorn rounds before it tries again.
+
+    ``ill_filtered(separable_full_rank(4), 1e3)`` at seed 1000 stalls in
+    nearly every round: trying Newton again after each rejected trial took
+    1,862 Newton solves in the 2,000 iterations of this cap.  Backing off
+    takes a few dozen, and the cap raises the same error.
+    """
+    rng = np.random.default_rng(1000)
+    st = ill_filtered(separable_full_rank(4, rng), 1e3, rng)
+    verdict = decide_equivalence(st)
+    calls = []
+    newton_filters = scaling._newton_filters
+
+    def counted(*args):
+        calls.append(1)
+        return newton_filters(*args)
+
+    monkeypatch.setattr(scaling, "_newton_filters", counted)
+    with pytest.raises(ScalingConvergenceError, match="after 2000 iterations"):
+        filter_normal_form(st, verdict, Tolerances(sinkhorn_max_iters=2000))
+    assert 0 < len(calls) <= 40
+
+
+def test_an_overflowing_newton_trial_is_rejected_silently(monkeypatch):
+    """A Newton step whose exponentials overflow returns filters that are not
+    finite, with no warning, and a trial whose filters or marginals overflow
+    is rejected like any other: the boundary map's first trial is replaced
+    by filters of norm 1e300, and it still scales, with no warning (warnings
+    are errors here) and with one more iteration than on its own."""
+    eye = np.eye(2, dtype=complex)
+    filters = scaling._newton_filters(
+        lambda outer, inner: np.zeros((4, 4)), eye, eye, 1e-300 * eye, 1e-300 * eye,
+        Tolerances())
+    assert not np.isfinite(filters).all()
+    T = _boundary_map(1e-4, np.random.default_rng(3))
+    want = scale_to_doubly_stochastic(T)
+    newton_filters = scaling._newton_filters
+    calls = []
+
+    def overflowing_first(*args):
+        calls.append(1)
+        return (1e300 * eye, 1e300 * eye) if len(calls) == 1 else newton_filters(*args)
+
+    monkeypatch.setattr(scaling, "_newton_filters", overflowing_first)
+    got = scale_to_doubly_stochastic(T)
+    assert marginal_residual(got.scaled) <= Tolerances().sinkhorn_residual
+    assert got.iterations == want.iterations + 1
 
 
 def test_normal_form_of_a_one_by_one_state():

@@ -18,12 +18,15 @@ from filternorm import (
     partial_trace_second,
     partial_transpose,
     random_state,
+    restrict_to_corner,
     state_to_map,
+    transform,
     vec_to_matrix,
 )
-from filternorm.linalg import Tolerances, psd_check, rank_eps
-from filternorm.states import _cholesky_range, _pivoted_cholesky
-from helpers import hidden_blocky, separable_full_rank
+from filternorm.linalg import Tolerances, projector_onto, psd_check, rank_eps
+from filternorm.maps import adjoint, kraus_norm
+from filternorm.states import _factor_map, _pivoted_cholesky
+from helpers import hidden_blocky, random_invertible, separable_full_rank
 
 
 def test_state_constructor_rejects_bad_input():
@@ -226,7 +229,7 @@ def test_full_rank_search_matches_the_sample_loop():
     states.append(embed_rectangular(random_state(3, 2, rank=3, rng=rng)))
     misses = 0
     for st in states:
-        _, basis = _cholesky_range(st, DEFAULT_TOL)
+        _, basis = _factor_map(st, DEFAULT_TOL)
         basis = np.eye(st.order) if basis is None else basis
         for seed in range(5):
             got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -303,8 +306,10 @@ def test_embed_matches_entrywise_assembly():
 
     Its spectrum and partial-transpose spectrum come from the factor and
     match the dense factorizations of the embedded matrix, for full-rank,
-    rank-deficient and NPT factors.  So do its Cholesky factor and range
-    basis, lifted: they rebuild the embedded matrix and span its range.
+    rank-deficient and NPT factors.  Its map is the structured form over the
+    factor's Kraus stack, and its range basis is the factor's, lifted: of
+    ``mk`` times the factor's rank, orthonormal, and spanning the embedded
+    matrix's range.
     """
     rng = np.random.default_rng(11)
     factors = [random_state(k, m, rng=rng) for k, m in [(2, 3), (3, 2), (2, 2), (4, 5)]]
@@ -322,14 +327,16 @@ def test_embed_matches_entrywise_assembly():
                            (emb.pt_spectrum, np.linalg.eigvalsh(partial_transpose(emb)))]:
             assert np.abs(got - dense).max() <= 1e-12 * np.abs(dense).max(), (k, m)
         assert is_ppt(emb) == is_ppt(st)
-        F, basis = _cholesky_range(emb, DEFAULT_TOL)
-        assert F.shape[1] == k * m * _cholesky_range(st, DEFAULT_TOL)[0].shape[1]
-        assert np.abs(F @ F.conj().T - emb.rho).max() <= 1e-12 * np.abs(emb.rho).max()
-        if F.shape[1] == emb.order:
+        T, basis = _factor_map(emb, DEFAULT_TOL)
+        assert T.embedded and np.array_equal(T.kraus, state_to_map(st).kraus)
+        rank = k * m * len(T.kraus)
+        if rank == emb.order:
             assert basis is None
         else:
-            assert np.abs(basis.conj().T @ basis - np.eye(F.shape[1])).max() <= 1e-12
-            assert np.abs(basis @ (basis.conj().T @ F) - F).max() <= 1e-12
+            assert basis.shape == (emb.order, rank)
+            assert np.abs(basis.conj().T @ basis - np.eye(rank)).max() <= 1e-12
+            scale = np.abs(emb.rho).max()
+            assert np.abs(basis @ (basis.conj().T @ emb.rho) - emb.rho).max() <= 1e-12 * scale
     assert not is_ppt(embed_rectangular(npt))
 
 
@@ -363,8 +370,12 @@ def test_embed_map_contracts_to_the_original_map():
     Writing the embedded input space as C^m (x) C^k, the defining expansion
     gives T_embed(X) = T(sum_i X_ii) (x) Id_k where X_ii are the diagonal
     k x k blocks of X — checked on random inputs and on matrix units.  The
-    embedded map comes from the factor's ``eigh``; it acts as the map of the
-    same matrix as a plain state, which is factored densely.
+    embedded map is the structured form over the factor's Kraus stack; it
+    acts as the map of the same matrix as a plain state, which is factored
+    densely.  So it does under random invertible left and right congruences
+    (2 x 3 and 3 x 4 factors), to 1e-12 relative: ``apply`` on a stack,
+    through ``adjoint`` and ``restrict_to_corner`` on a random corner, in
+    ``kraus_norm`` and in the superoperator, assembled on first read.
     """
     rng = np.random.default_rng(13)
     for k, m in [(2, 3), (3, 2)]:
@@ -384,6 +395,29 @@ def test_embed_map_contracts_to_the_original_map():
             want = np.kron(apply(T, diag_sum), np.eye(k, dtype=complex))
             assert np.abs(apply(Temb, X) - want).max() < 1e-8
             assert np.abs(apply(Temb, X) - apply(Tdense, X)).max() < 1e-8
+
+    def close(got, want):
+        return np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    for k, m in [(2, 3), (3, 4)]:
+        emb = embed_rectangular(random_state(k, m, rng=rng))
+        n = emb.k
+        Temb = state_to_map(emb)
+        Tdense = state_to_map(BipartiteState(k=n, m=n, rho=emb.rho))
+        assert Temb.embedded and not Tdense.embedded
+        assert len(Temb.kraus) == k * m and len(Tdense.kraus) == n * n
+        L, R = random_invertible(n, rng), random_invertible(n, rng)
+        got, want = transform(Temb, L, R), transform(Tdense, L, R)
+        V = projector_onto(np.linalg.qr(rng.standard_normal((n, n // 2))
+                                        + 1j * rng.standard_normal((n, n // 2)))[0])
+        X = rng.standard_normal((4, n, n)) + 1j * rng.standard_normal((4, n, n))
+        for a, b in [(got, want), (adjoint(got), adjoint(want)),
+                     (restrict_to_corner(got, V), restrict_to_corner(want, V))]:
+            s = a.src_dim
+            assert "superop" not in vars(a)
+            assert close(apply(a, X[:, :s, :s]), apply(b, X[:, :s, :s])), (k, m, s)
+            assert close(kraus_norm(a), kraus_norm(b)), (k, m, s)
+            assert close(a.superop, b.superop), (k, m, s)
 
 
 def test_maximally_entangled_and_diagonal_builders():
