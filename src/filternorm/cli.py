@@ -5,12 +5,14 @@ Subcommands
 analyze      print dimensions, rank, trace, and PPT status of a state file
 decide       decide doubly-stochastic equivalence for a square PPT state
 normal-form  compute filters and write the normal-form state
+             (``--embed``: of a rectangular state's embedding)
 embed        embed a rectangular state into a square one
 
 Exit codes
 ----------
 0  success (for ``decide``: the state's map is equivalent)
-1  decided: not equivalent, and nothing else
+1  decided: not equivalent (for ``normal-form``: no normal form), and nothing
+   else
 2  invalid arguments, an unreadable or unparsable state file, or an
    unwritable output
 3  input rejected (not PSD, not PPT where required, or wrong shape)
@@ -128,6 +130,22 @@ def _add_tolerance_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_embed_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--embed", action="store_true",
+        help="embed a rectangular state into a square one first",
+    )
+
+
+def _squared(state, args: argparse.Namespace):
+    """The state, or with ``--embed`` a rectangular one's embedding."""
+    if state.k == state.m:
+        return state
+    if not args.embed:
+        raise _Rejected("state is rectangular; pass --embed to square it first")
+    return embed_rectangular(state)
+
+
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="filternorm",
@@ -152,23 +170,21 @@ def make_parser() -> argparse.ArgumentParser:
         "--seed", type=_seed, default=0,
         help="seed for the range-vector search (default 0)",
     )
-    p.add_argument(
-        "--embed", action="store_true",
-        help="embed a rectangular state into a square one first",
-    )
+    _add_embed_flag(p)
     p.add_argument("--json", action="store_true", help="print the verdict as JSON")
     _add_tolerance_flags(p)
 
     p = sub.add_parser(
         "normal-form", help="compute filters and the normal-form state"
     )
-    p.add_argument("state", help="path to a square state JSON file")
+    p.add_argument("state", help="path to a state JSON file (square unless --embed)")
     p.add_argument("--output", required=True, help="where to write the filtered state")
     p.add_argument(
         "--filters", default=None,
         help="path for the filter pair (default: derived from --output)",
     )
     p.add_argument("--seed", type=_seed, default=0, help="seed for the decision stage")
+    _add_embed_flag(p)
     p.add_argument("--json", action="store_true", help="machine-readable summary")
     _add_tolerance_flags(p)
 
@@ -229,12 +245,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_decide(args: argparse.Namespace) -> int:
-    state = load_state(args.state)
+    state = _squared(load_state(args.state), args)
     tol = _tolerances(args)
-    if state.k != state.m:
-        if not args.embed:
-            raise _Rejected("state is rectangular; pass --embed to square it first")
-        state = embed_rectangular(state)
     verdict = _decide(state, tol, args.seed)
 
     witness = verdict.witness
@@ -282,10 +294,8 @@ def _cmd_normal_form(args: argparse.Namespace) -> int:
         filters_path = root + ".filters.json"
     if os.path.realpath(filters_path) == os.path.realpath(args.output):
         raise argparse.ArgumentError(None, "--filters and --output name the same file")
-    state = load_state(args.state)
+    state = _squared(load_state(args.state), args)
     tol = _tolerances(args)
-    if state.k != state.m:
-        raise _Rejected("state is rectangular; run 'embed' first")
 
     try:
         verdict = _decide(state, tol, args.seed)

@@ -1,13 +1,17 @@
 """Operator Sinkhorn scaling and filter normal forms.
 
-A square CP map is scaled to a doubly stochastic one by alternately fixing
-the two marginals ``T(Id/sqrt(s))`` and ``T*(Id/sqrt(s))``, each one product
-of the map's superoperator with a vector and one ``eigh`` of the ``s x s``
-marginal for its inverse square root; on each irreducible block certified
-by the decision stage this converges, and the block scalings assemble into
-local filters that bring the state to its normal form (unit trace, both
-partial traces proportional to the identity), built once.  For two qubits a
-final pair of local unitaries also kills every cross term of the Pauli form.
+A CP map from ``k x k`` to ``m x m`` matrices is scaled to a doubly
+stochastic one, ``T(Id/sqrt(k)) = Id/sqrt(m)`` and ``T*(Id/sqrt(m)) = Id/sqrt(k)``,
+by alternately fixing the two marginals, each one product of the map's
+superoperator with a vector and one ``eigh`` of the marginal for its inverse
+square root.  On each irreducible block certified by the decision stage
+this converges, and the block scalings assemble into local filters that
+bring the state to its normal form (unit trace, both partial traces
+proportional to the identity), built once.  A state from
+:func:`~filternorm.states.embed_rectangular` is scaled on its ``k x m``
+factor's map instead, whose filters ``A`` and ``B`` give the embedding's as
+``Id_m (x) A`` and ``B (x) Id_k``.  For two qubits a final pair of local
+unitaries also kills every cross term of the Pauli form.
 
 Near the boundary of the scalable maps Sinkhorn needs about ``eps^(-1/2)``
 rounds for a block ``eps`` away from losing total support.  Once a round
@@ -32,11 +36,12 @@ from .linalg import (
     hermitian_basis,
     identity_projection,
 )
-from .maps import CpMap, adjoint, apply, restrict_to_corner, transform
+from .maps import CpMap, restrict_to_corner, transform
 from .states import (
     BipartiteState,
     NotPositiveError,
     apply_filter,
+    embed_rectangular,
     partial_trace_first,
     partial_trace_second,
     state_to_map,
@@ -100,11 +105,14 @@ def _inverse_sqrt_marginal(G: np.ndarray, s: int, tol: Tolerances) -> np.ndarray
 
 
 @lru_cache(maxsize=16)
-def _newton_basis(s: int) -> np.ndarray:
-    """Read-only ``hermitian_basis(s)`` as ``s^2 x s^2`` rows, built once per size."""
+def _newton_basis(s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only ``hermitian_basis(s)`` as ``s^2 x s^2`` rows, their conjugates
+    and the basis as an ``(s^2, s, s)`` stack, built once per size."""
     basis = hermitian_basis(s).reshape(s * s, s * s)
-    basis.flags.writeable = False
-    return basis
+    views = basis, basis.conj(), basis.reshape(s * s, s, s)
+    for view in views:
+        view.flags.writeable = False
+    return views
 
 
 def _newton_filters(
@@ -113,48 +121,61 @@ def _newton_filters(
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """Filters ``(e^{h/2}, e^{g/2})`` of one Newton step on both marginals.
 
-    The scaled map is ``T'(X) = left T(right X right*) left*``, and ``fwd``,
-    ``bwd`` are the marginals.  ``K -> e^{h/2} K e^{g/2}`` moves ``fwd`` by
-    ``{h, fwd}/2 + T'(g)/sqrt(s)`` and ``bwd`` by ``T'*(h)/sqrt(s) + {g, bwd}/2``
+    The scaled map ``T'(X) = left T(right X right*) left*`` takes ``k x k`` to
+    ``m x m`` matrices, and ``fwd = T'(Id/sqrt(k))``, ``bwd = T'*(Id/sqrt(m))``
+    are its marginals.  ``K -> e^{h/2} K e^{g/2}`` moves ``fwd`` by
+    ``{h, fwd}/2 + T'(g)/sqrt(k)`` and ``bwd`` by ``T'*(h)/sqrt(m) + {g, bwd}/2``
     to first order.  In the coordinates of :func:`hermitian_basis` this is a
-    real symmetric ``2s^2 x 2s^2`` system ``J``; its ``T'`` block
-    ``Re tr(left* E_i left T(right E_j right*))`` is ``Re coupling(outer, inner)``
-    over the flattened stacks ``left* E_i left`` and ``right E_j right*``
-    (:func:`scale_to_doubly_stochastic`'s, of ``T`` over ``sqrt(s)``), the
-    ``T'*`` block its transpose.  ``(Id, -Id)`` spans the null space (it
-    rescales both sides against each other), so ``lstsq``, cutting singular
-    values below ``rank_rel`` of the largest, returns the minimum-norm step:
+    real system ``J`` of size ``m^2 + k^2``; its ``T'`` block
+    ``Re tr(left* E_i left T(right F_j right*)) / sqrt(k)`` is
+    ``Re coupling(outer, inner)`` over the flattened stacks ``left* E_i left``
+    and ``right F_j right*`` (:func:`_sinkhorn`'s, of ``T`` over ``sqrt(k)``),
+    the ``T'*`` block its transpose times ``sqrt(k/m)``, so ``J`` is symmetric
+    for a square map.  ``(Id_m, -Id_k)`` spans the null space (it rescales
+    both sides against each other), so ``lstsq``, cutting singular values
+    below ``rank_rel`` of the largest, returns the minimum-norm step:
     computed from the filters, ``J`` annuls it only to rounding times their
-    condition numbers.  Both exponentials come from one stacked ``eigh``;
-    where one overflows, the filters are not finite.
+    condition numbers.  Where one exponential overflows, the filters are not
+    finite.
 
     Returns ``None`` when the second-smallest singular value of ``J`` is
     below ``sqrt(rank_rel)`` times the largest: the step is then ill-posed,
     as on maps without total support, whose filters diverge.
     """
-    s = len(fwd)
-    n = s * s
-    basis = _newton_basis(s)
-    basis_conj = basis.conj()
-    stack = basis.reshape(n, s, s)
-    marginals = np.stack([fwd, bwd])[:, None]
-    # basis images of the two anticommutators, and of T' on the filtered basis
-    anti = (stack @ marginals + marginals @ stack).reshape(2, n, n)
-    outer = (dagger(left) @ stack @ left).reshape(n, n)
-    inner = (right @ stack @ dagger(right)).reshape(n, n)
-    jac = np.empty((2 * n, 2 * n))
-    jac[:n, :n], jac[n:, n:] = np.real(basis_conj @ anti.swapaxes(1, 2)) / 2.0
-    jac[:n, n:] = np.real(coupling(outer, inner))
-    jac[n:, :n] = jac[:n, n:].T
-    gaps = (np.eye(s) / np.sqrt(s) - marginals).reshape(2, n)
-    rhs = np.real(gaps @ basis_conj.T).reshape(2 * n)
+    m, k = len(fwd), len(bwd)
+    p, dim = m * m, m * m + k * k
+    # a square map's two sides have one size, and each product and
+    # eigendecomposition below takes them both in one stacked call; each
+    # group is (size, marginals, first coordinate)
+    groups = [(m, (fwd, bwd), 0)] if m == k else [(m, (fwd,), 0), (k, (bwd,), p)]
+    jac, rhs = np.empty((dim, dim)), []
+    for d, marginals, start in groups:
+        n = d * d
+        basis, basis_conj, stack = _newton_basis(d)
+        marginals = np.stack(marginals)[:, None]
+        anti = (stack @ marginals + marginals @ stack).reshape(-1, n, n)
+        for i, block in enumerate(np.real(basis_conj @ anti.swapaxes(1, 2)) / 2.0):
+            first = start + i * n
+            jac[first:first + n, first:first + n] = block
+        gaps = (np.eye(d) / np.sqrt(d) - marginals).reshape(-1, n)
+        rhs.append(np.real(gaps @ basis_conj.T).reshape(-1))
+    rhs = rhs[0] if len(rhs) == 1 else np.concatenate(rhs)
+    outer = (dagger(left) @ _newton_basis(m)[2] @ left).reshape(p, p)
+    inner = (right @ _newton_basis(k)[2] @ dagger(right)).reshape(k * k, k * k)
+    jac[:p, p:] = np.real(coupling(outer, inner))
+    jac[p:, :p] = jac[:p, p:].T
+    if m != k:
+        jac[p:, :p] *= np.sqrt(k / m)
     step, _, _, sv = np.linalg.lstsq(jac, rhs, rcond=tol.rank_rel)
     if sv[-2] < np.sqrt(tol.rank_rel) * sv[0]:
         return None
-    eigs, vecs = np.linalg.eigh((step.reshape(2, n) @ basis).reshape(2, s, s) / 2.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        L, R = (vecs * np.exp(eigs)[:, None, :]) @ dagger(vecs)
-    return L, R
+    filters = []
+    for d, marginals, start in groups:
+        coords = step[start:start + len(marginals) * d * d].reshape(len(marginals), -1)
+        eigs, vecs = np.linalg.eigh((coords @ _newton_basis(d)[0]).reshape(-1, d, d) / 2.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            filters.extend((vecs * np.exp(eigs)[:, None, :]) @ dagger(vecs))
+    return filters[0], filters[1]
 
 
 def scale_to_doubly_stochastic(
@@ -170,20 +191,19 @@ def scale_to_doubly_stochastic(
     marginal degenerates and :class:`ScalingConvergenceError` at the
     ``sinkhorn_max_iters`` cap.
 
-    ``T`` stays unscaled and the loop accumulates the two filters, so each
-    marginal is one matvec of ``T`` (over ``sqrt(s)``):
-    ``left T(right right*) left*`` and ``right* T*(left* left) right``.  For
-    a Kraus-stack map that is one product of its superoperator ``S`` with a
-    vector, ``s^4`` multiplications for any number of Kraus operators, and a
-    whole-space map from the decision has built ``S`` already.  An embedded
-    state's map in its structured form is applied as it is, ``O(s^3)``, and
-    builds no superoperator.  A round computes each marginal once: the
-    forward one of the stopping check is the one the output filter inverts,
-    and the adjoint one is needed for the check only once the forward one
-    passes.  Each half-step is one ``eigh`` of the marginal's lower triangle,
-    which serves the collapse check and the inverse square root
-    (``s^{-1/4}`` on its eigenvalue weights); a non-finite marginal raises
-    ``ValueError``.
+    The loop is :func:`_sinkhorn`'s, which also scales the ``k x m`` map of
+    an embedded state's factor for :func:`filter_normal_form`.  ``T`` stays
+    unscaled and the loop accumulates the two filters, so each marginal is
+    one matvec of ``T`` (over ``sqrt(s)``): ``left T(right right*) left*``
+    and ``right* T*(left* left) right``, one product of its superoperator
+    ``S`` with a vector, ``s^4`` multiplications for any number of Kraus
+    operators; a whole-space map from the decision has built ``S`` already.
+    A round computes each marginal once: the forward one of the stopping
+    check is the one the output filter inverts, and the adjoint one is
+    needed for the check only once the forward one passes.  Each half-step
+    is one ``eigh`` of the marginal's lower triangle, which serves the
+    collapse check and the inverse square root (``s^{-1/4}`` on its
+    eigenvalue weights); a non-finite marginal raises ``ValueError``.
 
     Near the boundary of the scalable maps a round shrinks the residual by a
     factor close to one.  When a round fails to halve the forward residual
@@ -199,36 +219,37 @@ def scale_to_doubly_stochastic(
     filters diverge on a map without total support.  ``iterations`` counts
     both kinds of step.
     """
-    tol = _tol(tol)
     if T.src_dim != T.dst_dim:
         raise ValueError("scaling requires a square map")
-    s = T.src_dim
-    if T.embedded:  # the structured form's own evaluations; no superoperator
-        Ta = adjoint(T)
+    return _sinkhorn(T, _tol(tol))
 
-        def forward(L, R):  # L T(R R*) L* / sqrt(s)
-            return L @ apply(T, R @ R.conj().T) @ L.conj().T / np.sqrt(s)
 
-        def backward(L, R):  # R* T*(L* L) R / sqrt(s)
-            return R.conj().T @ apply(Ta, L.conj().T @ L) @ R / np.sqrt(s)
+def _sinkhorn(T: CpMap, tol: Tolerances) -> ScalingResult:
+    """The loop of :func:`scale_to_doubly_stochastic` for a map from ``k x k``
+    to ``m x m`` matrices, scaled to ``T(Id/sqrt(k)) = Id/sqrt(m)`` and
+    ``T*(Id/sqrt(m)) = Id/sqrt(k)``, the targets of
+    :func:`~filternorm.maps.is_doubly_stochastic`, by an ``m x m`` output
+    filter and a ``k x k`` input one: the forward marginal is taken over
+    ``sqrt(k)`` and inverted with ``m^{-1/4}``, the adjoint one over
+    ``sqrt(m)`` with ``k^{-1/4}``.  A square map takes the same products as
+    it always has, bit for bit."""
+    k, m = T.src_dim, T.dst_dim
+    S = T.superop / np.sqrt(k)
+    Sa = S if m == k else T.superop / np.sqrt(m)
 
-        def coupling(outer, inner):  # images of the stack inner, as columns
-            images = apply(T, inner.reshape(-1, s, s)) / np.sqrt(s)
-            return outer.conj() @ images.reshape(len(inner), -1).T
-    else:
-        S = T.superop / np.sqrt(s)
+    def forward(L, R):  # L T(R R*) L* / sqrt(k)
+        return L @ (S @ (R @ R.conj().T).ravel()).reshape(m, m) @ L.conj().T
 
-        def forward(L, R):  # L T(R R*) L* / sqrt(s)
-            return L @ (S @ (R @ R.conj().T).ravel()).reshape(s, s) @ L.conj().T
+    def backward(L, R):  # R* T*(L* L) R / sqrt(m), T*(Y) = conj(conj(vec Y) S)
+        return R.conj().T @ ((L.T @ L.conj()).ravel() @ Sa).conj().reshape(k, k) @ R
 
-        def backward(L, R):  # R* T*(L* L) R / sqrt(s), T*(Y) = conj(conj(vec Y) S)
-            return R.conj().T @ ((L.T @ L.conj()).ravel() @ S).conj().reshape(s, s) @ R
+    def coupling(outer, inner):
+        return outer.conj() @ S @ inner.T
 
-        def coupling(outer, inner):
-            return outer.conj() @ S @ inner.T
-
-    left = right = np.eye(s, dtype=complex)  # rebound, never written in place
-    ident = left / np.sqrt(s)
+    left = np.eye(m, dtype=complex)  # the filters are rebound, never written in place
+    right = left if k == m else np.eye(k, dtype=complex)
+    ident_out = left / np.sqrt(m)
+    ident_in = ident_out if k == m else right / np.sqrt(k)
     iterations = 0
     last = np.inf  # forward residual before the latest Sinkhorn round
     newton = False  # the latest step was an accepted Newton step
@@ -236,11 +257,11 @@ def scale_to_doubly_stochastic(
     wait, backoff = 0, 1  # Sinkhorn rounds before Newton may run again, and the next wait
     fwd, bwd = forward(left, right), None  # the scaled marginals; bwd only once needed
     while True:
-        res = np.abs(fwd - ident).max()
+        res = np.abs(fwd - ident_out).max()
         if res <= tol.sinkhorn_residual:
             if bwd is None:
                 bwd = backward(left, right)
-            if max(res, np.abs(bwd - ident).max()) <= tol.sinkhorn_residual:
+            if max(res, np.abs(bwd - ident_in).max()) <= tol.sinkhorn_residual:
                 break
         if iterations >= tol.sinkhorn_max_iters:
             raise ScalingConvergenceError(
@@ -256,9 +277,9 @@ def scale_to_doubly_stochastic(
                 with np.errstate(over="ignore", invalid="ignore"):
                     trial = filters[0] @ left, right @ filters[1]
                     trial_fwd, trial_bwd = forward(*trial), backward(*trial)
-                    trial_res = max(np.abs(trial_fwd - ident).max(),
-                                    np.abs(trial_bwd - ident).max())
-                if trial_res < max(res, np.abs(bwd - ident).max()):
+                    trial_res = max(np.abs(trial_fwd - ident_out).max(),
+                                    np.abs(trial_bwd - ident_in).max())
+                if trial_res < max(res, np.abs(bwd - ident_in).max()):
                     (left, right), fwd, bwd = trial, trial_fwd, trial_bwd
                     newton = True
                     continue
@@ -267,8 +288,8 @@ def scale_to_doubly_stochastic(
         last = res
         if wait:
             wait -= 1
-        left = _inverse_sqrt_marginal(fwd, s, tol) @ left
-        right = right @ _inverse_sqrt_marginal(backward(left, right), s, tol)
+        left = _inverse_sqrt_marginal(fwd, m, tol) @ left
+        right = right @ _inverse_sqrt_marginal(backward(left, right), k, tol)
         fwd, bwd = forward(left, right), None
     return ScalingResult(left=left, right=right, iterations=iterations, _map=T)
 
@@ -284,7 +305,12 @@ class NormalFormResult:
 
     The state has unit trace and both partial traces within ``residual`` of
     ``Id/k``; ``iterations`` is the largest scaling iteration count (Sinkhorn
-    rounds plus Newton steps) over the scaled blocks.
+    rounds plus Newton steps) over the scaled blocks.  For a state from
+    :func:`~filternorm.states.embed_rectangular` the filters are
+    ``Id_m (x) A`` and ``B (x) Id_k`` and the state is the embedding of the
+    ``k x m`` state ``(A (x) B) rho (A (x) B)*``, which it keeps as its
+    factor: ``mk`` times that factor is the ``k x m`` normal form, with
+    partial traces ``Id_k/k`` and ``Id_m/m``.
     """
 
     left: np.ndarray
@@ -309,15 +335,40 @@ def filter_normal_form(
     when no normal form exists.  A filtered state that fails the PSD gate,
     though the input passed it, is a numerical failure: ``RuntimeError``,
     chained from the :class:`NotPositiveError`.
+
+    A state from :func:`~filternorm.states.embed_rectangular`,
+    ``Id_m (x) rho (x) Id_k`` for a ``k x m`` state ``rho``, is scaled on
+    ``rho``'s map ``T: M_k -> M_m`` (the verdict's final map holds its Kraus
+    stack and superoperator) to ``T(Id/sqrt(k)) = Id/sqrt(m)`` and
+    ``T*(Id/sqrt(m)) = Id/sqrt(k)``, whole.  The embedding commutes with
+    ``U (x) Id_k`` on its first factor and ``Id_m (x) V`` on its second for
+    unitaries ``U``, ``V``, so normal-form filters can take the shapes
+    ``Id_m (x) A`` and ``B (x) Id_k``, under which the embedded normal form
+    is the embedding of a ``k x m`` one.  Scaling the whole map reaches it:
+    Sinkhorn on the embedded map keeps its filters in those shapes (its
+    marginals are ``T(.) (x) Id_k`` and ``Id_m (x) T*(.)``, up to constants),
+    so it runs the rectangular loop on ``T``; an ``equivalent`` verdict says
+    the embedded map has a normal form, so that loop converges (Gurvits,
+    2004).  The ``k x m`` state is built and passes the PSD gate, its
+    partial traces give the residual, and the result embeds it, so nothing
+    of size ``(mk)^2`` is multiplied, factored or traced.  A ``1 x 2`` or
+    ``2 x 1`` state embeds into two qubits, where its normal form is
+    ``Id/4``, whose Pauli form has no cross terms: it takes no Pauli rotation.
     """
     tol = _tol(tol)
     if state.k != state.m:
         raise ValueError("normal form requires a square state; embed first")
     k = state.k
 
+    if verdict is not None and (
+        verdict.outcome != OUTCOME_EQUIVALENT or verdict.certificate is None
+    ):
+        raise ValueError("normal form needs an equivalent verdict")
+    if state._factor is not None:
+        final_map = None if verdict is None else verdict.certificate.final_map
+        return _embedded_normal_form(state._factor, final_map, tol)
+
     if verdict is not None:
-        if verdict.outcome != OUTCOME_EQUIVALENT or verdict.certificate is None:
-            raise ValueError("normal form needs an equivalent verdict")
         cert = verdict.certificate
         prefilter = cert.prefilter
         accumulated = cert.accumulated_transform
@@ -344,24 +395,16 @@ def filter_normal_form(
     # filtered state is built once, normalized by a trace read off the filters
     left_filter = right_glob.T @ np.linalg.inv(accumulated).T @ prefilter
     right_filter = left_glob @ accumulated
-    total = _filtered_trace(state, left_filter, right_filter)
-    if total <= 0.0:
-        raise RuntimeError("scaled state has nonpositive trace")
-    left_filter = left_filter / np.sqrt(total)
+    left_filter = left_filter / np.sqrt(_filtered_trace(state, left_filter, right_filter))
     if k == 2:
         u1, u2 = _pauli_rotations(state, left_filter, right_filter)
         left_filter = u1 @ left_filter
         right_filter = u2 @ right_filter
-    try:
-        normal = apply_filter(state, left_filter, right_filter, tol)
-    except NotPositiveError as exc:  # the input passed the gate: a numerical failure
-        raise RuntimeError("normal form state failed its positivity check") from exc
+    normal = _gated_filter(state, left_filter, right_filter, tol)
 
     target = np.eye(k) / k
-    residual = float(max(np.abs(partial_trace_first(normal) - target).max(),
-                         np.abs(partial_trace_second(normal) - target).max()))
-    if residual > 10.0 * tol.sinkhorn_residual:
-        raise RuntimeError(f"normal form residual {residual:.2e} is too large")
+    residual = _checked_residual(np.abs(partial_trace_first(normal) - target).max(),
+                                 np.abs(partial_trace_second(normal) - target).max(), tol)
     return NormalFormResult(
         left=left_filter,
         right=right_filter,
@@ -371,10 +414,67 @@ def filter_normal_form(
     )
 
 
+def _embedded_normal_form(
+    factor: BipartiteState, T: CpMap | None, tol: Tolerances
+) -> NormalFormResult:
+    """:func:`filter_normal_form` of ``embed_rectangular(factor)`` from the
+    ``k x m`` factor alone; ``T`` is the verdict's final map, whose Kraus
+    stack and superoperator are the factor map's, or ``None``."""
+    k, m = factor.k, factor.m
+    if T is None:
+        T = state_to_map(factor, tol)
+    else:  # the structured form's small map: its stack and superoperator, not factored again
+        small = CpMap(src_dim=k, dst_dim=m, kraus=T.kraus)
+        vars(small)["superop"] = T._small_superop
+        T = small
+    sr = _sinkhorn(T, tol)
+    # the input filter acts transposed on the first factor; the embedding's
+    # trace is mk times the factor's
+    A, B = sr.right.T, sr.left
+    A = A / np.sqrt(k * m * _filtered_trace(factor, A, B))
+    normal = _gated_filter(factor, A, B, tol)
+    # the embedding's partial traces are m tr_1(rho) (x) Id_k and k Id_m (x) tr_2(rho)
+    n = k * m
+    residual = _checked_residual(
+        np.abs(m * partial_trace_first(normal) - np.eye(m) / n).max(),
+        np.abs(k * partial_trace_second(normal) - np.eye(k) / n).max(), tol)
+    return NormalFormResult(
+        left=np.kron(np.eye(m), A),
+        right=np.kron(B, np.eye(k)),
+        state=embed_rectangular(normal),
+        residual=residual,
+        iterations=sr.iterations,
+    )
+
+
+def _gated_filter(
+    state: BipartiteState, left: np.ndarray, right: np.ndarray, tol: Tolerances
+) -> BipartiteState:
+    """``apply_filter``, whose PSD gate failing on filters of a state that
+    passed it is a numerical failure: ``RuntimeError``."""
+    try:
+        return apply_filter(state, left, right, tol)
+    except NotPositiveError as exc:
+        raise RuntimeError("normal form state failed its positivity check") from exc
+
+
+def _checked_residual(first: float, second: float, tol: Tolerances) -> float:
+    """The larger partial-trace deviation, which must be within ten times the
+    Sinkhorn residual."""
+    residual = float(max(first, second))
+    if residual > 10.0 * tol.sinkhorn_residual:
+        raise RuntimeError(f"normal form residual {residual:.2e} is too large")
+    return residual
+
+
 def _filtered_trace(state: BipartiteState, left: np.ndarray, right: np.ndarray) -> float:
-    """``tr(rho (L*L (x) R*R))`` off the blocks of ``rho``, one Gram at a time."""
+    """``tr(rho (L*L (x) R*R))`` off the blocks of ``rho``, one Gram at a time;
+    a trace that is not positive is a numerical failure: ``RuntimeError``."""
     partial = np.einsum("ijkl,ki->jl", state.blocks(), dagger(left) @ left)
-    return float(np.vdot(dagger(right) @ right, partial).real)  # conj(R*R) = (R*R)^T
+    total = float(np.vdot(dagger(right) @ right, partial).real)  # conj(R*R) = (R*R)^T
+    if total <= 0.0:
+        raise RuntimeError("scaled state has nonpositive trace")
+    return total
 
 
 # ---------------------------------------------------------------------------

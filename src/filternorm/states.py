@@ -296,9 +296,10 @@ def _full_rank_vector(
     maximally entangled vector and samples.
 
     The 64 samples come from one draw (real, then imaginary parts) and one
-    stacked SVD ranks them.  Each is normalized by its own norm, so it has the
-    bits of a sample drawn alone, and ties (all samples score alike on a
-    rank-one range or when ``k`` or ``m`` is one) go to the first.
+    stacked SVD ranks them.  Each is normalized by its own norm, computed as
+    ``np.linalg.norm`` computes it, so it has the bits of a sample drawn
+    alone, and ties (all samples score alike on a rank-one range or when
+    ``k`` or ``m`` is one) go to the first.
     """
     r = k * m if basis is None else basis.shape[1]
     if r == 0:
@@ -311,7 +312,11 @@ def _full_rank_vector(
     draws = rng.standard_normal((64, 2, r))
     coeffs = draws[:, 0] + 1j * draws[:, 1]
     vs = coeffs if basis is None else (basis @ coeffs[..., None])[..., 0]
-    vs = vs / np.array([np.linalg.norm(v) for v in vs])[:, None]
+    # each sample's norm from its real and imaginary parts' dot products, the
+    # two that np.linalg.norm takes, all in one stacked product
+    halves = vs.view(float).reshape(len(vs), -1, 2).transpose(0, 2, 1)[:, :, None, :]
+    squares = (halves @ halves.swapaxes(-1, -2))[..., 0, 0]
+    vs = vs / np.sqrt(squares[:, 0] + squares[:, 1])[:, None]
     sv = np.linalg.svd(vs.reshape(-1, k, m), compute_uv=False)
     full = np.count_nonzero(sv > tol.rank_rel * sv[:, :1], axis=1) == min(k, m)
     if not full.any():
@@ -377,15 +382,23 @@ def embed_rectangular(state: BipartiteState) -> BipartiteState:
     repeated ``mk`` times, and its Cholesky factor and range basis are the
     factor's, so no ``(mk)^2 x (mk)^2`` matrix is factored.  Its map is the
     structured form over the factor's Kraus stack (:func:`state_to_map`), so
-    deciding or scaling it builds no ``(mk)^2 x (mk)^2`` superoperator
-    either, unless a proper corner's quadratic model reads its entries.  It
+    deciding it builds no ``(mk)^2 x (mk)^2`` superoperator either, unless a
+    proper corner's quadratic model reads its entries, and its normal form
+    scales the factor's map (:func:`~filternorm.scaling.filter_normal_form`).  It
     is exactly Hermitian and passes the PSD gate with the factor's proof
     (the same eigenvalues and the same diagonal entries), so it is not
-    checked again.
+    checked again.  Its matrix is written in place: zero but for a copy of
+    ``rho`` at the rows and columns ``(p, ., ., s)`` of
+    ``C^m (x) C^k (x) C^m (x) C^k``, for each ``p`` and ``s``.
     """
     k, m = state.k, state.m
     emb = object.__new__(BipartiteState)
-    rho = np.kron(np.kron(np.eye(m), state.rho), np.eye(k))
+    n = m * k
+    rho = np.zeros((m, n, k, m, n, k), dtype=complex)
+    for p in range(m):
+        for s in range(k):
+            rho[p, :, s, p, :, s] = state.rho
+    rho = rho.reshape(n * n, n * n)
     for name, value in (("k", m * k), ("m", m * k), ("rho", rho), ("_factor", state),
                         ("_psd_proof", state._psd_proof)):
         object.__setattr__(emb, name, value)

@@ -39,19 +39,25 @@ def separable_full_rank(k: int, rng: np.random.Generator) -> BipartiteState:
 def blocky_state(k: int, dims: list[int], rng: np.random.Generator) -> BipartiteState:
     """PPT state mixing products supported on consecutive index blocks of sizes dims."""
     assert sum(dims) == k
-    rho = np.zeros((k * k, k * k), dtype=complex)
-    off = 0
-    for d in dims:
-        sel = np.arange(off, off + d)
-        for _ in range(4 * d * d):
+    return rect_blocky_state([(d, d) for d in dims], rng)
+
+
+def rect_blocky_state(dims: list[tuple[int, int]], rng: np.random.Generator) -> BipartiteState:
+    """PPT state on C^k (x) C^m mixing products supported on consecutive
+    index blocks of sizes ``dims[i] = (k_i, m_i)``, each block full rank."""
+    k, m = sum(a for a, _ in dims), sum(b for _, b in dims)
+    rho = np.zeros((k * m, k * m), dtype=complex)
+    off_k = off_m = 0
+    for dk, dm in dims:
+        for _ in range(4 * dk * dm):
             a = np.zeros(k, dtype=complex)
-            b = np.zeros(k, dtype=complex)
-            a[sel] = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-            b[sel] = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+            b = np.zeros(m, dtype=complex)
+            a[off_k:off_k + dk] = rng.standard_normal(dk) + 1j * rng.standard_normal(dk)
+            b[off_m:off_m + dm] = rng.standard_normal(dm) + 1j * rng.standard_normal(dm)
             v = np.kron(a, b)
             rho += np.outer(v, v.conj())
-        off += d
-    return BipartiteState(k=k, m=k, rho=rho / np.trace(rho).real)
+        off_k, off_m = off_k + dk, off_m + dm
+    return BipartiteState(k=k, m=m, rho=rho / np.trace(rho).real)
 
 
 def random_invertible(k: int, rng: np.random.Generator) -> np.ndarray:

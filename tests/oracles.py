@@ -130,31 +130,43 @@ def exact_scalable_lp(pattern: np.ndarray, row_sum: float | None = None,
     return bool(res.x[-1] > 1e-9)
 
 
-def rect_sinkhorn_scalable(pattern: np.ndarray, iters: int = 20000,
-                           tol: float = 1e-10) -> bool:
-    """Exact rectangular scalability via the alternating normalization test.
+def rect_sinkhorn_limit(pattern: np.ndarray, iters: int = 20000,
+                        tol: float = 1e-10) -> tuple[np.ndarray | None, float]:
+    """Classical rectangular scaling by alternating row/column normalization.
 
-    Runs row/column normalization toward row sums m and column sums k and
-    requires both that the margins converge and that the scaled entries on
-    the support stay bounded away from zero (the diagonal factors stay
-    bounded) — margins alone converge for merely approximately-scalable
-    patterns, whose support entries decay to zero instead.
+    Scales a nonnegative ``k x m`` matrix toward row sums ``m`` and column
+    sums ``k`` until both margins are within ``tol``; returns the scaled
+    matrix and its margin residual, or ``(None, inf)`` when a row or column
+    is empty.  The limit of a scalable pattern is unique, so over ``km`` it
+    is the diagonal of a diagonal state's rectangular normal form.
     """
-    M = np.asarray(pattern, dtype=float)
-    k, m = M.shape
-    A = M.copy()
-    support = M > 0
-    if not support.any() or (A.sum(axis=1) == 0).any() or (A.sum(axis=0) == 0).any():
-        return False
+    A = np.asarray(pattern, dtype=float).copy()
+    k, m = A.shape
+    if not (A > 0).any() or (A.sum(axis=1) == 0).any() or (A.sum(axis=0) == 0).any():
+        return None, np.inf
     for _ in range(iters):
         A = A * (float(m) / A.sum(axis=1))[:, None]
         A = A * (float(k) / A.sum(axis=0))[None, :]
         resid = max(np.abs(A.sum(axis=1) - m).max(), np.abs(A.sum(axis=0) - k).max())
         if resid < tol:
             break
-    if resid >= 1e-6:
+    return A, resid
+
+
+def rect_sinkhorn_scalable(pattern: np.ndarray, iters: int = 20000,
+                           tol: float = 1e-10) -> bool:
+    """Exact rectangular scalability via the alternating normalization test.
+
+    Runs :func:`rect_sinkhorn_limit` and requires both that the margins
+    converge and that the scaled entries on the support stay bounded away
+    from zero (the diagonal factors stay bounded) — margins alone converge
+    for merely approximately-scalable patterns, whose support entries decay
+    to zero instead.
+    """
+    A, resid = rect_sinkhorn_limit(pattern, iters, tol)
+    if A is None or resid >= 1e-6:
         return False
-    return bool(A[support].min() > 1e-6)
+    return bool(A[np.asarray(pattern) > 0].min() > 1e-6)
 
 
 # ---------------------------------------------------------------------------

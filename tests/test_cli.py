@@ -12,7 +12,9 @@ import pytest
 
 from filternorm import (
     BipartiteState,
+    apply_filter,
     diagonal_state,
+    embed_rectangular,
     load_state,
     maximally_entangled,
     partial_trace_first,
@@ -24,7 +26,13 @@ from filternorm.cli import main
 from filternorm.linalg import rank_eps
 from filternorm.states import state_to_map
 from filternorm.stateio import NotPositiveError, StateFormatError
-from helpers import cli_env, hidden_blocky, neq2_state, separable_full_rank
+from helpers import (
+    cli_env,
+    hidden_blocky,
+    neq2_state,
+    random_invertible,
+    separable_full_rank,
+)
 
 
 def write_state(tmp_path, state, name="state.json"):
@@ -391,6 +399,47 @@ def test_normal_form_exit_codes(tmp_path, capsys):
     assert main(["normal-form", prod, "--output", str(tmp_path / "z.json")]) == 4
     capsys.readouterr()
 
+
+
+def test_normal_form_embeds_rectangular_states_on_request(tmp_path, capsys):
+    """--embed squares a rectangular state first, as for decide: the output
+    is the embedding's normal form, of unit trace, and the filters written
+    beside it take the embedded matrix there."""
+    rng = np.random.default_rng(9)
+    st = apply_filter(diagonal_state(rng.uniform(0.2, 2.0, size=(2, 3))),
+                      random_invertible(2, rng), random_invertible(3, rng))
+    rect = write_state(tmp_path, st, "rect.json")
+    out_path = str(tmp_path / "nf.json")
+    assert main(["normal-form", rect, "--embed", "--output", out_path, "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["residual"] <= 1e-7 and "pauli" not in doc
+
+    nf = load_state(out_path)
+    assert (nf.k, nf.m) == (6, 6)
+    assert abs(np.trace(nf.rho).real - 1.0) < 1e-12
+    eye = np.eye(6) / 6
+    assert np.abs(partial_trace_first(nf) - eye).max() <= doc["residual"] + 1e-15
+    assert np.abs(partial_trace_second(nf) - eye).max() <= doc["residual"] + 1e-15
+    filters = json.loads(Path(doc["filters"]).read_text())
+    left, right = (np.array([[complex(*e) for e in row] for row in filters[side]])
+                   for side in ("left", "right"))
+    F = np.kron(left, right)
+    embedded = embed_rectangular(st).rho
+    assert np.abs(F @ embedded @ F.conj().T - nf.rho).max() < 1e-10
+
+
+def test_normal_form_of_an_embedding_exits_like_its_verdict(tmp_path, capsys):
+    """With --embed, a rectangular pattern that scales only approximately is
+    decided not equivalent (exit 1), one whose embedding has no
+    full-tensor-rank range vector is inconclusive (exit 4), and neither
+    writes a file."""
+    for w, code in (([[1.0, 1, 1, 0], [0, 0, 1, 1]], 1), ([[1.0, 0, 0], [0, 1, 1]], 4)):
+        w = np.array(w)
+        rect = write_state(tmp_path, diagonal_state(w / w.sum()), "rect.json")
+        out_path = tmp_path / "nf.json"
+        assert main(["normal-form", rect, "--embed", "--output", str(out_path)]) == code
+        assert "normal form" in capsys.readouterr().err
+        assert not out_path.exists() and not (tmp_path / "nf.filters.json").exists()
 
 def test_normal_form_handles_entangled_states(tmp_path, capsys):
     """A non-PPT state skips certification but still scales when possible."""
