@@ -189,11 +189,11 @@ def anchor_transform(
 
     ``v`` must lie in the range of the state and have full tensor rank; the
     returned ``P`` is the inverse of its coefficient matrix.  The filter acts
-    on the Kraus operators: the returned map is :func:`state_to_map`'s with
-    ``K -> K P^t``, the map of ``(P (x) Id) rho (P (x) Id)*``, which is never
-    formed.  An embedded state's map keeps its structured form, with ``P^t``
-    as its right congruence.  This map satisfies ``Im T(X) >= Im X`` for PSD
-    inputs, and it is the map :func:`decide_equivalence` decides on.
+    on the map as its right congruence ``P^t``: the returned map keeps
+    :func:`state_to_map`'s Kraus stack and reads its operators as ``K P^t``,
+    the map of ``(P (x) Id) rho (P (x) Id)*``, which is never formed.  This
+    map satisfies ``Im T(X) >= Im X`` for PSD inputs, and it is the map
+    :func:`decide_equivalence` decides on.
     """
     tol = _tol(tol)
     if state.k != state.m:
@@ -216,9 +216,7 @@ def _anchor_filter(
         if resid > 1e-8 * max(1.0, np.linalg.norm(v)):
             raise ValueError("anchor vector is not in the range of the state")
     P = np.linalg.inv(coeff)
-    # a Kraus stack's product with Id turns its -0.0 entries into 0.0, and square
-    # verdicts and filters are pinned bit for bit; the structured form skips it
-    return P, transform(T, None if T.embedded else np.eye(k), P.T)
+    return P, transform(T, None, P.T)
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +393,7 @@ def adjoint_block_quadratic(T1: CpMap, s: int) -> QuadraticModel:
     # with C_j = T1(-off(b_j)).  Every basis block has a single unit entry, so
     # each contraction picks one matrix entry and is exact in floating point;
     # the last two are -conj(E) S E^t, E_j = off(b_j) flattened: two entries each
-    # (an embedded state's structured map assembles S here, on first read).
+    # (a map with an embedded core assembles S here, on first read).
     t1 = (basis.conj() @ A[:s, :s].T).reshape(n, -1) @ basis.reshape(n, -1).T
     t2 = (lam_low @ basis).reshape(n, -1) @ basis.conj().reshape(n, -1).T
     E = off(basis).reshape(n, k * k)
@@ -560,7 +558,7 @@ def decide_equivalence(
     none of full tensor rank is found the verdict is inconclusive rather than
     negative.  The map decided on is :func:`anchor_transform`'s, built from
     the decision's single factor of ``rho``, a pivoted Cholesky one; an
-    embedded state's is the structured form over its factor's Kraus stack.
+    embedded state's reads its factor's Kraus stack through the embedding.
 
     A numerical breakdown (``RuntimeError`` or ``ValueError``) under a
     sampled anchor says nothing about the state, so the loop runs again on a
@@ -617,7 +615,7 @@ def _decide_anchored(
     retried: bool,
 ) -> Verdict:
     """The decision loop of :func:`decide_equivalence` under the anchor ``v``."""
-    # anchoring filters the Kraus operators, K -> K P^t; rho is never rebuilt
+    # anchoring is the map's right congruence P^t; rho is never rebuilt
     prefilter, T = _anchor_filter(v, T, basis, k, tol)
     Vprime = identity_projection(k)
     accumulated = np.eye(k, dtype=complex)

@@ -1,12 +1,12 @@
 """Completely positive maps in Kraus form and their corner representations.
 
-A map ``T(X) = sum_i K_i X K_i*`` acts from ``k x k`` to ``m x m`` matrices.
-It is stored as its Kraus stack and evaluated through its superoperator
-``S = sum_i K_i (x) conj(K_i)``, an ``m^2 x k^2`` matrix built once per map:
-a stack of inputs ``(n, k, k)`` maps to its images by one matrix product.
-The map of an embedded rectangular state keeps a structured form instead:
-the small map's Kraus stack, the embedding and two accumulated congruences,
-evaluated in ``O(n^3)`` per ``n x n`` input with no ``n^2 x n^2`` matrix.
+A map acts from ``k x k`` to ``m x m`` matrices as ``X -> L E(R X R*) L*``,
+a core ``E(X) = sum_i K_i X K_i*`` (or its adjoint) between two congruences.
+Derived maps compose the congruences in ``O(k^3)`` and keep the Kraus stack,
+whose superoperator ``S = sum_i K_i (x) conj(K_i)`` is built once; a map's
+own, ``(L (x) conj L) S (R (x) conj R)``, maps a stack of inputs ``(n, k, k)``
+to its images by one matrix product.  An embedded rectangular state's core
+reads the stack through the embedding, ``O(n^3)`` per ``n x n`` input.
 Most of the decision machinery lives on *corners*: for a projection ``V`` of
 rank ``s`` with orthonormal basis ``b``, the compression ``V M V = b M_s b*`` is
 an invariant subalgebra when ``T(V X V)`` stays inside it, and ``T`` restricted
@@ -53,8 +53,8 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class CpMap:
-    """Completely positive map given by Kraus operators, or in the structured
-    form of an embedded state's map.
+    """Completely positive map ``X -> left E(right X right*) left*`` around a
+    core ``E`` given by a Kraus stack.
 
     Attributes
     ----------
@@ -62,22 +62,22 @@ class CpMap:
         Dimension ``k`` of the input matrices.
     dst_dim : int
         Dimension ``m`` of the output matrices.
-    kraus : ndarray (r, m, k), complex
-        The Kraus operators as one stack; at least one must be nonzero.  Any
-        sequence of ``(m, k)`` operators is accepted and stacked.  In the
-        structured form it is the stack ``(r, b, a)`` of a small map ``t``.
+    kraus : ndarray (r, b, a), complex
+        The core's Kraus operators as one stack, ``E(X) = sum_i K_i X K_i*``;
+        at least one must be nonzero.  Any sequence of ``(b, a)`` operators is
+        accepted and stacked.  Derived maps share it.
     embedded : bool
-        The structured form, on ``C^b (x) C^a``:
-        ``X -> left E(right X right*) left*`` with ``E(X) = t(sum_i X_ii) (x) Id_a``
-        over the diagonal ``a x a`` blocks ``X_ii`` of ``X``, which is the
-        map of :func:`~filternorm.states.embed_rectangular`'s state.  Its
-        ``r a b`` Kraus operators are never formed.
+        The core reads the stack's map ``t`` through the embedding, on
+        ``C^b (x) C^a``: ``E(X) = t(sum_i X_ii) (x) Id_a`` over the diagonal
+        ``a x a`` blocks ``X_ii`` of ``X``, which is the map of
+        :func:`~filternorm.states.embed_rectangular`'s state.  Its ``r a b``
+        Kraus operators are never formed.
     dual : bool
-        In the structured form, ``E`` is replaced by its adjoint
+        ``E`` is replaced by its adjoint, ``Y -> sum_i K_i* Y K_i`` or
         ``Y -> Id_b (x) t*(tr_a Y)``, ``tr_a`` tracing out ``C^a``.
     left, right : ndarray or None
-        The structured form's congruences, ``dst_dim x ab`` and
-        ``ab x src_dim``; ``None`` is the identity.
+        The congruences, ``dst_dim`` rows and ``src_dim`` columns; ``None``
+        is the identity.
     """
 
     src_dim: int
@@ -89,22 +89,17 @@ class CpMap:
     right: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if len(self.kraus) == 0:
-            raise ValueError("CpMap needs at least one Kraus operator")
-        shape = (self.dst_dim, self.src_dim)
-        try:
-            ops = np.asarray(self.kraus, dtype=complex)
-        except ValueError:
-            ops = None
-        if ops is not None and self.embedded and ops.ndim == 3:
-            shape = ops.shape[1:]
-            n = shape[0] * shape[1]
-            for side, want in (("left", (self.dst_dim, n)), ("right", (n, self.src_dim))):
-                got = getattr(self, side)
-                if ((n, n) if got is None else np.shape(got)) != want:
-                    raise ValueError(f"the {side} congruence must have shape {want}")
-        if ops is None or ops.shape[1:] != shape:
-            raise ValueError(f"every Kraus operator must have shape {shape}")
+        ops = np.asarray(self.kraus, dtype=complex)  # ValueError for mixed shapes
+        if ops.ndim != 3 or not len(ops):
+            raise ValueError("CpMap needs a stack of one or more Kraus operators")
+        _, b, a = ops.shape
+        core = (a * b, a * b) if self.embedded else (b, a)  # E's output and input sides
+        out, inp = core[::-1] if self.dual else core
+        left = (out, out) if self.left is None else np.shape(self.left)
+        right = (inp, inp) if self.right is None else np.shape(self.right)
+        if left != (self.dst_dim, out) or right != (inp, self.src_dim):
+            raise ValueError(f"Kraus operators {b} x {a} and congruences do not make "
+                             f"a map from {self.src_dim} to {self.dst_dim} dimensions")
         if not np.isfinite(ops).all():
             raise ValueError("Kraus operator contains non-finite entries")
         if not ops.any():
@@ -113,20 +108,20 @@ class CpMap:
 
     @cached_property
     def superop(self) -> np.ndarray:
-        """``sum_i K_i (x) conj(K_i)``: ``vec(T(X)) = superop @ vec(X)``, row-major.
-
-        The structured form assembles it on first read from the images of the
-        matrix units, ``O(k^5)``; only a reader of its entries needs it.
-        """
-        if not self.embedded:
-            return _superop(self.kraus)
-        k = self.src_dim
-        units = np.eye(k * k, dtype=complex).reshape(k * k, k, k)
-        return apply(self, units).reshape(k * k, -1).T
+        """``vec(T(X)) = superop @ vec(X)``, row-major: the stack's under the
+        congruences; with an embedded core, assembled from the images of the
+        matrix units, ``O(k^5)``, for a reader of its entries."""
+        if self.embedded:
+            k = self.src_dim
+            units = np.eye(k * k, dtype=complex).reshape(k * k, k, k)
+            return apply(self, units).reshape(k * k, -1).T
+        S = self._stack_superop.conj().T if self.dual else self._stack_superop
+        return _kron_congruence(S, self.left, self.right)
 
     @cached_property
-    def _small_superop(self) -> np.ndarray:
-        """The structured form's superoperator of ``t``, ``b^2 x a^2``."""
+    def _stack_superop(self) -> np.ndarray:
+        """``sum_i K_i (x) conj(K_i)`` of the stack, ``b^2 x a^2``; derived
+        maps take it over (:func:`_derive`), so it is built once per stack."""
         return _superop(self.kraus)
 
 
@@ -139,14 +134,30 @@ def _superop(kraus: np.ndarray) -> np.ndarray:
     return realigned.transpose(0, 2, 1, 3).reshape(m * m, k * k)
 
 
+def _kron_congruence(
+    S: np.ndarray, left: np.ndarray | None, right: np.ndarray | None
+) -> np.ndarray:
+    """``(L (x) conj L) S (R (x) conj R)``, ``None`` an identity side, by three
+    matrix products: ``L`` and ``conj L`` on the two output indices, then
+    ``R^T Y conj(R)`` on each row ``Y`` read as a square matrix."""
+    if left is not None:
+        d, m = left.shape
+        S = left @ S.reshape(m, -1)
+        S = (left.conj() @ S.reshape(d, m, -1)).reshape(d * d, -1)
+    if right is not None:
+        a, k = right.shape
+        S = (right.T @ S.reshape(-1, a, a) @ right.conj()).reshape(-1, k * k)
+    return S
+
+
 def apply(T: CpMap, X: np.ndarray) -> np.ndarray:
-    """Evaluate ``T(X) = sum_i K_i X K_i*`` on one input or a stack ``(n, k, k)``.
+    """Evaluate ``T`` on one input or a stack ``(n, k, k)``.
 
     One GEMM of the flattened inputs with the superoperator.  A stacked image
     agrees with the single-input one to rounding, not bit for bit: BLAS
-    blocks the two products differently.  The structured form applies its
-    right congruence, the block trace, ``t``'s superoperator, the identity
-    factor and its left congruence in turn.
+    blocks the two products differently.  An embedded core applies the right
+    congruence, the block trace, the stack's superoperator, the identity
+    factor and the left congruence in turn.
     """
     X = np.asarray(X, dtype=complex)
     k, m = T.src_dim, T.dst_dim
@@ -159,28 +170,26 @@ def apply(T: CpMap, X: np.ndarray) -> np.ndarray:
 
 
 def _apply_embedded(T: CpMap, X: np.ndarray) -> np.ndarray:
-    """:func:`apply` in the structured form (see :class:`CpMap`)."""
+    """:func:`apply` through an embedded core (see :class:`CpMap`)."""
     _, b, a = T.kraus.shape
     lead = X.shape[:-2]
     if T.right is not None:
         X = T.right @ X @ dagger(T.right)
     X = X.reshape(lead + (b, a, b, a))
     if T.dual:  # Id_b (x) t*(tr_a X)
-        Z = np.trace(X, axis1=-3, axis2=-1).reshape(-1, b * b) @ T._small_superop.conj()
+        Z = np.trace(X, axis1=-3, axis2=-1).reshape(-1, b * b) @ T._stack_superop.conj()
         Y = np.eye(b)[:, None, :, None] * Z.reshape(lead + (1, a, 1, a))
     else:  # t(sum_i X_ii) (x) Id_a
-        Z = np.trace(X, axis1=-4, axis2=-2).reshape(-1, a * a) @ T._small_superop.T
+        Z = np.trace(X, axis1=-4, axis2=-2).reshape(-1, a * a) @ T._stack_superop.T
         Y = Z.reshape(lead + (b, 1, b, 1)) * np.eye(a)[:, None, :]
     Y = Y.reshape(lead + (a * b, a * b))
     return Y if T.left is None else T.left @ Y @ dagger(T.left)
 
 
-def _restructure(T: CpMap, **changes) -> CpMap:
-    """``T`` in the structured form with fields changed; the small map ``t``
-    and its superoperator, if built, are handed on."""
+def _derive(T: CpMap, **changes) -> CpMap:
+    """``T`` with fields changed, sharing its stack and the stack's superoperator."""
     new = replace(T, **changes)
-    if "_small_superop" in vars(T):
-        vars(new)["_small_superop"] = T._small_superop
+    vars(new)["_stack_superop"] = T._stack_superop
     return new
 
 
@@ -190,35 +199,27 @@ def _compose(outer: np.ndarray | None, inner: np.ndarray | None) -> np.ndarray |
 
 
 def adjoint(T: CpMap) -> CpMap:
-    """Adjoint in the trace inner product: Kraus operators and superoperator
-    daggered (``T``'s superoperator is built if it is not yet).  The
-    structured form swaps its congruences, daggered, and toggles ``dual``."""
-    if T.embedded:
-        return _restructure(T, src_dim=T.dst_dim, dst_dim=T.src_dim, dual=not T.dual,
-                            left=None if T.right is None else dagger(T.right),
-                            right=None if T.left is None else dagger(T.left))
-    Ta = CpMap(src_dim=T.dst_dim, dst_dim=T.src_dim, kraus=dagger(T.kraus))
-    vars(Ta)["superop"] = T.superop.conj().T
+    """Adjoint in the trace inner product, ``Y -> right* E*(left* Y left) right``:
+    the congruences swapped and daggered, ``dual`` toggled.  A superoperator
+    ``T`` has built is handed on as its conjugate transpose."""
+    Ta = _derive(T, src_dim=T.dst_dim, dst_dim=T.src_dim, dual=not T.dual,
+                 left=None if T.right is None else dagger(T.right),
+                 right=None if T.left is None else dagger(T.left))
+    if "superop" in vars(T):
+        vars(Ta)["superop"] = T.superop.conj().T
     return Ta
 
 
 def transform(T: CpMap, left: np.ndarray | None, right: np.ndarray | None) -> CpMap:
-    """Two-sided Kraus transform ``K -> left @ K @ right``; ``None`` is an
-    identity side.
-
-    Realizes ``X -> left T(right X right*) left*``.  The structured form
-    composes the two with its congruences, ``O(k^3)``.
-    """
+    """Two-sided Kraus transform ``K -> left @ K @ right``, ``None`` an
+    identity side: ``X -> left T(right X right*) left*``, composed with the
+    map's congruences in ``O(k^3)``."""
     left = None if left is None else np.asarray(left, dtype=complex)
     right = None if right is None else np.asarray(right, dtype=complex)
     src_dim = T.src_dim if right is None else right.shape[1]
     dst_dim = T.dst_dim if left is None else left.shape[0]
-    if T.embedded:
-        return _restructure(T, src_dim=src_dim, dst_dim=dst_dim,
-                            left=_compose(left, T.left), right=_compose(T.right, right))
-    kraus = T.kraus if left is None else left @ T.kraus
-    return CpMap(src_dim=src_dim, dst_dim=dst_dim,
-                 kraus=kraus if right is None else kraus @ right)
+    return _derive(T, src_dim=src_dim, dst_dim=dst_dim,
+                   left=_compose(left, T.left), right=_compose(T.right, right))
 
 
 def conjugate(
@@ -240,11 +241,8 @@ def conjugate(
 
 
 def kraus_norm(T: CpMap) -> float:
-    """Sum of squared Frobenius norms of the Kraus operators (bounds ``||T||``):
-    ``tr T(Id)`` in the structured form, whose operators are not formed."""
-    if T.embedded:
-        return float(np.trace(apply(T, np.eye(T.src_dim))).real)
-    return float(np.vdot(T.kraus, T.kraus).real)
+    """``tr T(Id)``: the Kraus operators' squared Frobenius norms summed, ``>= ||T||``."""
+    return float(np.trace(apply(T, np.eye(T.src_dim))).real)
 
 
 def restrict_to_corner(T: CpMap, V: Projection) -> CpMap:
@@ -420,7 +418,7 @@ def _arnoldi(op, start: np.ndarray, accept) -> tuple[complex, np.ndarray] | None
 def _matvec(T: CpMap, dual: bool = False):
     """``vec(X) -> vec(T(X))`` on row-major vectors of a square map, or the
     adjoint's with ``dual``: a product with the superoperator (its conjugate
-    transpose), or the structured form's :func:`apply`, which builds none."""
+    transpose), or an embedded core's :func:`apply`, which builds none."""
     if T.embedded:
         s, M = T.src_dim, adjoint(T) if dual else T
         return lambda x: apply(M, x.reshape(s, s)).reshape(-1)

@@ -221,21 +221,22 @@ def scale_to_doubly_stochastic(
     """
     if T.src_dim != T.dst_dim:
         raise ValueError("scaling requires a square map")
-    return _sinkhorn(T, _tol(tol))
+    return ScalingResult(*_sinkhorn(T.superop, T.src_dim, T.dst_dim, _tol(tol)), _map=T)
 
 
-def _sinkhorn(T: CpMap, tol: Tolerances) -> ScalingResult:
-    """The loop of :func:`scale_to_doubly_stochastic` for a map from ``k x k``
-    to ``m x m`` matrices, scaled to ``T(Id/sqrt(k)) = Id/sqrt(m)`` and
-    ``T*(Id/sqrt(m)) = Id/sqrt(k)``, the targets of
+def _sinkhorn(
+    superop: np.ndarray, k: int, m: int, tol: Tolerances
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """The loop of :func:`scale_to_doubly_stochastic`, returning its filters
+    and iteration count, for the map ``T`` with this superoperator from
+    ``k x k`` to ``m x m`` matrices, scaled to ``T(Id/sqrt(k)) = Id/sqrt(m)``
+    and ``T*(Id/sqrt(m)) = Id/sqrt(k)``, the targets of
     :func:`~filternorm.maps.is_doubly_stochastic`, by an ``m x m`` output
     filter and a ``k x k`` input one: the forward marginal is taken over
     ``sqrt(k)`` and inverted with ``m^{-1/4}``, the adjoint one over
-    ``sqrt(m)`` with ``k^{-1/4}``.  A square map takes the same products as
-    it always has, bit for bit."""
-    k, m = T.src_dim, T.dst_dim
-    S = T.superop / np.sqrt(k)
-    Sa = S if m == k else T.superop / np.sqrt(m)
+    ``sqrt(m)`` with ``k^{-1/4}``."""
+    S = superop / np.sqrt(k)
+    Sa = S if m == k else superop / np.sqrt(m)
 
     def forward(L, R):  # L T(R R*) L* / sqrt(k)
         return L @ (S @ (R @ R.conj().T).ravel()).reshape(m, m) @ L.conj().T
@@ -288,10 +289,13 @@ def _sinkhorn(T: CpMap, tol: Tolerances) -> ScalingResult:
         last = res
         if wait:
             wait -= 1
-        left = _inverse_sqrt_marginal(fwd, m, tol) @ left
-        right = right @ _inverse_sqrt_marginal(backward(left, right), k, tol)
-        fwd, bwd = forward(left, right), None
-    return ScalingResult(left=left, right=right, iterations=iterations, _map=T)
+        # where the filters diverge the marginals overflow, as in a Newton
+        # trial, and the next inverse square root raises on them
+        with np.errstate(over="ignore", invalid="ignore"):
+            left = _inverse_sqrt_marginal(fwd, m, tol) @ left
+            right = right @ _inverse_sqrt_marginal(backward(left, right), k, tol)
+            fwd, bwd = forward(left, right), None
+    return left, right, iterations
 
 
 # ---------------------------------------------------------------------------
@@ -419,18 +423,15 @@ def _embedded_normal_form(
 ) -> NormalFormResult:
     """:func:`filter_normal_form` of ``embed_rectangular(factor)`` from the
     ``k x m`` factor alone; ``T`` is the verdict's final map, whose Kraus
-    stack and superoperator are the factor map's, or ``None``."""
+    stack is the factor map's, or ``None``."""
     k, m = factor.k, factor.m
-    if T is None:
-        T = state_to_map(factor, tol)
-    else:  # the structured form's small map: its stack and superoperator, not factored again
-        small = CpMap(src_dim=k, dst_dim=m, kraus=T.kraus)
-        vars(small)["superop"] = T._small_superop
-        T = small
-    sr = _sinkhorn(T, tol)
+    # the factor map's superoperator is that of the final map's stack, which
+    # the decision built: the factor is not factored again
+    T = state_to_map(factor, tol) if T is None else T
+    left, right, iterations = _sinkhorn(T._stack_superop, k, m, tol)
     # the input filter acts transposed on the first factor; the embedding's
     # trace is mk times the factor's
-    A, B = sr.right.T, sr.left
+    A, B = right.T, left
     A = A / np.sqrt(k * m * _filtered_trace(factor, A, B))
     normal = _gated_filter(factor, A, B, tol)
     # the embedding's partial traces are m tr_1(rho) (x) Id_k and k Id_m (x) tr_2(rho)
@@ -443,7 +444,7 @@ def _embedded_normal_form(
         right=np.kron(B, np.eye(k)),
         state=embed_rectangular(normal),
         residual=residual,
-        iterations=sr.iterations,
+        iterations=iterations,
     )
 
 

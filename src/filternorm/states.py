@@ -272,8 +272,8 @@ def _factor_map(
     """:func:`state_to_map`'s map and, if ``basis``, :func:`_cholesky_range`'s
     range basis.
 
-    An embedded state factors its ``k x m`` factor: its map is the structured
-    form over the factor's Kraus stack (:class:`CpMap`), so no factor is
+    An embedded state factors its ``k x m`` factor: its map reads the
+    factor's Kraus stack through the embedding (:class:`CpMap`), so no factor is
     lifted, and its range basis is the factor's, lifted to ``Id_m (x) B (x) Id_k``.
     """
     factor = state._factor
@@ -329,7 +329,7 @@ def state_to_map(state: BipartiteState, tol: Tolerances | None = None) -> CpMap:
 
     Kraus operators are the transposed coefficient matrices of the columns of
     the pivoted Cholesky factor ``rho = F F*``, one per unit of its rank.  A
-    state from :func:`embed_rectangular` gets the structured form of
+    state from :func:`embed_rectangular` gets an embedded
     :class:`~filternorm.maps.CpMap`: its ``k x m`` factor's Kraus stack, read
     as ``X -> T_f(sum_i X_ii) (x) Id_k`` over the diagonal ``k x k`` blocks,
     with ``T_f`` the factor's map.  The same matrix as a plain state gets
@@ -380,8 +380,8 @@ def embed_rectangular(state: BipartiteState) -> BipartiteState:
     PPT property, and its decision problem matches the rectangular original.
     The result keeps ``state``: its spectra are the factor's, each value
     repeated ``mk`` times, and its Cholesky factor and range basis are the
-    factor's, so no ``(mk)^2 x (mk)^2`` matrix is factored.  Its map is the
-    structured form over the factor's Kraus stack (:func:`state_to_map`), so
+    factor's, so no ``(mk)^2 x (mk)^2`` matrix is factored.  Its map reads the
+    factor's Kraus stack through the embedding (:func:`state_to_map`), so
     deciding it builds no ``(mk)^2 x (mk)^2`` superoperator either, unless a
     proper corner's quadratic model reads its entries, and its normal form
     scales the factor's map (:func:`~filternorm.scaling.filter_normal_form`).  It

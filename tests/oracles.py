@@ -35,6 +35,25 @@ def adjoint_apply(kraus, Y: np.ndarray) -> np.ndarray:
     return out
 
 
+def kraus_operators(T) -> np.ndarray:
+    """The Kraus operators of a ``CpMap`` without the embedding, one at a time.
+
+    The map is ``X -> L E(R X R*) L*`` over the core stack ``K_i``, with
+    ``E(X) = sum_i K_i X K_i*``, or ``sum_i K_i* X K_i`` when ``T.dual``; so
+    its operators are ``L K_i R`` (``L K_i* R``), ``None`` an identity side.
+    """
+    assert not T.embedded, "an embedded core's operators are not formed"
+    ops = []
+    for K in T.kraus:
+        op = K.conj().T if T.dual else K
+        if T.left is not None:
+            op = T.left @ op
+        if T.right is not None:
+            op = op @ T.right
+        ops.append(op)
+    return np.array(ops)
+
+
 # ---------------------------------------------------------------------------
 # classical scaling oracles
 # ---------------------------------------------------------------------------

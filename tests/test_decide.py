@@ -123,13 +123,23 @@ def test_anchor_transform_filters_the_kraus_operators_of_ill_filtered_states():
     """``separable_full_rank(4)`` under ``A (x) B``, each factor of condition
     number 1e6.  Filtering rho in the state domain rejected the anchored state
     on each of these draws ("state matrix is not Hermitian"); the anchored map
-    is the state's map with ``K -> K P^t``, bit for bit."""
+    keeps the state's Kraus stack, bit for bit, under the right congruence
+    ``P^t``, and acts as the operators ``K P^t``.  The congruence is applied
+    to the stack's superoperator, after the sum over operators, so its
+    rounding scales with ``||P||^2 sum ||K||^2 ||X||``, not with the image:
+    the images agree to 1e-15 of that scale (1e-8 to 1e-5 of the image on
+    these draws, whose ``P`` have condition numbers 5e7 to 4e8)."""
     for seed in range(1000, 1010):
         rng = np.random.default_rng(seed)
         st = ill_filtered(separable_full_rank(4, rng), 1e6, rng)
         P, T = anchor_transform(st, find_full_rank_vector(st))
-        want = transform(state_to_map(st), np.eye(4), P.T)
-        assert np.array_equal(T.kraus, want.kraus), seed
+        assert np.array_equal(T.kraus, state_to_map(st).kraus), seed
+        assert T.left is None and np.array_equal(T.right, P.T) and not T.dual, seed
+        X = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+        want = sum(K @ X @ K.conj().T for K in oracles.kraus_operators(T))
+        norms = [np.linalg.norm(A, 2, axis=(-2, -1)) for A in (P, T.kraus, X)]
+        scale = norms[0] ** 2 * (norms[1] ** 2).sum() * norms[2].max()
+        assert np.abs(apply(T, X) - want).max() <= 1e-15 * scale, seed
 
 
 def test_anchored_map_does_not_shrink_images():
@@ -469,7 +479,7 @@ def test_find_irreducible_corner_output_contract():
         _, T = anchor_transform(st, v)
         V, lam, _ = find_irreducible_corner(T, identity_projection(k))
         assert V.rank <= k
-        assert oracles.leaves_invariant(T.kraus, V.basis)
+        assert oracles.leaves_invariant(oracles.kraus_operators(T), V.basis)
         assert is_irreducible(T, V)
         assert lam > 0
 
@@ -521,7 +531,7 @@ def test_normalize_corner_postconditions():
         T1, s1 = normalized_t1(k, s, rng)
         assert s1 == s
         lead = projector_onto(np.eye(k, dtype=complex)[:, :s])
-        assert oracles.leaves_invariant(T1.kraus, lead.basis)
+        assert oracles.leaves_invariant(oracles.kraus_operators(T1), lead.basis)
         v1 = np.zeros((k, k), dtype=complex)
         v1[:s, :s] = np.eye(s)
         from filternorm import adjoint
@@ -559,7 +569,7 @@ def test_quadratic_model_matches_trace_oracles():
         model = adjoint_block_quadratic(T1, s1)
         assert model.n == 2 * s1 * (k - s1)
         assert np.abs(model.gram - model.gram.T).max() < 1e-12
-        kraus = list(T1.kraus)
+        kraus = oracles.kraus_operators(T1)
         for _ in range(10):
             x = rng.standard_normal(model.n)
             X = _coords_to_block(x, k - s1, s1)
@@ -576,7 +586,7 @@ def test_quadratic_model_cross_check_catches_a_leaking_corner(k, s):
     rng = np.random.default_rng(9 + k)
     T1, s1 = normalized_t1(k, s, rng)
     adjoint_block_quadratic(T1, s1)
-    kraus = T1.kraus.copy()
+    kraus = oracles.kraus_operators(T1)
     leak = rng.standard_normal((k - s1, s1)) + 1j * rng.standard_normal((k - s1, s1))
     kraus[0, s1:, :s1] = 1e-3 * np.abs(kraus).max() * leak / np.abs(leak).max()
     with pytest.raises(RuntimeError, match="quadratic model cross-check failed"):
@@ -732,7 +742,8 @@ def test_decide_certificate_structure():
         total = np.zeros((k, k), dtype=complex)
         for i, (V, lam) in enumerate(verdict.blocks):
             assert lam > 0
-            assert oracles.leaves_invariant(cert.final_map.kraus, V.basis)
+            ops = oracles.kraus_operators(cert.final_map)
+            assert oracles.leaves_invariant(ops, V.basis)
             assert is_irreducible(cert.final_map, V)
             total += V.matrix
             for j, (W, _) in enumerate(verdict.blocks):
@@ -837,7 +848,7 @@ def test_quadratic_model_matches_the_pairwise_reference_loop(k, s):
     """Gram matrix and linear term equal the n^2 loop over basis pairs."""
     T1, s1 = normalized_t1(k, s, np.random.default_rng(8 + k))
     model = adjoint_block_quadratic(T1, s1)
-    linear, gram = oracles.quadratic_model_loop(list(T1.kraus), s1)
+    linear, gram = oracles.quadratic_model_loop(oracles.kraus_operators(T1), s1)
     scale = max(1.0, np.abs(gram).max())
     assert np.abs(model.linear - linear).max() < 1e-9 * scale
     assert np.abs(model.gram - gram).max() < 1e-9 * scale
@@ -921,6 +932,24 @@ def test_decide_factors_the_state_once(monkeypatch):
         assert not [name for name, cplx, a in calls
                     if not cplx and a.shape[0] == st.k ** 2 and name in ("eigvals", "svd")]
         assert eigendecompositions(st.k ** 2) == []
+
+
+def test_square_decision_builds_one_superoperator(monkeypatch):
+    """A square decision builds the superoperator of the state's ``(r, k, k)``
+    Kraus stack once: the anchored, normalized and aligned maps, their
+    adjoints and their corners keep that stack and read their own
+    superoperators off that one through their congruences."""
+    built = []
+
+    def stack_superop(kraus, _fn=maps_module._superop):
+        built.append(kraus.shape)
+        return _fn(kraus)
+    monkeypatch.setattr(maps_module, "_superop", stack_superop)
+    st = hidden_blocky(8, [4, 4], np.random.default_rng(5))
+    verdict = decide_equivalence(st)
+    assert verdict.outcome == OUTCOME_EQUIVALENT
+    assert sorted(V.rank for V, _ in verdict.blocks) == [4, 4]
+    assert built == [(len(state_to_map(st).kraus), 8, 8)]
 
 
 def test_embedded_decision_factors_only_the_factor(monkeypatch):

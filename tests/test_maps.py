@@ -111,38 +111,55 @@ def test_transform_realizes_two_sided_congruence():
 
 
 def test_adjoint_hands_on_a_built_superoperator():
-    """The adjoint takes the conjugate transpose of the map's superoperator,
-    built first if it is not yet, which equals the one built from the
-    daggered Kraus stack."""
+    """The adjoint takes over the superoperator of the map's Kraus stack,
+    built first if it is not yet, and the map's own superoperator, once
+    built, as its conjugate transpose; either way its superoperator equals
+    the one built from the daggered Kraus stack."""
     T = random_cp_map(2, 3, 2, np.random.default_rng(4))
-    assert "superop" not in vars(T)
-    handed_on = adjoint(T)
-    assert "superop" in vars(T) and "superop" in vars(handed_on)
+    assert "_stack_superop" not in vars(T)
+    lazy = adjoint(T)
+    assert vars(lazy)["_stack_superop"] is vars(T)["_stack_superop"]
+    assert "superop" not in vars(T) and "superop" not in vars(lazy)
     assert T.superop.shape == (9, 4)
+    handed_on = adjoint(T)
+    assert "superop" in vars(handed_on)
     fresh = CpMap(3, 2, T.kraus.conj().transpose(0, 2, 1))
     scale = np.abs(fresh.superop).max()
-    assert np.abs(handed_on.superop - fresh.superop).max() <= 1e-13 * scale
+    for got in (lazy, handed_on):
+        assert np.abs(got.superop - fresh.superop).max() <= 1e-13 * scale
 
 
 def test_stacked_kraus_operations_match_the_per_operator_loop():
-    """Each stacked Kraus operation is bit-for-bit the one-operator-at-a-time loop."""
+    """A derived map keeps its parent's Kraus stack bit for bit and composes
+    congruences: the adjoint swaps none in and toggles ``dual``, a transform
+    takes ``L`` and ``R``, a corner ``b*`` and ``b``.  Each one applied is
+    the one-operator-at-a-time loop over its operators to 1e-13 relative.  A
+    state's map stacks its factor's columns, bit for bit."""
     rng = np.random.default_rng(18)
     T = random_cp_map(4, 4, 3, rng)
     assert T.kraus.shape == (3, 4, 4) and T.kraus.dtype == complex
     L = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
     R = rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5))
     b = projector_onto(np.linalg.qr(rng.standard_normal((4, 2)))[0]).basis
+    cases = [
+        (adjoint(T), True, None, None, [dagger(K) for K in T.kraus]),
+        (transform(T, L, R), False, L, R, [L @ K @ R for K in T.kraus]),
+        (restrict_to_corner(T, projector_onto(b)), False, dagger(b), b,
+         [dagger(b) @ K @ b for K in T.kraus]),
+    ]
+    for got, dual, left, right, ops in cases:
+        assert np.array_equal(got.kraus, T.kraus) and got.dual == dual
+        for side, want in ((got.left, left), (got.right, right)):
+            assert (side is None) if want is None else np.array_equal(side, want)
+        shape = (2, got.src_dim, got.src_dim)
+        X = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        want = sum(K @ X @ dagger(K) for K in ops)
+        assert np.abs(apply(got, X) - want).max() <= 1e-13 * np.abs(want).max()
     st = random_state(3, 2, rank=4, rng=rng)
     F = _pivoted_cholesky(st.rho, 1e-9)
     assert F.shape == (6, 4)
-    cases = [
-        (adjoint(T), [dagger(K) for K in T.kraus]),
-        (transform(T, L, R), [L @ K @ R for K in T.kraus]),
-        (restrict_to_corner(T, projector_onto(b)), [dagger(b) @ K @ b for K in T.kraus]),
-        (state_to_map(st), [f.reshape(3, 2).T for f in F.T]),
-    ]
-    for got, want in cases:
-        assert np.array_equal(got.kraus, np.stack(want))
+    want = np.stack([f.reshape(3, 2).T for f in F.T])
+    assert np.array_equal(state_to_map(st).kraus, want)
 
 
 def test_conjugate_round_trip():

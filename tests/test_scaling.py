@@ -170,8 +170,8 @@ def _run_both(T, tol):
     except (SingularMarginalError, ScalingConvergenceError) as exc:
         got = exc
     try:
-        want = oracles.sinkhorn_loop(T.kraus, tol.rank_rel, tol.sinkhorn_residual,
-                                     tol.sinkhorn_max_iters)
+        want = oracles.sinkhorn_loop(oracles.kraus_operators(T), tol.rank_rel,
+                                     tol.sinkhorn_residual, tol.sinkhorn_max_iters)
     except oracles.SinkhornStop as exc:
         want = exc
     return got, want
@@ -189,7 +189,8 @@ def _assert_agrees(got, want, name):
     """
     left, right, kraus, its = want
     assert got.iterations == its, name
-    for g, w in ((got.left, left), (got.right, right), (got.scaled.kraus, kraus)):
+    for g, w in ((got.left, left), (got.right, right),
+                 (oracles.kraus_operators(got.scaled), kraus)):
         assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max(), name
 
 
@@ -233,8 +234,9 @@ def test_scaling_agrees_with_the_per_operator_loop(monkeypatch):
         assert bool(newton_calls) == (name in stalled), name
         if name in stalled:
             assert marginal_residual(got.scaled) <= tol.sinkhorn_residual
-            rebuilt = got.left @ T.kraus @ got.right
-            assert np.abs(got.scaled.kraus - rebuilt).max() < 1e-12 * np.abs(rebuilt).max()
+            rebuilt = got.left @ oracles.kraus_operators(T) @ got.right
+            scaled = oracles.kraus_operators(got.scaled)
+            assert np.abs(scaled - rebuilt).max() < 1e-12 * np.abs(rebuilt).max()
             if name == "boundary eps=1e-4":
                 left, right = want[:2]
                 for g, w in ((dagger(got.left) @ got.left, dagger(left) @ left),
@@ -353,6 +355,17 @@ def test_an_overflowing_marginal_is_a_value_error():
             scale_to_doubly_stochastic(huge)
 
 
+def test_diverging_filters_raise_the_documented_value_error():
+    """Without a verdict, an embedded pattern with no normal form is scaled
+    until its filters overflow.  A round's marginals are formed under the
+    error state of a Newton trial, so the overflow surfaces as the
+    documented ``ValueError`` for a non-finite marginal, not as a
+    ``RuntimeWarning`` from the product (an error under this suite)."""
+    state = embed_rectangular(pattern_state(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]])))
+    with pytest.raises(ValueError, match="non-finite"):
+        filter_normal_form(state, None, Tolerances(sinkhorn_max_iters=2000))
+
+
 BOUNDARY_EPS = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)
 
 
@@ -393,7 +406,7 @@ def test_boundary_maps_scale_alike_under_local_unitaries():
     rng = np.random.default_rng(13)
     for eps in BOUNDARY_EPS:
         result = scale_to_doubly_stochastic(_boundary_map(eps, rng))
-        K = result.scaled.kraus
+        K = oracles.kraus_operators(result.scaled)
         superop = np.einsum("nac,nbd->abcd", K, K.conj()).reshape(4, 4)
         t = _doubly_stochastic_limit(eps)
         sv = np.linalg.svd(superop, compute_uv=False)
@@ -777,10 +790,12 @@ def test_rectangular_scaling_takes_newton_steps_near_the_boundary():
     ``is_doubly_stochastic`` in a dozen steps, at the classical limit."""
     for eps in (1e-2, 1e-4, 1e-6, 1e-8):
         w = np.array([[1.0, 1.0, 1.0, eps], [eps, eps, 1.0, 1.0]])
-        result = scaling._sinkhorn(state_to_map(pattern_state(w)), DEFAULT_TOL)
-        assert result.iterations <= 15, eps
-        assert is_doubly_stochastic(result.scaled)
-        got = np.array([[apply(result.scaled, np.diag(e).astype(complex))[j, j].real
+        T = state_to_map(pattern_state(w))
+        left, right, iterations = scaling._sinkhorn(T.superop, 2, 4, DEFAULT_TOL)
+        scaled = transform(T, left, right)
+        assert iterations <= 15, eps
+        assert is_doubly_stochastic(scaled)
+        got = np.array([[apply(scaled, np.diag(e).astype(complex))[j, j].real
                          for j in range(4)] for e in np.eye(2)])
         limit, resid = oracles.rect_sinkhorn_limit(w, iters=200_000, tol=1e-12)
         assert resid < 1e-12
@@ -796,7 +811,8 @@ def test_a_rectangular_newton_step_squares_a_small_residual():
     rng = np.random.default_rng(25)
     for k, m in ((2, 3), (3, 2), (2, 5), (3, 3)):
         kraus = rng.standard_normal((k * m, m, k)) + 1j * rng.standard_normal((k * m, m, k))
-        D = scaling._sinkhorn(CpMap(src_dim=k, dst_dim=m, kraus=kraus), DEFAULT_TOL).scaled
+        T = CpMap(src_dim=k, dst_dim=m, kraus=kraus)
+        D = transform(T, *scaling._sinkhorn(T.superop, k, m, DEFAULT_TOL)[:2])
         S = D.superop / np.sqrt(k)
 
         def residual(L, R):

@@ -23,10 +23,17 @@ from filternorm import (
     transform,
     vec_to_matrix,
 )
-from filternorm.linalg import Tolerances, projector_onto, psd_check, rank_eps
-from filternorm.maps import adjoint, kraus_norm
+from filternorm.linalg import (
+    Tolerances,
+    dagger,
+    hermitian_basis,
+    projector_onto,
+    psd_check,
+    rank_eps,
+)
+from filternorm.maps import adjoint, conjugate, corner_rep, kraus_norm
 from filternorm.states import _factor_map, _pivoted_cholesky
-from helpers import hidden_blocky, random_invertible, separable_full_rank
+from helpers import hidden_blocky, random_invertible, random_unitary, separable_full_rank
 
 
 def test_state_constructor_rejects_bad_input():
@@ -370,12 +377,16 @@ def test_embed_map_contracts_to_the_original_map():
     Writing the embedded input space as C^m (x) C^k, the defining expansion
     gives T_embed(X) = T(sum_i X_ii) (x) Id_k where X_ii are the diagonal
     k x k blocks of X — checked on random inputs and on matrix units.  The
-    embedded map is the structured form over the factor's Kraus stack; it
+    embedded map reads the factor's Kraus stack through the embedding; it
     acts as the map of the same matrix as a plain state, which is factored
-    densely.  So it does under random invertible left and right congruences
-    (2 x 3 and 3 x 4 factors), to 1e-12 relative: ``apply`` on a stack,
-    through ``adjoint`` and ``restrict_to_corner`` on a random corner, in
-    ``kraus_norm`` and in the superoperator, assembled on first read.
+    densely.  So it does along a chain of derived maps (2 x 3 and 3 x 4
+    factors): a transform by random invertible ``L`` and ``R``, an adjoint, a
+    conjugation, a restriction to a random corner and an adjoint again.  At
+    each step the plain map matches its own Kraus operators, formed one at a
+    time by ``oracles.kraus_operators``, and the embedded one the plain one,
+    to 1e-12 relative: ``apply`` on a stack, ``kraus_norm``, ``corner_rep``
+    over a random basis of the whole space and the superoperator, which the
+    embedded map assembles only on first read or takes from its adjoint.
     """
     rng = np.random.default_rng(13)
     for k, m in [(2, 3), (3, 2)]:
@@ -406,18 +417,30 @@ def test_embed_map_contracts_to_the_original_map():
         Tdense = state_to_map(BipartiteState(k=n, m=n, rho=emb.rho))
         assert Temb.embedded and not Tdense.embedded
         assert len(Temb.kraus) == k * m and len(Tdense.kraus) == n * n
-        L, R = random_invertible(n, rng), random_invertible(n, rng)
-        got, want = transform(Temb, L, R), transform(Tdense, L, R)
+        L, R, Q = (random_invertible(n, rng) for _ in range(3))
         V = projector_onto(np.linalg.qr(rng.standard_normal((n, n // 2))
                                         + 1j * rng.standard_normal((n, n // 2)))[0])
-        X = rng.standard_normal((4, n, n)) + 1j * rng.standard_normal((4, n, n))
-        for a, b in [(got, want), (adjoint(got), adjoint(want)),
-                     (restrict_to_corner(got, V), restrict_to_corner(want, V))]:
+        steps = [lambda T: transform(T, L, R), adjoint, lambda T: conjugate(T, Q, 0.5),
+                 lambda T: restrict_to_corner(T, V), adjoint]
+        a, b = Temb, Tdense
+        for i, step in enumerate(steps):
+            a, b = step(a), step(b)
             s = a.src_dim
-            assert "superop" not in vars(a)
-            assert close(apply(a, X[:, :s, :s]), apply(b, X[:, :s, :s])), (k, m, s)
-            assert close(kraus_norm(a), kraus_norm(b)), (k, m, s)
-            assert close(a.superop, b.superop), (k, m, s)
+            ops = oracles.kraus_operators(b)
+            X = rng.standard_normal((4, s, s)) + 1j * rng.standard_normal((4, s, s))
+            whole = projector_onto(random_unitary(s, rng))
+            lifted = whole.basis @ hermitian_basis(s) @ dagger(whole.basis)
+            images = np.einsum("rij,njk,rlk->nil", ops, X, ops.conj())
+            superop = np.einsum("rji,rlk->jlik", ops, ops.conj()).reshape(s * s, s * s)
+            for got, want in [(apply(b, X), images), (apply(a, X), images),
+                              (kraus_norm(b), np.vdot(ops, ops).real),
+                              (kraus_norm(a), np.vdot(ops, ops).real),
+                              (corner_rep(b, whole), oracles.corner_rep_loop(ops, lifted)),
+                              (corner_rep(a, whole), corner_rep(b, whole))]:
+                assert close(got, want), (k, m, i)
+            # assembled on first read (and handed to the adjoint once read)
+            assert ("superop" in vars(a)) == (step is adjoint and i > 0), (k, m, i)
+            assert close(b.superop, superop) and close(a.superop, b.superop), (k, m, i)
 
 
 def test_maximally_entangled_and_diagonal_builders():
