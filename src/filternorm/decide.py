@@ -35,6 +35,7 @@ from .linalg import (
 )
 from .maps import (
     CpMap,
+    _filter_stack,
     _invariance_defect,
     _perron_data,
     _top_eigenvalue,
@@ -44,7 +45,6 @@ from .maps import (
     corner_rep,
     is_irreducible,
     kraus_norm,
-    transform,
 )
 from .states import (
     BipartiteState,
@@ -189,10 +189,12 @@ def anchor_transform(
 
     ``v`` must lie in the range of the state and have full tensor rank; the
     returned ``P`` is the inverse of its coefficient matrix.  The filter acts
-    on the map as its right congruence ``P^t``: the returned map keeps
-    :func:`state_to_map`'s Kraus stack and reads its operators as ``K P^t``,
-    the map of ``(P (x) Id) rho (P (x) Id)*``, which is never formed.  This
-    map satisfies ``Im T(X) >= Im X`` for PSD inputs, and it is the map
+    on the Kraus operators: the returned map is :func:`state_to_map`'s with
+    the stack ``K -> K P^t``, the map of ``(P (x) Id) rho (P (x) Id)*``, which
+    is never formed; the products cancel an ill-conditioned ``P``, which a
+    congruence on the stack's superoperator would not.  An embedded state's
+    map takes ``P^t`` as its right congruence.  This map satisfies
+    ``Im T(X) >= Im X`` for PSD inputs, and it is the map
     :func:`decide_equivalence` decides on.
     """
     tol = _tol(tol)
@@ -216,7 +218,7 @@ def _anchor_filter(
         if resid > 1e-8 * max(1.0, np.linalg.norm(v)):
             raise ValueError("anchor vector is not in the range of the state")
     P = np.linalg.inv(coeff)
-    return P, transform(T, None, P.T)
+    return P, _filter_stack(T, P.T)
 
 
 # ---------------------------------------------------------------------------
@@ -615,7 +617,7 @@ def _decide_anchored(
     retried: bool,
 ) -> Verdict:
     """The decision loop of :func:`decide_equivalence` under the anchor ``v``."""
-    # anchoring is the map's right congruence P^t; rho is never rebuilt
+    # anchoring filters the Kraus operators, K -> K P^t; rho is never rebuilt
     prefilter, T = _anchor_filter(v, T, basis, k, tol)
     Vprime = identity_projection(k)
     accumulated = np.eye(k, dtype=complex)

@@ -5,8 +5,10 @@ a core ``E(X) = sum_i K_i X K_i*`` (or its adjoint) between two congruences.
 Derived maps compose the congruences in ``O(k^3)`` and keep the Kraus stack,
 whose superoperator ``S = sum_i K_i (x) conj(K_i)`` is built once; a map's
 own, ``(L (x) conj L) S (R (x) conj R)``, maps a stack of inputs ``(n, k, k)``
-to its images by one matrix product.  An embedded rectangular state's core
-reads the stack through the embedding, ``O(n^3)`` per ``n x n`` input.
+to its images by one matrix product.  A decision's anchor, which may be
+ill-conditioned, enters the stack instead, one product per operator.  An
+embedded rectangular state's core reads the stack through the embedding,
+``O(n^3)`` per ``n x n`` input.
 Most of the decision machinery lives on *corners*: for a projection ``V`` of
 rank ``s`` with orthonormal basis ``b``, the compression ``V M V = b M_s b*`` is
 an invariant subalgebra when ``T(V X V)`` stays inside it, and ``T`` restricted
@@ -20,7 +22,7 @@ coordinates, lifted by ``b X b*`` only where needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -90,21 +92,10 @@ class CpMap:
 
     def __post_init__(self) -> None:
         ops = np.asarray(self.kraus, dtype=complex)  # ValueError for mixed shapes
-        if ops.ndim != 3 or not len(ops):
-            raise ValueError("CpMap needs a stack of one or more Kraus operators")
-        _, b, a = ops.shape
-        core = (a * b, a * b) if self.embedded else (b, a)  # E's output and input sides
-        out, inp = core[::-1] if self.dual else core
-        left = (out, out) if self.left is None else np.shape(self.left)
-        right = (inp, inp) if self.right is None else np.shape(self.right)
-        if left != (self.dst_dim, out) or right != (inp, self.src_dim):
-            raise ValueError(f"Kraus operators {b} x {a} and congruences do not make "
-                             f"a map from {self.src_dim} to {self.dst_dim} dimensions")
-        if not np.isfinite(ops).all():
-            raise ValueError("Kraus operator contains non-finite entries")
-        if not ops.any():
-            raise ValueError("all Kraus operators vanish")
+        if ops.ndim != 3 or not ops.any():
+            raise ValueError("CpMap needs a stack of Kraus operators, not all zero")
         object.__setattr__(self, "kraus", ops)
+        _check_congruences(self, ops)
 
     @cached_property
     def superop(self) -> np.ndarray:
@@ -123,6 +114,21 @@ class CpMap:
         """``sum_i K_i (x) conj(K_i)`` of the stack, ``b^2 x a^2``; derived
         maps take it over (:func:`_derive`), so it is built once per stack."""
         return _superop(self.kraus)
+
+
+def _check_congruences(T: CpMap, *arrays: np.ndarray) -> None:
+    """The congruences fit the stack and ``T``'s dimensions; they and
+    ``arrays`` are finite."""
+    _, b, a = T.kraus.shape
+    core = (a * b, a * b) if T.embedded else (b, a)  # E's output and input sides
+    out, inp = core[::-1] if T.dual else core
+    left = (out, out) if T.left is None else np.shape(T.left)
+    right = (inp, inp) if T.right is None else np.shape(T.right)
+    if left != (T.dst_dim, out) or right != (inp, T.src_dim):
+        raise ValueError(f"Kraus operators {b} x {a} and congruences do not make "
+                         f"a map from {T.src_dim} to {T.dst_dim} dimensions")
+    if not all(np.isfinite(x).all() for x in (*arrays, T.left, T.right) if x is not None):
+        raise ValueError("Kraus operators or congruences contain non-finite entries")
 
 
 def _superop(kraus: np.ndarray) -> np.ndarray:
@@ -187,9 +193,12 @@ def _apply_embedded(T: CpMap, X: np.ndarray) -> np.ndarray:
 
 
 def _derive(T: CpMap, **changes) -> CpMap:
-    """``T`` with fields changed, sharing its stack and the stack's superoperator."""
-    new = replace(T, **changes)
-    vars(new)["_stack_superop"] = T._stack_superop
+    """``T`` with fields changed, sharing its stack and the stack's
+    superoperator; the stack, checked when it was built, is not checked again."""
+    new = object.__new__(CpMap)
+    vars(new).update({f.name: getattr(T, f.name) for f in fields(CpMap)},
+                     _stack_superop=T._stack_superop, **changes)
+    _check_congruences(new)
     return new
 
 
@@ -220,6 +229,17 @@ def transform(T: CpMap, left: np.ndarray | None, right: np.ndarray | None) -> Cp
     dst_dim = T.dst_dim if left is None else left.shape[0]
     return _derive(T, src_dim=src_dim, dst_dim=dst_dim,
                    left=_compose(left, T.left), right=_compose(T.right, right))
+
+
+def _filter_stack(T: CpMap, right: np.ndarray) -> CpMap:
+    """``X -> T(right X right*)`` for a state's map, as the stack ``K -> K right``:
+    the products cancel an ill-conditioned ``right``, where a congruence acting
+    after the sum over operators would round at ``||right||^2`` times the
+    stack's norm.  An embedded core, whose operators are not formed, takes
+    ``right`` as its congruence."""
+    if T.embedded:
+        return transform(T, None, right)
+    return CpMap(src_dim=right.shape[1], dst_dim=T.dst_dim, kraus=T.kraus @ right)
 
 
 def conjugate(

@@ -44,13 +44,22 @@ def lead_projection(k, s):
 
 
 def test_cpmap_rejects_bad_kraus():
-    """Empty, mis-shaped, and all-zero Kraus lists are invalid."""
+    """Empty, mis-shaped, and all-zero Kraus lists are invalid, and so are
+    non-finite congruences, also in a derived map, whose stack is not
+    checked again."""
     with pytest.raises(ValueError):
         CpMap(src_dim=2, dst_dim=2, kraus=())
     with pytest.raises(ValueError):
         CpMap(src_dim=2, dst_dim=2, kraus=(np.zeros((3, 2)),))
     with pytest.raises(ValueError):
         CpMap(src_dim=2, dst_dim=2, kraus=(np.zeros((2, 2)),))
+    T = random_cp_map(2, 2, 2, np.random.default_rng(3))
+    bad = np.array([[1.0, np.inf], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="non-finite"):
+        CpMap(src_dim=2, dst_dim=2, kraus=T.kraus, right=bad)
+    for left, right in ((bad, None), (None, np.nan * bad)):
+        with pytest.raises(ValueError, match="non-finite"):
+            transform(T, left, right)
 
 
 def test_apply_preserves_positivity():
