@@ -19,6 +19,7 @@ import numpy as np
 from .linalg import (
     Projection,
     Tolerances,
+    _numerical_rank,
     _tol,
     dagger,
     gap_split,
@@ -126,7 +127,7 @@ class BlockCertificate:
     ----------
     accumulated_transform : ndarray (k, k)
         Product ``Q`` of all alignment transforms; the final map is the
-        anchored map conjugated by ``Q``.
+        anchored map conjugated by ``Q``, which is its left congruence.
     final_map : CpMap
         The block-diagonal map the scaling stage consumes.
     prefilter : ndarray (k, k)
@@ -502,7 +503,8 @@ def alignment_transform(
     Vprime: Projection, V: Projection, W: Projection, tol: Tolerances | None = None
 ) -> np.ndarray:
     """Invertible ``R`` fixing ``Im(Id - V') + Im(V)`` pointwise and mapping
-    ``Im(V' - W)`` onto ``Im(V' - V)``.
+    ``Im(V' - W)`` onto ``Im(V' - V)`` by the polar factor of ``V' - V`` on
+    it, so ``R`` depends on the subspaces alone, not on their bases.
 
     Ties are broken toward the identity: when ``W == V`` the identity already
     satisfies both conditions and is returned.
@@ -521,9 +523,10 @@ def alignment_transform(
     fixed_out = orthogonal_complement(Vprime, tol)
     fixed_in = V.basis
     moving_src = image_basis(Vprime.matrix - W.matrix, tol)
-    moving_dst = image_basis(Vprime.matrix - V.matrix, tol)
-    if moving_src.shape[1] != moving_dst.shape[1]:
-        raise ValueError("rank mismatch between V' - W and V' - V")
+    u, sv, vh = np.linalg.svd((Vprime.matrix - V.matrix) @ moving_src, full_matrices=False)
+    if _numerical_rank(sv, tol) < moving_src.shape[1]:
+        raise ValueError("V' - V is singular on Im(V' - W)")
+    moving_dst = u @ vh
 
     domain = np.concatenate([fixed_out, fixed_in, moving_src], axis=1)
     if domain.shape[1] != k or rank_eps(domain, tol) < k:
@@ -620,7 +623,6 @@ def _decide_anchored(
     # anchoring filters the Kraus operators, K -> K P^t; rho is never rebuilt
     prefilter, T = _anchor_filter(v, T, basis, k, tol)
     Vprime = identity_projection(k)
-    accumulated = np.eye(k, dtype=complex)
     blocks: list[tuple[Projection, float]] = []
 
     iterations = 0
@@ -632,7 +634,8 @@ def _decide_anchored(
         if same_subspace(V, Vprime):
             blocks.append((V, lam))
             certificate = BlockCertificate(
-                accumulated_transform=accumulated,
+                accumulated_transform=(np.eye(k, dtype=complex) if T.left is None
+                                       else T.left),
                 final_map=T,
                 prefilter=prefilter,
             )
@@ -664,6 +667,5 @@ def _decide_anchored(
 
         R = alignment_transform(Vprime, V, result.W, tol)
         T = conjugate(T, R, 1.0, tol)
-        accumulated = R @ accumulated
         blocks.append((V, lam))
         Vprime = projection_from_matrix(Vprime.matrix - V.matrix, tol)

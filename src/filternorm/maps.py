@@ -437,13 +437,9 @@ def _arnoldi(op, start: np.ndarray, accept) -> tuple[complex, np.ndarray] | None
 
 def _matvec(T: CpMap, dual: bool = False):
     """``vec(X) -> vec(T(X))`` on row-major vectors of a square map, or the
-    adjoint's with ``dual``: a product with the superoperator (its conjugate
-    transpose), or an embedded core's :func:`apply`, which builds none."""
-    if T.embedded:
-        s, M = T.src_dim, adjoint(T) if dual else T
-        return lambda x: apply(M, x.reshape(s, s)).reshape(-1)
-    S = T.superop.conj().T if dual else T.superop
-    return lambda x: S @ x
+    adjoint's with ``dual``: :func:`apply` of ``T`` or of its adjoint."""
+    s, M = T.src_dim, adjoint(T) if dual else T
+    return lambda x: apply(M, x.reshape(s, s)).reshape(-1)
 
 
 def _perron_by_arnoldi(op, s: int, tol: Tolerances) -> tuple[float, np.ndarray] | None:

@@ -1,17 +1,19 @@
 """Operator Sinkhorn scaling and filter normal forms.
 
-A CP map from ``k x k`` to ``m x m`` matrices is scaled to a doubly
-stochastic one, ``T(Id/sqrt(k)) = Id/sqrt(m)`` and ``T*(Id/sqrt(m)) = Id/sqrt(k)``,
-by alternately fixing the two marginals, each one product of the map's
+:func:`scale_to_doubly_stochastic` scales a CP map from ``k x k`` to
+``m x m`` matrices, square or not, to a doubly stochastic one,
+``T(Id/sqrt(k)) = Id/sqrt(m)`` and ``T*(Id/sqrt(m)) = Id/sqrt(k)``, by
+alternately fixing the two marginals, each one product of the map's
 superoperator with a vector and one ``eigh`` of the marginal for its inverse
 square root.  On each irreducible block certified by the decision stage
 this converges, and the block scalings assemble into local filters that
 bring the state to its normal form (unit trace, both partial traces
 proportional to the identity), built once.  A state from
-:func:`~filternorm.states.embed_rectangular` is scaled on its ``k x m``
-factor's map instead, whose filters ``A`` and ``B`` give the embedding's as
-``Id_m (x) A`` and ``B (x) Id_k``.  For two qubits a final pair of local
-unitaries also kills every cross term of the Pauli form.
+:func:`~filternorm.states.embed_rectangular` is scaled, by the same
+function, on its ``k x m`` factor's map instead, whose filters ``A`` and
+``B`` give the embedding's as ``Id_m (x) A`` and ``B (x) Id_k``.  For two
+qubits a final pair of local unitaries also kills every cross term of the
+Pauli form.
 
 Near the boundary of the scalable maps Sinkhorn needs about ``eps^(-1/2)``
 rounds for a block ``eps`` away from losing total support.  Once a round
@@ -36,7 +38,7 @@ from .linalg import (
     hermitian_basis,
     identity_projection,
 )
-from .maps import CpMap, restrict_to_corner, transform
+from .maps import CpMap, _derive, restrict_to_corner, transform
 from .states import (
     BipartiteState,
     NotPositiveError,
@@ -116,7 +118,7 @@ def _newton_basis(s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _newton_filters(
-    coupling, left: np.ndarray, right: np.ndarray, fwd: np.ndarray, bwd: np.ndarray,
+    S: np.ndarray, left: np.ndarray, right: np.ndarray, fwd: np.ndarray, bwd: np.ndarray,
     tol: Tolerances,
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """Filters ``(e^{h/2}, e^{g/2})`` of one Newton step on both marginals.
@@ -128,12 +130,12 @@ def _newton_filters(
     to first order.  In the coordinates of :func:`hermitian_basis` this is a
     real system ``J`` of size ``m^2 + k^2``; its ``T'`` block
     ``Re tr(left* E_i left T(right F_j right*)) / sqrt(k)`` is
-    ``Re coupling(outer, inner)`` over the flattened stacks ``left* E_i left``
-    and ``right F_j right*`` (:func:`_sinkhorn`'s, of ``T`` over ``sqrt(k)``),
-    the ``T'*`` block its transpose times ``sqrt(k/m)``, so ``J`` is symmetric
-    for a square map.  ``(Id_m, -Id_k)`` spans the null space (it rescales
-    both sides against each other), so ``lstsq``, cutting singular values
-    below ``rank_rel`` of the largest, returns the minimum-norm step:
+    ``Re conj(outer) S inner^T``, ``S`` the superoperator of ``T`` over
+    ``sqrt(k)``, over the flattened stacks ``left* E_i left`` and ``right F_j
+    right*``, the ``T'*`` block its transpose times ``sqrt(k/m)``, so ``J`` is
+    symmetric for a square map.  ``(Id_m, -Id_k)`` spans the null space (it
+    rescales both sides against each other), so ``lstsq``, cutting singular
+    values below ``rank_rel`` of the largest, returns the minimum-norm step:
     computed from the filters, ``J`` annuls it only to rounding times their
     condition numbers.  Where one exponential overflows, the filters are not
     finite.
@@ -162,7 +164,7 @@ def _newton_filters(
     rhs = rhs[0] if len(rhs) == 1 else np.concatenate(rhs)
     outer = (dagger(left) @ _newton_basis(m)[2] @ left).reshape(p, p)
     inner = (right @ _newton_basis(k)[2] @ dagger(right)).reshape(k * k, k * k)
-    jac[:p, p:] = np.real(coupling(outer, inner))
+    jac[:p, p:] = np.real(outer.conj() @ S @ inner.T)
     jac[p:, :p] = jac[:p, p:].T
     if m != k:
         jac[p:, :p] *= np.sqrt(k / m)
@@ -181,29 +183,31 @@ def _newton_filters(
 def scale_to_doubly_stochastic(
     T: CpMap, tol: Tolerances | None = None
 ) -> ScalingResult:
-    """Sinkhorn-scale a square CP map to a doubly stochastic one.
+    """Sinkhorn-scale a CP map ``T`` from ``k x k`` to ``m x m`` matrices to
+    the targets of :func:`~filternorm.maps.is_doubly_stochastic`,
+    ``T(Id/sqrt(k)) = Id/sqrt(m)`` and ``T*(Id/sqrt(m)) = Id/sqrt(k)``.
 
-    Each round conjugates the output side by ``s^{-1/4} T(Id/sqrt(s))^{-1/2}``
+    Each round conjugates the output side by ``m^{-1/4} T(Id/sqrt(k))^{-1/2}``
     (which makes the forward marginal exact) and then the input side by the
-    matching adjoint-marginal factor.  Stops when both marginal residuals are
-    at most ``sinkhorn_residual``; a map already doubly stochastic returns
-    after zero iterations.  Raises :class:`SingularMarginalError` when a
-    marginal degenerates and :class:`ScalingConvergenceError` at the
+    matching ``k^{-1/4} T*(Id/sqrt(m))^{-1/2}``, so the filters are ``m x m``
+    and ``k x k``.  Stops when both marginal residuals are at most
+    ``sinkhorn_residual``; a map already doubly stochastic returns after zero
+    iterations.  Raises :class:`SingularMarginalError` when a marginal
+    degenerates and :class:`ScalingConvergenceError` at the
     ``sinkhorn_max_iters`` cap.
 
-    The loop is :func:`_sinkhorn`'s, which also scales the ``k x m`` map of
-    an embedded state's factor for :func:`filter_normal_form`.  ``T`` stays
-    unscaled and the loop accumulates the two filters, so each marginal is
-    one matvec of ``T`` (over ``sqrt(s)``): ``left T(right right*) left*``
-    and ``right* T*(left* left) right``, one product of its superoperator
-    ``S`` with a vector, ``s^4`` multiplications for any number of Kraus
-    operators; a whole-space map from the decision has built ``S`` already.
-    A round computes each marginal once: the forward one of the stopping
-    check is the one the output filter inverts, and the adjoint one is
-    needed for the check only once the forward one passes.  Each half-step
-    is one ``eigh`` of the marginal's lower triangle, which serves the
-    collapse check and the inverse square root (``s^{-1/4}`` on its
-    eigenvalue weights); a non-finite marginal raises ``ValueError``.
+    ``T`` stays unscaled and the loop accumulates the two filters, so each
+    marginal is one matvec of ``T``: ``left T(right right*) left*`` over
+    ``sqrt(k)`` and ``right* T*(left* left) right`` over ``sqrt(m)``, one
+    product of its superoperator ``S`` with a vector, ``k^2 m^2``
+    multiplications for any number of Kraus operators; the decision's final
+    map has built ``S`` already.  A round computes each marginal once: the
+    forward one of the stopping check is the one the output filter inverts,
+    and the adjoint one is needed for the check only once the forward one
+    passes.  Each half-step is one ``eigh`` of the marginal's lower
+    triangle, which serves the collapse check and the inverse square root
+    (``s^{-1/4}`` on its eigenvalue weights); a non-finite marginal raises
+    ``ValueError``.
 
     Near the boundary of the scalable maps a round shrinks the residual by a
     factor close to one.  When a round fails to halve the forward residual
@@ -219,24 +223,9 @@ def scale_to_doubly_stochastic(
     filters diverge on a map without total support.  ``iterations`` counts
     both kinds of step.
     """
-    if T.src_dim != T.dst_dim:
-        raise ValueError("scaling requires a square map")
-    return ScalingResult(*_sinkhorn(T.superop, T.src_dim, T.dst_dim, _tol(tol)), _map=T)
-
-
-def _sinkhorn(
-    superop: np.ndarray, k: int, m: int, tol: Tolerances
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """The loop of :func:`scale_to_doubly_stochastic`, returning its filters
-    and iteration count, for the map ``T`` with this superoperator from
-    ``k x k`` to ``m x m`` matrices, scaled to ``T(Id/sqrt(k)) = Id/sqrt(m)``
-    and ``T*(Id/sqrt(m)) = Id/sqrt(k)``, the targets of
-    :func:`~filternorm.maps.is_doubly_stochastic`, by an ``m x m`` output
-    filter and a ``k x k`` input one: the forward marginal is taken over
-    ``sqrt(k)`` and inverted with ``m^{-1/4}``, the adjoint one over
-    ``sqrt(m)`` with ``k^{-1/4}``."""
-    S = superop / np.sqrt(k)
-    Sa = S if m == k else superop / np.sqrt(m)
+    tol = _tol(tol)
+    k, m = T.src_dim, T.dst_dim
+    S, Sa = T.superop / np.sqrt(k), T.superop / np.sqrt(m)
 
     def forward(L, R):  # L T(R R*) L* / sqrt(k)
         return L @ (S @ (R @ R.conj().T).ravel()).reshape(m, m) @ L.conj().T
@@ -244,13 +233,8 @@ def _sinkhorn(
     def backward(L, R):  # R* T*(L* L) R / sqrt(m), T*(Y) = conj(conj(vec Y) S)
         return R.conj().T @ ((L.T @ L.conj()).ravel() @ Sa).conj().reshape(k, k) @ R
 
-    def coupling(outer, inner):
-        return outer.conj() @ S @ inner.T
-
-    left = np.eye(m, dtype=complex)  # the filters are rebound, never written in place
-    right = left if k == m else np.eye(k, dtype=complex)
-    ident_out = left / np.sqrt(m)
-    ident_in = ident_out if k == m else right / np.sqrt(k)
+    left, right = np.eye(m, dtype=complex), np.eye(k, dtype=complex)
+    ident_out, ident_in = left / np.sqrt(m), right / np.sqrt(k)
     iterations = 0
     last = np.inf  # forward residual before the latest Sinkhorn round
     newton = False  # the latest step was an accepted Newton step
@@ -272,7 +256,7 @@ def _sinkhorn(
         if not refused and not wait and (newton or res > 0.5 * last):
             if bwd is None:
                 bwd = backward(left, right)
-            filters = _newton_filters(coupling, left, right, fwd, bwd, tol)
+            filters = _newton_filters(S, left, right, fwd, bwd, tol)
             refused = filters is None
             if not refused:
                 with np.errstate(over="ignore", invalid="ignore"):
@@ -295,7 +279,7 @@ def _sinkhorn(
             left = _inverse_sqrt_marginal(fwd, m, tol) @ left
             right = right @ _inverse_sqrt_marginal(backward(left, right), k, tol)
             fwd, bwd = forward(left, right), None
-    return left, right, iterations
+    return ScalingResult(left, right, iterations, _map=T)
 
 
 # ---------------------------------------------------------------------------
@@ -351,9 +335,9 @@ def filter_normal_form(
     is the embedding of a ``k x m`` one.  Scaling the whole map reaches it:
     Sinkhorn on the embedded map keeps its filters in those shapes (its
     marginals are ``T(.) (x) Id_k`` and ``Id_m (x) T*(.)``, up to constants),
-    so it runs the rectangular loop on ``T``; an ``equivalent`` verdict says
-    the embedded map has a normal form, so that loop converges (Gurvits,
-    2004).  The ``k x m`` state is built and passes the PSD gate, its
+    so :func:`scale_to_doubly_stochastic` runs on ``T``; an ``equivalent``
+    verdict says the embedded map has a normal form, so it converges
+    (Gurvits, 2004).  The ``k x m`` state is built and passes the PSD gate, its
     partial traces give the residual, and the result embeds it, so nothing
     of size ``(mk)^2`` is multiplied, factored or traced.  A ``1 x 2`` or
     ``2 x 1`` state embeds into two qubits, where its normal form is
@@ -422,16 +406,16 @@ def _embedded_normal_form(
     factor: BipartiteState, T: CpMap | None, tol: Tolerances
 ) -> NormalFormResult:
     """:func:`filter_normal_form` of ``embed_rectangular(factor)`` from the
-    ``k x m`` factor alone; ``T`` is the verdict's final map, whose Kraus
-    stack is the factor map's, or ``None``."""
+    ``k x m`` factor alone; ``T`` is the verdict's final map, whose plain
+    core is the factor's map, or ``None``."""
     k, m = factor.k, factor.m
-    # the factor map's superoperator is that of the final map's stack, which
-    # the decision built: the factor is not factored again
-    T = state_to_map(factor, tol) if T is None else T
-    left, right, iterations = _sinkhorn(T._stack_superop, k, m, tol)
+    # the final map's plain core: the factor's stack and the decision's superoperator
+    T = state_to_map(factor, tol) if T is None else _derive(
+        T, src_dim=k, dst_dim=m, embedded=False, dual=False, left=None, right=None)
+    sr = scale_to_doubly_stochastic(T, tol)
     # the input filter acts transposed on the first factor; the embedding's
     # trace is mk times the factor's
-    A, B = right.T, left
+    A, B = sr.right.T, sr.left
     A = A / np.sqrt(k * m * _filtered_trace(factor, A, B))
     normal = _gated_filter(factor, A, B, tol)
     # the embedding's partial traces are m tr_1(rho) (x) Id_k and k Id_m (x) tr_2(rho)
@@ -444,7 +428,7 @@ def _embedded_normal_form(
         right=np.kron(B, np.eye(k)),
         state=embed_rectangular(normal),
         residual=residual,
-        iterations=iterations,
+        iterations=sr.iterations,
     )
 
 

@@ -45,11 +45,13 @@ from filternorm.decide import (
     _coords_to_block,
     _verify_paired_block,
     adjoint_block_quadratic,
+    alignment_transform,
     normalize_corner,
 )
 from filternorm.linalg import (
     DEFAULT_TOL,
     identity_projection,
+    image_basis,
     projection_from_matrix,
     projector_onto,
     psd_check,
@@ -932,6 +934,39 @@ def test_decide_factors_the_state_once(monkeypatch):
         assert eigendecompositions(st.k ** 2) == []
 
 
+def test_alignment_transform_does_not_depend_on_the_basis_of_w(monkeypatch):
+    """``R`` fixes ``Im(Id - V') + Im(V)`` and maps ``Im(V' - W)`` onto
+    ``Im(V' - V)``, and it is the same map, to 1e-12, when ``W``'s basis
+    is rotated by a random unitary, and when the basis of ``Im(V' - W)``
+    is: that image of a degenerate projector gets its basis from rounding,
+    and the polar factor that pairs it with ``Im(V' - V)`` undoes any
+    rotation of it."""
+    rng = np.random.default_rng(32)
+    k, rank, s = 7, 5, 2
+
+    def span(rows, cols):
+        return image_basis(rng.standard_normal((rows, cols))
+                           + 1j * rng.standard_normal((rows, cols)))
+    Vprime = projector_onto(span(k, rank))
+    V = projector_onto(Vprime.basis @ span(rank, s))
+    W = projector_onto(Vprime.basis @ span(rank, s))
+    R = alignment_transform(Vprime, V, W)
+    fixed = np.eye(k) - Vprime.matrix + V.matrix
+    moved = R @ (Vprime.matrix - W.matrix)
+    assert np.abs(R @ fixed - fixed).max() < 1e-12
+    assert np.abs(moved - (Vprime.matrix - V.matrix) @ moved).max() < 1e-12
+    assert rank_eps(moved) == rank - s
+    for _ in range(5):
+        rotated = projector_onto(W.basis @ random_unitary(s, rng))
+        assert np.abs(alignment_transform(Vprime, V, rotated) - R).max() < 1e-12
+
+    def rotated_image(mat, tol=None, _fn=image_basis):
+        basis = _fn(mat, tol)
+        return basis @ random_unitary(basis.shape[1], rng)
+    monkeypatch.setattr(decide_module, "image_basis", rotated_image)
+    assert np.abs(alignment_transform(Vprime, V, W) - R).max() < 1e-12
+
+
 def test_square_decision_builds_one_superoperator(monkeypatch):
     """A square decision builds one superoperator, of its anchored
     ``(r, k, k)`` Kraus stack: the normalized and aligned maps, their
@@ -966,7 +1001,9 @@ def test_embedded_decision_factors_only_the_factor(monkeypatch):
     Its map stays in the structured form: the decision and the normal form
     build the superoperator of the factor's 20 Kraus operators and no
     ``maps._superop`` of a 400-operator stack, and they assemble no
-    400 x 400 superoperator.  The plain copy's decision builds both.
+    400 x 400 superoperator; the one superoperator read, the normal form's
+    25 x 16 of the factor map, is that stack's own.  The plain copy's
+    decision builds both.
     """
     built = []  # the shapes of Kraus stacks given to _superop, and of superoperators read
 
@@ -1007,7 +1044,7 @@ def test_embedded_decision_factors_only_the_factor(monkeypatch):
     assert [V.rank for V, _ in verdict.blocks] == [20]
     assert calls == [("cholesky", (20, 20)), ("pivoted_cholesky", (20, 20))]
     filter_normal_form(emb, verdict)
-    assert built == [("_superop", (20, 5, 4))]
+    assert built == [("_superop", (20, 5, 4)), ("superop", (25, 16))]
     calls.clear()
     built.clear()
     decide_equivalence(BipartiteState(k=emb.k, m=emb.m, rho=emb.rho))

@@ -64,11 +64,18 @@ def marginal_residual(T):
     )
 
 
-def test_scaling_requires_a_square_map():
-    """Rectangular maps are rejected up front."""
-    T = CpMap(src_dim=2, dst_dim=3, kraus=(np.ones((3, 2)),))
-    with pytest.raises(ValueError):
-        scale_to_doubly_stochastic(T)
+def test_rectangular_maps_scale_through_the_public_function():
+    """Maps from 2 x 2 to 3 x 3 matrices and back scale to the targets of
+    ``is_doubly_stochastic``, with an output filter of the output's size
+    and an input filter of the input's."""
+    rng = np.random.default_rng(26)
+    for k, m in ((2, 3), (3, 2)):
+        kraus = rng.standard_normal((4, m, k)) + 1j * rng.standard_normal((4, m, k))
+        result = scale_to_doubly_stochastic(CpMap(src_dim=k, dst_dim=m, kraus=kraus))
+        assert result.left.shape == (m, m) and result.right.shape == (k, k)
+        assert (result.scaled.src_dim, result.scaled.dst_dim) == (k, m)
+        assert apply(result.scaled, np.eye(k)).shape == (m, m)
+        assert is_doubly_stochastic(result.scaled)
 
 
 def test_scaling_is_a_no_op_on_doubly_stochastic_maps():
@@ -473,8 +480,7 @@ def test_an_overflowing_newton_trial_is_rejected_silently(monkeypatch):
     are errors here) and with one more iteration than on its own."""
     eye = np.eye(2, dtype=complex)
     filters = scaling._newton_filters(
-        lambda outer, inner: np.zeros((4, 4)), eye, eye, 1e-300 * eye, 1e-300 * eye,
-        Tolerances())
+        np.zeros((4, 4)), eye, eye, 1e-300 * eye, 1e-300 * eye, Tolerances())
     assert not np.isfinite(filters).all()
     T = _boundary_map(1e-4, np.random.default_rng(3))
     want = scale_to_doubly_stochastic(T)
@@ -782,6 +788,27 @@ def test_embedded_normal_form_works_on_the_factor_alone(monkeypatch):
     assert nf.residual <= GATE
 
 
+def test_an_embedded_normal_form_scales_through_the_public_function(monkeypatch):
+    """An embedded 2 x 3 state's normal form, with a verdict or without,
+    makes one ``scale_to_doubly_stochastic`` call, on its factor's map from
+    2 x 2 to 3 x 3 matrices, and reports that call's iteration count."""
+    rng = np.random.default_rng(27)
+    emb = embed_rectangular(apply_filter(pattern_state(rng.uniform(0.2, 2.0, size=(2, 3))),
+                                         random_invertible(2, rng), random_invertible(3, rng)))
+    calls = []
+    scale = scaling.scale_to_doubly_stochastic
+
+    def recorded(T, tol=None):
+        calls.append(((T.src_dim, T.dst_dim), scale(T, tol)))
+        return calls[-1][1]
+    monkeypatch.setattr(scaling, "scale_to_doubly_stochastic", recorded)
+    for verdict in (decide_equivalence(emb), None):
+        calls.clear()
+        nf = filter_normal_form(emb, verdict)
+        assert [dims for dims, _ in calls] == [(2, 3)]
+        assert calls[0][1].iterations == nf.iterations > 0
+
+
 def test_rectangular_scaling_takes_newton_steps_near_the_boundary():
     """``[[1, 1, 1, e], [e, e, 1, 1]]`` is scalable to rows of sum 4 and
     columns of sum 2 for ``e > 0``, but its limit loses an entry as ``e``
@@ -791,9 +818,9 @@ def test_rectangular_scaling_takes_newton_steps_near_the_boundary():
     for eps in (1e-2, 1e-4, 1e-6, 1e-8):
         w = np.array([[1.0, 1.0, 1.0, eps], [eps, eps, 1.0, 1.0]])
         T = state_to_map(pattern_state(w))
-        left, right, iterations = scaling._sinkhorn(T.superop, 2, 4, DEFAULT_TOL)
-        scaled = transform(T, left, right)
-        assert iterations <= 15, eps
+        result = scale_to_doubly_stochastic(T)
+        scaled = result.scaled
+        assert result.iterations <= 15, eps
         assert is_doubly_stochastic(scaled)
         got = np.array([[apply(scaled, np.diag(e).astype(complex))[j, j].real
                          for j in range(4)] for e in np.eye(2)])
@@ -812,7 +839,7 @@ def test_a_rectangular_newton_step_squares_a_small_residual():
     for k, m in ((2, 3), (3, 2), (2, 5), (3, 3)):
         kraus = rng.standard_normal((k * m, m, k)) + 1j * rng.standard_normal((k * m, m, k))
         T = CpMap(src_dim=k, dst_dim=m, kraus=kraus)
-        D = transform(T, *scaling._sinkhorn(T.superop, k, m, DEFAULT_TOL)[:2])
+        D = scale_to_doubly_stochastic(T).scaled
         S = D.superop / np.sqrt(k)
 
         def residual(L, R):
@@ -825,8 +852,7 @@ def test_a_rectangular_newton_step_squares_a_small_residual():
         L = np.eye(m) + 1e-4 * random_invertible(m, rng)
         R = np.eye(k) + 1e-4 * random_invertible(k, rng)
         fwd, bwd, before = residual(L, R)
-        left, right = scaling._newton_filters(
-            lambda outer, inner: outer.conj() @ S @ inner.T, L, R, fwd, bwd, DEFAULT_TOL)
+        left, right = scaling._newton_filters(S, L, R, fwd, bwd, DEFAULT_TOL)
         after = residual(left @ L, R @ right)[2]
         assert 1e-5 < before < 1e-3 and after < 1e-3 * before, (k, m)
 
