@@ -8,12 +8,14 @@ superoperator with a vector and one ``eigh`` of the marginal for its inverse
 square root.  On each irreducible block certified by the decision stage
 this converges, and the block scalings assemble into local filters that
 bring the state to its normal form (unit trace, both partial traces
-proportional to the identity), built once.  A state from
+proportional to the identity).  A state from
 :func:`~filternorm.states.embed_rectangular` is scaled, by the same
 function, on its ``k x m`` factor's map instead, whose filters ``A`` and
-``B`` give the embedding's as ``Id_m (x) A`` and ``B (x) Id_k``.  For two
-qubits a final pair of local unitaries also kills every cross term of the
-Pauli form.
+``B`` give the embedding's as ``Id_m (x) A`` and ``B (x) Id_k``.  One flow
+follows either scaling: the filters are assembled and normalized, the
+filtered state is built and gated once, and the residual is read off the
+returned state.  For two qubits a final pair of local unitaries also kills
+every cross term of the Pauli form.
 
 Near the boundary of the scalable maps Sinkhorn needs about ``eps^(-1/2)``
 rounds for a block ``eps`` away from losing total support.  Once a round
@@ -36,7 +38,6 @@ from .linalg import (
     _tol,
     dagger,
     hermitian_basis,
-    identity_projection,
 )
 from .maps import CpMap, _derive, restrict_to_corner, transform
 from .states import (
@@ -291,9 +292,10 @@ def scale_to_doubly_stochastic(
 class NormalFormResult:
     """Filters and the filtered state ``(left (x) right) rho (left (x) right)*``.
 
-    The state has unit trace and both partial traces within ``residual`` of
-    ``Id/k``; ``iterations`` is the largest scaling iteration count (Sinkhorn
-    rounds plus Newton steps) over the scaled blocks.  For a state from
+    The state has unit trace, and ``residual`` is the larger deviation of
+    its two partial traces from ``Id/k``, read off this state itself;
+    ``iterations`` is the largest scaling iteration count (Sinkhorn rounds
+    plus Newton steps) over the scaled blocks.  For a state from
     :func:`~filternorm.states.embed_rectangular` the filters are
     ``Id_m (x) A`` and ``B (x) Id_k`` and the state is the embedding of the
     ``k x m`` state ``(A (x) B) rho (A (x) B)*``, which it keeps as its
@@ -337,119 +339,77 @@ def filter_normal_form(
     marginals are ``T(.) (x) Id_k`` and ``Id_m (x) T*(.)``, up to constants),
     so :func:`scale_to_doubly_stochastic` runs on ``T``; an ``equivalent``
     verdict says the embedded map has a normal form, so it converges
-    (Gurvits, 2004).  The ``k x m`` state is built and passes the PSD gate, its
-    partial traces give the residual, and the result embeds it, so nothing
-    of size ``(mk)^2`` is multiplied, factored or traced.  A ``1 x 2`` or
-    ``2 x 1`` state embeds into two qubits, where its normal form is
-    ``Id/4``, whose Pauli form has no cross terms: it takes no Pauli rotation.
+    (Gurvits, 2004).  The ``k x m`` state is built and passes the PSD gate,
+    and the result embeds it, so nothing of size ``(mk)^2`` is multiplied or
+    factored.  A ``1 x 2`` or ``2 x 1`` state embeds into two qubits, where
+    its normal form is ``Id/4``, whose Pauli form has no cross terms: it
+    takes no Pauli rotation.
+
+    One flow follows the scaling in every case: the scaled parts' filters are
+    assembled, composed with the decision's transforms, normalized to unit
+    trace and gated once, and the residual is read off the returned state's
+    partial traces, for an embedded state off the diagonal blocks of the
+    output embedding, ``O((mk)^3)``.
     """
     tol = _tol(tol)
     if state.k != state.m:
         raise ValueError("normal form requires a square state; embed first")
-    k = state.k
-
     if verdict is not None and (
         verdict.outcome != OUTCOME_EQUIVALENT or verdict.certificate is None
     ):
         raise ValueError("normal form needs an equivalent verdict")
-    if state._factor is not None:
-        final_map = None if verdict is None else verdict.certificate.final_map
-        return _embedded_normal_form(state._factor, final_map, tol)
 
-    if verdict is not None:
-        cert = verdict.certificate
-        prefilter = cert.prefilter
-        accumulated = cert.accumulated_transform
-        T = cert.final_map
-        block_projs = [V for V, _ in verdict.blocks]
+    # the state the filters act on; the maps to scale, each with the basis of
+    # the block it fills (None: the whole space); and the map-side history
+    # the filters compose with, identities unless a square verdict has one
+    target = state if state._factor is None else state._factor
+    k, m = target.k, target.m
+    history = np.eye(k, dtype=complex), np.eye(k, dtype=complex), np.eye(m, dtype=complex)
+    if verdict is None:
+        parts = [(state_to_map(target, tol), None)]
+    elif target is not state:
+        # the final map's plain core: the factor's stack and the decision's superoperator
+        parts = [(_derive(verdict.certificate.final_map, src_dim=k, dst_dim=m,
+                          embedded=False, dual=False, left=None, right=None), None)]
     else:
-        prefilter = np.eye(k, dtype=complex)
-        accumulated = np.eye(k, dtype=complex)
-        T = state_to_map(state, tol)
-        block_projs = [identity_projection(k)]
+        cert = verdict.certificate
+        parts = [(restrict_to_corner(cert.final_map, V), V.basis) for V, _ in verdict.blocks]
+        accumulated = cert.accumulated_transform
+        history = np.linalg.inv(accumulated).T, cert.prefilter, accumulated
 
-    left_glob = np.zeros((k, k), dtype=complex)
-    right_glob = np.zeros((k, k), dtype=complex)
-    iterations = 0
-    for V in block_projs:
-        corner = restrict_to_corner(T, V)
-        sr = scale_to_doubly_stochastic(corner, tol)
-        left_glob += V.basis @ sr.left @ dagger(V.basis)
-        right_glob += V.basis @ sr.right @ dagger(V.basis)
-        iterations = max(iterations, sr.iterations)
-
+    scaled = [(scale_to_doubly_stochastic(T, tol), b) for T, b in parts]
+    outer = sum(sr.left if b is None else b @ sr.left @ dagger(b) for sr, b in scaled)
+    inner = sum(sr.right if b is None else b @ sr.right @ dagger(b) for sr, b in scaled)
     # undo the map-side history: input transforms act transposed on the first
     # factor of the state, output transforms act directly on the second; the
     # filtered state is built once, normalized by a trace read off the filters
-    left_filter = right_glob.T @ np.linalg.inv(accumulated).T @ prefilter
-    right_filter = left_glob @ accumulated
-    left_filter = left_filter / np.sqrt(_filtered_trace(state, left_filter, right_filter))
-    if k == 2:
-        u1, u2 = _pauli_rotations(state, left_filter, right_filter)
-        left_filter = u1 @ left_filter
-        right_filter = u2 @ right_filter
-    normal = _gated_filter(state, left_filter, right_filter, tol)
-
-    target = np.eye(k) / k
-    residual = _checked_residual(np.abs(partial_trace_first(normal) - target).max(),
-                                 np.abs(partial_trace_second(normal) - target).max(), tol)
-    return NormalFormResult(
-        left=left_filter,
-        right=right_filter,
-        state=normal,
-        residual=residual,
-        iterations=iterations,
-    )
-
-
-def _embedded_normal_form(
-    factor: BipartiteState, T: CpMap | None, tol: Tolerances
-) -> NormalFormResult:
-    """:func:`filter_normal_form` of ``embed_rectangular(factor)`` from the
-    ``k x m`` factor alone; ``T`` is the verdict's final map, whose plain
-    core is the factor's map, or ``None``."""
-    k, m = factor.k, factor.m
-    # the final map's plain core: the factor's stack and the decision's superoperator
-    T = state_to_map(factor, tol) if T is None else _derive(
-        T, src_dim=k, dst_dim=m, embedded=False, dual=False, left=None, right=None)
-    sr = scale_to_doubly_stochastic(T, tol)
-    # the input filter acts transposed on the first factor; the embedding's
-    # trace is mk times the factor's
-    A, B = sr.right.T, sr.left
-    A = A / np.sqrt(k * m * _filtered_trace(factor, A, B))
-    normal = _gated_filter(factor, A, B, tol)
-    # the embedding's partial traces are m tr_1(rho) (x) Id_k and k Id_m (x) tr_2(rho)
-    n = k * m
-    residual = _checked_residual(
-        np.abs(m * partial_trace_first(normal) - np.eye(m) / n).max(),
-        np.abs(k * partial_trace_second(normal) - np.eye(k) / n).max(), tol)
-    return NormalFormResult(
-        left=np.kron(np.eye(m), A),
-        right=np.kron(B, np.eye(k)),
-        state=embed_rectangular(normal),
-        residual=residual,
-        iterations=sr.iterations,
-    )
-
-
-def _gated_filter(
-    state: BipartiteState, left: np.ndarray, right: np.ndarray, tol: Tolerances
-) -> BipartiteState:
-    """``apply_filter``, whose PSD gate failing on filters of a state that
-    passed it is a numerical failure: ``RuntimeError``."""
+    left = inner.T @ history[0] @ history[1]
+    right = outer @ history[2]
+    n = state.order // target.order  # an embedding's trace is mk times its factor's
+    left = left / np.sqrt(n * _filtered_trace(target, left, right))
+    if state.k == 2 and target is state:
+        u1, u2 = _pauli_rotations(state, left, right)
+        left, right = u1 @ left, u2 @ right
     try:
-        return apply_filter(state, left, right, tol)
+        normal = apply_filter(target, left, right, tol)
     except NotPositiveError as exc:
         raise RuntimeError("normal form state failed its positivity check") from exc
+    if target is not state:
+        normal = embed_rectangular(normal)
+        left, right = np.kron(np.eye(m), left), np.kron(right, np.eye(k))
 
-
-def _checked_residual(first: float, second: float, tol: Tolerances) -> float:
-    """The larger partial-trace deviation, which must be within ten times the
-    Sinkhorn residual."""
-    residual = float(max(first, second))
+    ident = np.eye(state.k) / state.k
+    residual = float(max(np.abs(partial_trace_first(normal) - ident).max(),
+                         np.abs(partial_trace_second(normal) - ident).max()))
     if residual > 10.0 * tol.sinkhorn_residual:
         raise RuntimeError(f"normal form residual {residual:.2e} is too large")
-    return residual
+    return NormalFormResult(
+        left=left,
+        right=right,
+        state=normal,
+        residual=residual,
+        iterations=max(sr.iterations for sr, _ in scaled),
+    )
 
 
 def _filtered_trace(state: BipartiteState, left: np.ndarray, right: np.ndarray) -> float:

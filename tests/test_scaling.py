@@ -64,6 +64,14 @@ def marginal_residual(T):
     )
 
 
+def partial_trace_deviation(state):
+    """Largest deviation of a square state's two partial traces from Id/k,
+    computed as ``filter_normal_form`` reports its residual."""
+    ident = np.eye(state.k) / state.k
+    return float(max(np.abs(partial_trace_first(state) - ident).max(),
+                     np.abs(partial_trace_second(state) - ident).max()))
+
+
 def test_rectangular_maps_scale_through_the_public_function():
     """Maps from 2 x 2 to 3 x 3 matrices and back scale to the targets of
     ``is_doubly_stochastic``, with an output filter of the output's size
@@ -566,22 +574,18 @@ def test_normal_form_rejects_non_equivalent_verdicts():
 
 
 def test_normal_form_of_random_full_rank_states():
-    """Certified block scaling drives both partial traces to Id/k."""
+    """Certified block scaling, and scaling without a verdict, drive both
+    partial traces to Id/k; the residual is the returned state's deviation,
+    bit for bit."""
     rng = np.random.default_rng(3)
     for k in (2, 3):
         st = separable_full_rank(k, rng)
-        verdict = decide_equivalence(st)
-        nf = filter_normal_form(st, verdict)
-        eye = np.eye(k) / k
-        assert abs(np.trace(nf.state.rho).real - 1.0) < 1e-12
-        direct = max(
-            np.abs(partial_trace_first(nf.state) - eye).max(),
-            np.abs(partial_trace_second(nf.state) - eye).max(),
-        )
-        assert direct < 1e-7
-        assert abs(direct - nf.residual) < 1e-12
-        rebuilt = apply_filter(st, nf.left, nf.right)
-        assert np.abs(rebuilt.rho - nf.state.rho).max() < 1e-12
+        for verdict in (decide_equivalence(st), None):
+            nf = filter_normal_form(st, verdict)
+            assert abs(np.trace(nf.state.rho).real - 1.0) < 1e-12
+            assert nf.residual == partial_trace_deviation(nf.state) < 1e-7
+            rebuilt = apply_filter(st, nf.left, nf.right)
+            assert np.abs(rebuilt.rho - nf.state.rho).max() < 1e-12
 
 
 def test_normal_form_is_idempotent():
@@ -601,7 +605,7 @@ def test_normal_form_without_a_verdict_handles_entangled_states():
     """The single-block path normalizes the maximally entangled state."""
     st = maximally_entangled(2)
     nf = filter_normal_form(st)
-    assert nf.residual < 1e-8
+    assert nf.residual == partial_trace_deviation(nf.state) < 1e-8
     lams, cross = pauli_coefficients(nf.state)
     assert cross < 1e-8
     assert np.abs(lams - np.array([0.5, 0.5, 0.5, -0.5])).max() < 1e-8
@@ -643,14 +647,15 @@ def _rect_normal_form(nf, emb, k, m):
     The filters are ``Id_m (x) A`` and ``B (x) Id_k``, the state is the
     embedding of its factor, and ``mk`` times the factor has unit trace and
     partial traces ``Id_m/m`` and ``Id_k/k``, each ``k`` or ``m`` times the
-    embedded residual.  Small embeddings are filtered densely as well.
+    embedded residual, which is the embedding's own deviation, bit for bit.
+    Small embeddings are filtered densely as well.
     """
     A, B = nf.left[:k, :k], nf.right[::k, ::k]
     assert np.array_equal(nf.left, np.kron(np.eye(m), A))
     assert np.array_equal(nf.right, np.kron(B, np.eye(k)))
     factor = nf.state._factor
     assert np.array_equal(nf.state.rho, embed_rectangular(factor).rho)
-    assert nf.residual <= GATE
+    assert nf.residual == partial_trace_deviation(nf.state) <= GATE
     small = BipartiteState(k=k, m=m, rho=k * m * factor.rho)
     assert abs(np.trace(small.rho).real - 1.0) < 1e-12
     assert np.abs(partial_trace_first(small) - np.eye(m) / m).max() <= k * nf.residual + 1e-15
@@ -785,13 +790,14 @@ def test_embedded_normal_form_works_on_the_factor_alone(monkeypatch):
     assert _WatchedMatrix.entered == []
     assert shapes and max(max(shape) for shape in shapes) < 400
     assert nf.state.rho.nbytes <= peak < 1.5 * nf.state.rho.nbytes
-    assert nf.residual <= GATE
+    assert nf.residual == partial_trace_deviation(nf.state) <= GATE
 
 
 def test_an_embedded_normal_form_scales_through_the_public_function(monkeypatch):
     """An embedded 2 x 3 state's normal form, with a verdict or without,
     makes one ``scale_to_doubly_stochastic`` call, on its factor's map from
-    2 x 2 to 3 x 3 matrices, and reports that call's iteration count."""
+    2 x 2 to 3 x 3 matrices, and reports that call's iteration count and the
+    returned embedding's partial-trace deviation as its residual."""
     rng = np.random.default_rng(27)
     emb = embed_rectangular(apply_filter(pattern_state(rng.uniform(0.2, 2.0, size=(2, 3))),
                                          random_invertible(2, rng), random_invertible(3, rng)))
@@ -807,6 +813,7 @@ def test_an_embedded_normal_form_scales_through_the_public_function(monkeypatch)
         nf = filter_normal_form(emb, verdict)
         assert [dims for dims, _ in calls] == [(2, 3)]
         assert calls[0][1].iterations == nf.iterations > 0
+        assert nf.residual == partial_trace_deviation(nf.state)
 
 
 def test_rectangular_scaling_takes_newton_steps_near_the_boundary():
