@@ -19,10 +19,12 @@ every cross term of the Pauli form.
 
 Near the boundary of the scalable maps Sinkhorn needs about ``eps^(-1/2)``
 rounds for a block ``eps`` away from losing total support.  Once a round
-fails to halve the residual, the loop takes Newton steps on both filters
-instead, which need about ten steps there; a well-conditioned Newton system
-is their precondition, so maps without a normal form still fail as plain
-Sinkhorn fails on them.
+fails to halve the residual, or the rounds' contraction settles at a rate
+that predicts more rounds than the Newton system has unknowns, the loop
+takes Newton steps on both filters instead: about ten near the boundary, a
+few on a random two-qubit map.  A well-conditioned Newton system is their
+precondition, so maps without a normal form still fail as plain Sinkhorn
+fails on them.
 """
 
 from __future__ import annotations
@@ -212,7 +214,10 @@ def scale_to_doubly_stochastic(
 
     Near the boundary of the scalable maps a round shrinks the residual by a
     factor close to one.  When a round fails to halve the forward residual
-    (a stall), the loop switches to Newton steps on both filters
+    (a stall), or when its contraction ``q`` is within 25 % of the round
+    before's and predicts more rounds to ``sinkhorn_residual`` than the
+    ``m^2 + k^2`` unknowns of the Newton system (``res q^(m^2 + k^2)`` is
+    still above it), the loop switches to Newton steps on both filters
     (:func:`_newton_filters`) and keeps taking them while each one lowers the
     larger of the two residuals, handing that test's two marginals to the
     next iteration.  A trial that does not, or whose filters or marginals
@@ -226,7 +231,8 @@ def scale_to_doubly_stochastic(
     """
     tol = _tol(tol)
     k, m = T.src_dim, T.dst_dim
-    S, Sa = T.superop / np.sqrt(k), T.superop / np.sqrt(m)
+    S = T.superop / np.sqrt(k)
+    Sa = S if k == m else T.superop / np.sqrt(m)
 
     def forward(L, R):  # L T(R R*) L* / sqrt(k)
         return L @ (S @ (R @ R.conj().T).ravel()).reshape(m, m) @ L.conj().T
@@ -238,6 +244,7 @@ def scale_to_doubly_stochastic(
     ident_out, ident_in = left / np.sqrt(m), right / np.sqrt(k)
     iterations = 0
     last = np.inf  # forward residual before the latest Sinkhorn round
+    q_last = 0.0  # the contraction res / last of the Sinkhorn round before it
     newton = False  # the latest step was an accepted Newton step
     refused = False  # the Newton guard refused once
     wait, backoff = 0, 1  # Sinkhorn rounds before Newton may run again, and the next wait
@@ -254,7 +261,13 @@ def scale_to_doubly_stochastic(
                 f"scaling did not converge after {iterations} iterations"
             )
         iterations += 1
-        if not refused and not wait and (newton or res > 0.5 * last):
+        # a contraction within 25 % of the round before's predicts the rounds
+        # left; a Newton step costs fewer rounds than its m^2 + k^2 unknowns
+        # (about 2 at k = m = 2, 200 at 16), so it runs where more are left
+        q = res / last
+        if not refused and not wait and (newton or res > 0.5 * last or (
+                abs(q - q_last) < 0.25 * q_last
+                and res * q ** (m * m + k * k) > tol.sinkhorn_residual)):
             if bwd is None:
                 bwd = backward(left, right)
             filters = _newton_filters(S, left, right, fwd, bwd, tol)
@@ -271,7 +284,7 @@ def scale_to_doubly_stochastic(
                     continue
                 wait = backoff = 2 * backoff
             newton = False
-        last = res
+        last, q_last = res, q
         if wait:
             wait -= 1
         # where the filters diverge the marginals overflow, as in a Newton
