@@ -110,11 +110,21 @@ def _inverse_sqrt_marginal(G: np.ndarray, s: int, tol: Tolerances) -> np.ndarray
 
 
 @lru_cache(maxsize=16)
-def _newton_basis(s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only ``hermitian_basis(s)`` as ``s^2 x s^2`` rows, their conjugates
-    and the basis as an ``(s^2, s, s)`` stack, built once per size."""
-    basis = hermitian_basis(s).reshape(s * s, s * s)
-    views = basis, basis.conj(), basis.reshape(s * s, s, s)
+def _newton_basis(s: int) -> tuple[np.ndarray, ...]:
+    """Read-only tables of ``hermitian_basis(s)``, built on first use per size:
+    the basis as ``s^2 x s^2`` rows, ``rows`` with ``g @ rows = Re tr(E_i G)``
+    for ``g`` the real view of ``vec G``, the coordinates of ``Id/sqrt(s)``, and
+    :func:`_newton_filters`' ``(s^4, 2)`` gather table ``index``, ``coef``."""
+    n = s * s
+    stack = hermitian_basis(s)
+    index, coef = np.empty((n, n, 2), dtype=np.intp), np.empty((n, n, 2))
+    for i, E in enumerate(stack):  # Re tr(H G) weighs g by the real view of conj(H^T) = H
+        weights = (E @ stack + stack @ E).view(float).reshape(n, 2 * n) / 2.0
+        index[i] = np.argsort(weights == 0.0, axis=1, kind="stable")[:, :2]
+        coef[i] = np.take_along_axis(weights, index[i], axis=1)
+    rows = stack.reshape(n, n).view(float).T.copy()
+    target = np.eye(s).reshape(n) @ rows[::2] / np.sqrt(s)
+    views = stack.reshape(n, n), rows, target, index.reshape(-1, 2), coef.reshape(-1, 2)
     for view in views:
         view.flags.writeable = False
     return views
@@ -136,37 +146,38 @@ def _newton_filters(
     ``Re conj(outer) S inner^T``, ``S`` the superoperator of ``T`` over
     ``sqrt(k)``, over the flattened stacks ``left* E_i left`` and ``right F_j
     right*``, the ``T'*`` block its transpose times ``sqrt(k/m)``, so ``J`` is
-    symmetric for a square map.  ``(Id_m, -Id_k)`` spans the null space (it
-    rescales both sides against each other), so ``lstsq``, cutting singular
-    values below ``rank_rel`` of the largest, returns the minimum-norm step:
-    computed from the filters, ``J`` annuls it only to rounding times their
-    condition numbers.  Where one exponential overflows, the filters are not
-    finite.
+    symmetric for a square map.  Its diagonal blocks ``Re tr(E_i {E_j, G}) / 2``,
+    ``G`` the marginal, are one gather: ``{E_i, E_j}`` has at most two nonzero
+    entries, each real or imaginary, so an entry reads two numbers of ``G``'s
+    real view, at the ``(d^4, 2)`` table of :func:`_newton_basis`, ``O(d^4)``
+    like ``J`` (a dense ``d^2 x d^4`` one would take 268 MB at ``d = 16``).
+    ``(Id_m, -Id_k)`` spans the null space (it rescales both sides against
+    each other), so ``lstsq``, cutting singular values below ``rank_rel`` of
+    the largest, returns the minimum-norm step: computed from the filters,
+    ``J`` annuls it only to rounding times their condition numbers.  Where one
+    exponential overflows, the filters are not finite.
 
     Returns ``None`` when the second-smallest singular value of ``J`` is
     below ``sqrt(rank_rel)`` times the largest: the step is then ill-posed,
     as on maps without total support, whose filters diverge.
     """
     m, k = len(fwd), len(bwd)
-    p, dim = m * m, m * m + k * k
-    # a square map's two sides have one size, and each product and
+    p, q = m * m, k * k
+    # a square map's two sides have one size, and each gather, product and
     # eigendecomposition below takes them both in one stacked call; each
     # group is (size, marginals, first coordinate)
     groups = [(m, (fwd, bwd), 0)] if m == k else [(m, (fwd,), 0), (k, (bwd,), p)]
-    jac, rhs = np.empty((dim, dim)), []
+    jac, rhs = np.empty((p + q, p + q)), np.empty(p + q)
     for d, marginals, start in groups:
         n = d * d
-        basis, basis_conj, stack = _newton_basis(d)
-        marginals = np.stack(marginals)[:, None]
-        anti = (stack @ marginals + marginals @ stack).reshape(-1, n, n)
-        for i, block in enumerate(np.real(basis_conj @ anti.swapaxes(1, 2)) / 2.0):
+        _, rows, target, index, coef = _newton_basis(d)
+        marginals = np.array(marginals, dtype=complex).reshape(len(marginals), -1).view(float)
+        for i, block in enumerate((marginals.take(index, axis=1) * coef).sum(axis=2)):
             first = start + i * n
-            jac[first:first + n, first:first + n] = block
-        gaps = (np.eye(d) / np.sqrt(d) - marginals).reshape(-1, n)
-        rhs.append(np.real(gaps @ basis_conj.T).reshape(-1))
-    rhs = rhs[0] if len(rhs) == 1 else np.concatenate(rhs)
-    outer = (dagger(left) @ _newton_basis(m)[2] @ left).reshape(p, p)
-    inner = (right @ _newton_basis(k)[2] @ dagger(right)).reshape(k * k, k * k)
+            jac[first:first + n, first:first + n] = block.reshape(n, n)
+        rhs[start:start + len(marginals) * n] = (target - marginals @ rows).reshape(-1)
+    outer = (dagger(left) @ _newton_basis(m)[0].reshape(p, m, m) @ left).reshape(p, p)
+    inner = (right @ _newton_basis(k)[0].reshape(q, k, k) @ dagger(right)).reshape(q, q)
     jac[:p, p:] = np.real(outer.conj() @ S @ inner.T)
     jac[p:, :p] = jac[:p, p:].T
     if m != k:
@@ -174,13 +185,13 @@ def _newton_filters(
     step, _, _, sv = np.linalg.lstsq(jac, rhs, rcond=tol.rank_rel)
     if sv[-2] < np.sqrt(tol.rank_rel) * sv[0]:
         return None
-    filters = []
+    filters = ()
     for d, marginals, start in groups:
         coords = step[start:start + len(marginals) * d * d].reshape(len(marginals), -1)
         eigs, vecs = np.linalg.eigh((coords @ _newton_basis(d)[0]).reshape(-1, d, d) / 2.0)
         with np.errstate(over="ignore", invalid="ignore"):
-            filters.extend((vecs * np.exp(eigs)[:, None, :]) @ dagger(vecs))
-    return filters[0], filters[1]
+            filters += tuple((vecs * np.exp(eigs)[:, None, :]) @ dagger(vecs))
+    return filters
 
 
 def scale_to_doubly_stochastic(
@@ -263,7 +274,7 @@ def scale_to_doubly_stochastic(
         iterations += 1
         # a contraction within 25 % of the round before's predicts the rounds
         # left; a Newton step costs fewer rounds than its m^2 + k^2 unknowns
-        # (about 2 at k = m = 2, 200 at 16), so it runs where more are left
+        # (about 1.5 at k = m = 2, 300 at 16), so it runs where more are left
         q = res / last
         if not refused and not wait and (newton or res > 0.5 * last or (
                 abs(q - q_last) < 0.25 * q_last
@@ -488,30 +499,33 @@ def _su2_from_rotation(O: np.ndarray) -> np.ndarray:
     largest of ``x^2, y^2, z^2, w^2`` comes from the diagonal, the other three
     from sums and differences of mirrored entries.
     """
-    trace = O[0, 0] + O[1, 1] + O[2, 2]
-    i = int(np.argmax([O[0, 0], O[1, 1], O[2, 2], trace]))
-    q = np.empty(4)  # (x, y, z, w) times a positive factor
+    O = O.tolist()  # Python floats: a 3 x 3 read-off is cheaper off a list
+    trace = O[0][0] + O[1][1] + O[2][2]
+    i = max(range(4), key=[O[0][0], O[1][1], O[2][2], trace].__getitem__)
+    q = [0.0] * 4  # (x, y, z, w) times a positive factor
     if i == 3:
-        q[:] = O[2, 1] - O[1, 2], O[0, 2] - O[2, 0], O[1, 0] - O[0, 1], 1.0 + trace
+        q = [O[2][1] - O[1][2], O[0][2] - O[2][0], O[1][0] - O[0][1], 1.0 + trace]
     else:
         j, k = (i + 1) % 3, (i + 2) % 3
-        q[i] = 1.0 - trace + 2.0 * O[i, i]
-        q[j] = O[j, i] + O[i, j]
-        q[k] = O[k, i] + O[i, k]
-        q[3] = O[k, j] - O[j, k]
-    x, y, z, w = q / np.linalg.norm(q)
-    return w * _PAULI[0] - 1j * (x * _PAULI[1] + y * _PAULI[2] + z * _PAULI[3])
+        q[i] = 1.0 - trace + 2.0 * O[i][i]
+        q[j] = O[j][i] + O[i][j]
+        q[k] = O[k][i] + O[i][k]
+        q[3] = O[k][j] - O[j][k]
+    norm = sum(v * v for v in q) ** 0.5
+    x, y, z, w = (v / norm for v in q)
+    return np.array([[w - 1j * z, -y - 1j * x], [y - 1j * x, w + 1j * z]])
 
 
 def _pauli_rotations(
     state: BipartiteState, L: np.ndarray, R: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Local unitaries diagonalizing the sigma-sigma correlation matrix
-    ``tr(rho (L* sigma_a L (x) R* sigma_b R)) / 2`` of ``(L (x) R) rho (L (x) R)*``."""
-    t = np.real(np.einsum("ijkl,aki,blj->ab", state.blocks(), dagger(L) @ _SIGMA @ L,
-                          dagger(R) @ _SIGMA @ R)) / 2.0
+    ``tr(rho (L* sigma_a L (x) R* sigma_b R)) / 2`` of ``(L (x) R) rho (L (x) R)*``,
+    ``Re(A rho' B^T) / 2`` for ``A``, ``B`` the stacks ``L* sigma L``, ``R* sigma R``
+    flattened to ``3 x 4`` and ``rho'`` the blocks of ``rho`` as ``(ki) x (lj)``."""
+    A, B = ((dagger(X) @ _SIGMA @ X).reshape(3, 4) for X in (L, R))
+    t = np.real(A @ state.blocks().transpose(2, 0, 3, 1).reshape(4, 4) @ B.T) / 2.0
     U, _, Vh = np.linalg.svd(t)
-    V = Vh.T
-    O1 = U @ np.diag([1.0, 1.0, float(np.linalg.det(U))])
-    O2 = V @ np.diag([1.0, 1.0, float(np.linalg.det(V))])
-    return dagger(_su2_from_rotation(O1)), dagger(_su2_from_rotation(O2))
+    U[:, 2] *= np.linalg.det(U)
+    Vh[2] *= np.linalg.det(Vh)
+    return dagger(_su2_from_rotation(U)), dagger(_su2_from_rotation(Vh.T))

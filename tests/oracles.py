@@ -255,6 +255,72 @@ def sinkhorn_loop(kraus, rank_rel: float = 1e-9, residual: float = 1e-8,
         iterations += 1
 
 
+def hermitian_pairs_basis(d: int) -> list:
+    """An orthonormal basis of the Hermitian ``d x d`` matrices, index pair by
+    index pair: ``e_aa``, then for ``a < b`` ``(e_ab + e_ba)/sqrt(2)`` and
+    ``i(e_ab - e_ba)/sqrt(2)``.  The order and signs differ from the
+    package's basis on purpose; a minimum-norm Newton step does not depend
+    on which orthonormal basis its coordinates use."""
+    out = []
+    for a in range(d):
+        for b in range(a, d):
+            if a == b:
+                E = np.zeros((d, d), dtype=complex)
+                E[a, a] = 1.0
+                out.append(E)
+                continue
+            sym = np.zeros((d, d), dtype=complex)
+            sym[a, b] = sym[b, a] = 1.0 / np.sqrt(2.0)
+            anti = np.zeros((d, d), dtype=complex)
+            anti[a, b], anti[b, a] = 1j / np.sqrt(2.0), -1j / np.sqrt(2.0)
+            out += [sym, anti]
+    return out
+
+
+def newton_system(S, left, right, fwd, bwd):
+    """The linearized marginal equations of one Newton step, entry by entry.
+
+    ``S`` is the superoperator of ``T: M_k -> M_m`` over ``sqrt(k)``
+    (``vec T(X) = sqrt(k) S vec X``, row-major), the scaled map is
+    ``T'(X) = left T(right X right*) left*``, and ``fwd``, ``bwd`` are its
+    marginals.  ``K -> e^{h/2} K e^{g/2}`` moves ``fwd`` by
+    ``{h, fwd}/2 + T'(g)/sqrt(k)`` and ``bwd`` by ``T'*(h)/sqrt(m) + {g, bwd}/2``;
+    over :func:`hermitian_pairs_basis` (``E_i`` of size m for ``h``, ``F_j`` of
+    size k for ``g``) the step solves ``J (h, g) = (Re tr(E_i (Id/sqrt(m) -
+    fwd)), Re tr(F_j (Id/sqrt(k) - bwd)))``.  Each entry of ``J`` is one trace,
+    with ``T'*`` applied through ``S*`` rather than read off ``J``'s other block.
+    Returns ``(J, rhs)``.
+    """
+    m, k = len(fwd), len(bwd)
+    S = np.sqrt(k) * np.asarray(S)
+
+    def T(X):
+        Y = (S @ (right @ X @ right.conj().T).reshape(-1)).reshape(m, m)
+        return left @ Y @ left.conj().T
+
+    def T_adj(Y):
+        X = (S.conj().T @ (left.conj().T @ Y @ left).reshape(-1)).reshape(k, k)
+        return right.conj().T @ X @ right
+
+    out_basis, in_basis = hermitian_pairs_basis(m), hermitian_pairs_basis(k)
+    p = m * m
+    J = np.zeros((p + k * k, p + k * k))
+    rhs = np.zeros(p + k * k)
+    for i, E in enumerate(out_basis):
+        rhs[i] = np.trace(E @ (np.eye(m) / np.sqrt(m) - fwd)).real
+        for j, E2 in enumerate(out_basis):
+            J[i, j] = np.trace(E @ (E2 @ fwd + fwd @ E2)).real / 2.0
+        for j, F in enumerate(in_basis):
+            J[i, p + j] = np.trace(E @ T(F)).real / np.sqrt(k)
+    for i, F in enumerate(in_basis):
+        rhs[p + i] = np.trace(F @ (np.eye(k) / np.sqrt(k) - bwd)).real
+        for j, E in enumerate(out_basis):
+            J[p + i, j] = np.trace(F @ T_adj(E)).real / np.sqrt(m)
+        for j, F2 in enumerate(in_basis):
+            J[p + i, p + j] = np.trace(F @ (F2 @ bwd + bwd @ F2)).real / 2.0
+    return J, rhs
+
+
 # ---------------------------------------------------------------------------
 # 2x2 Pauli bookkeeping
 # ---------------------------------------------------------------------------

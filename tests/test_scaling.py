@@ -895,6 +895,89 @@ def test_a_rectangular_newton_step_squares_a_small_residual():
         after = residual(left @ L, R @ right)[2]
         assert 1e-5 < before < 1e-3 and after < 1e-3 * before, (k, m)
 
+
+def _oracle_filters(S, left, right, fwd, bwd, rank_rel):
+    """Filters of the oracle system's minimum-norm step, or ``None`` where its
+    second-smallest singular value is below ``sqrt(rank_rel)`` of the largest."""
+    m, k = len(fwd), len(bwd)
+    J, rhs = oracles.newton_system(S, left, right, fwd, bwd)
+    step, _, _, sv = np.linalg.lstsq(J, rhs, rcond=rank_rel)
+    if sv[-2] < np.sqrt(rank_rel) * sv[0]:
+        return None
+    filters = []
+    for coords, d in ((step[:m * m], m), (step[m * m:], k)):
+        h = sum(c * E for c, E in zip(coords, oracles.hermitian_pairs_basis(d)))
+        eigs, vecs = np.linalg.eigh(h / 2.0)
+        filters.append(vecs @ np.diag(np.exp(eigs)) @ vecs.conj().T)
+    return filters
+
+
+def test_newton_filters_match_the_entrywise_system(monkeypatch):
+    """``_newton_filters`` agrees with the system built one trace at a time.
+
+    Near doubly stochastic maps ``M_k -> M_m``, square and not, the filters
+    agree with those of ``oracles.newton_system`` to 1e-12.  On the maps
+    without a normal form of ``test_newton_guard_leaves_unscalable_maps_to_fail``
+    the guard refuses at the same call of the run as on the oracle system,
+    and at no other.
+    """
+    rng = np.random.default_rng(33)
+    for k, m in ((2, 2), (3, 3), (4, 4), (2, 3), (3, 2), (2, 5)):
+        kraus = rng.standard_normal((k * m, m, k)) + 1j * rng.standard_normal((k * m, m, k))
+        D = scale_to_doubly_stochastic(CpMap(src_dim=k, dst_dim=m, kraus=kraus)).scaled
+        L = np.eye(m) + 0.1 * random_invertible(m, rng)
+        R = np.eye(k) + 0.1 * random_invertible(k, rng)
+        T = transform(D, L, R)
+        fwd = apply(T, np.eye(k) / np.sqrt(k))
+        bwd = apply(adjoint(T), np.eye(m) / np.sqrt(m))
+        args = D.superop / np.sqrt(k), L, R, fwd, bwd
+        got = scaling._newton_filters(*args, DEFAULT_TOL)
+        want = _oracle_filters(*args, DEFAULT_TOL.rank_rel)
+        for a, b in zip(got, want):
+            assert np.abs(a - b).max() < 1e-12, (k, m)
+
+    refusals = []
+    newton_filters = scaling._newton_filters
+
+    def compared(S, left, right, fwd, bwd, tol):
+        got = newton_filters(S, left, right, fwd, bwd, tol)
+        want = _oracle_filters(S, left, right, fwd, bwd, tol.rank_rel)
+        refusals.append((got is None, want is None))
+        return got
+
+    monkeypatch.setattr(scaling, "_newton_filters", compared)
+    tol = Tolerances(sinkhorn_max_iters=2000)
+    for run in (lambda: scale_to_doubly_stochastic(_boundary_map(1e-12), tol),
+                lambda: filter_normal_form(neq2_state(), None, tol)):
+        refusals.clear()
+        with pytest.raises(ScalingConvergenceError):
+            run()
+        assert refusals == [(False, False)] * (len(refusals) - 1) + [(True, True)]
+
+
+def test_a_cold_newton_step_at_size_16_stays_within_16_mb():
+    """One ``_newton_filters`` call on a random map ``M_16 -> M_16``, its
+    tables built cold, peaks at 16 MB or less (tracemalloc): the marginal
+    blocks' table is ``O(s^4)``, where a dense one would take 268 MB."""
+    rng = np.random.default_rng(16)
+    s = 16
+    kraus = rng.standard_normal((s * s, s, s)) + 1j * rng.standard_normal((s * s, s, s))
+    T = CpMap(src_dim=s, dst_dim=s, kraus=kraus)
+    S = T.superop / np.sqrt(s)
+    fwd = apply(T, np.eye(s) / np.sqrt(s))
+    bwd = apply(adjoint(T), np.eye(s) / np.sqrt(s))
+    eye = np.eye(s, dtype=complex)
+    scaling._newton_basis.cache_clear()
+    tracemalloc.start()
+    try:
+        filters = scaling._newton_filters(S, eye, eye, fwd, bwd, DEFAULT_TOL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert filters is not None
+    assert peak <= 16 * 2**20, peak / 2**20
+
+
 def test_pauli_coefficients_match_the_correlation_oracle():
     """Diagonal coefficients and cross norm agree with the direct expansion."""
     rng = np.random.default_rng(6)
