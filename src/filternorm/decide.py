@@ -7,7 +7,11 @@ invariant block of the adjoint map, and realign that block onto the orthogonal
 complement.  The state admits a filter normal form exactly when every corner
 found this way pairs up; the first failure is returned as a witness (either a
 degenerate Gram matrix — no unique paired block — or a strictly positive
-minimum of the objective — no paired block at all).
+minimum of the objective — no paired block at all).  A definite state's map
+is strictly positive, so the whole space is its only corner (Gurvits, 2004):
+a Cholesky of ``rho - sqrt(rank_rel) max(diag rho) Id`` proving it skips the
+search.  Nearer the boundary the search's cutoffs may read another rank, and
+above ``k^2 = 64`` the proof and the dense root cost more than Arnoldi's.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import numpy as np
 from .linalg import (
     Projection,
     Tolerances,
+    _cholesky_psd_abs,
     _numerical_rank,
     _tol,
     dagger,
@@ -35,6 +40,7 @@ from .linalg import (
     subspace_intersection,
 )
 from .maps import (
+    _ARNOLDI_CHECKPOINTS,
     CpMap,
     _filter_stack,
     _invariance_defect,
@@ -216,7 +222,7 @@ def _anchor_filter(
         raise ValueError("anchor vector does not have full tensor rank")
     if basis is not None:
         resid = np.linalg.norm(basis @ (basis.conj().T @ v) - v)
-        if resid > 1e-8 * max(1.0, np.linalg.norm(v)):
+        if resid > 1e-8 * np.linalg.norm(v):
             raise ValueError("anchor vector is not in the range of the state")
     P = np.linalg.inv(coeff)
     return P, _filter_stack(T, P.T)
@@ -564,6 +570,9 @@ def decide_equivalence(
     negative.  The map decided on is :func:`anchor_transform`'s, built from
     the decision's single factor of ``rho``, a pivoted Cholesky one; an
     embedded state's reads its factor's Kraus stack through the embedding.
+    One proved definite (module docstring; ``k^2 <= 64``, the factor keeping
+    the whole range) skips the corner search: one block, the whole space,
+    the root the search reads first, one iteration, as the search answers.
 
     A numerical breakdown (``RuntimeError`` or ``ValueError``) under a
     sampled anchor says nothing about the state, so the loop runs again on a
@@ -587,8 +596,11 @@ def decide_equivalence(
         raise NotPositiveError("state is not PPT")
     T, basis = _factor_map(state, tol)
     k = state.k
+    factor = state if state._factor is None else state._factor  # same spectrum ratio
+    definite = (basis is None and k * k <= _ARNOLDI_CHECKPOINTS[-1]
+                and _cholesky_psd_abs(factor.rho, tol, definite=True) is not None)
     if v is not None:
-        return _decide_anchored(v, T, basis, k, tol, retried=False)
+        return _decide_anchored(v, T, basis, k, tol, retried=False, definite=definite)
     rng = np.random.default_rng(0) if rng is None else rng
     first = None
     for draw in range(_ANCHOR_DRAWS):
@@ -596,7 +608,7 @@ def decide_equivalence(
         if v is None:
             break
         try:
-            return _decide_anchored(v, T, basis, k, tol, retried=bool(draw))
+            return _decide_anchored(v, T, basis, k, tol, retried=draw > 0, definite=definite)
         except (RuntimeError, ValueError) as exc:
             first = exc if first is None else first
     if first is not None:
@@ -617,7 +629,7 @@ def decide_equivalence(
 
 def _decide_anchored(
     v: np.ndarray, T: CpMap, basis: np.ndarray | None, k: int, tol: Tolerances,
-    retried: bool,
+    retried: bool, definite: bool,
 ) -> Verdict:
     """The decision loop of :func:`decide_equivalence` under the anchor ``v``."""
     # anchoring filters the Kraus operators, K -> K P^t; rho is never rebuilt
@@ -630,7 +642,8 @@ def _decide_anchored(
         iterations += 1
         if iterations > k:
             raise RuntimeError("decision loop exceeded the dimension bound")
-        V, lam, delta = find_irreducible_corner(T, Vprime, tol)
+        V, lam, delta = ((Vprime, _perron_data(T, Vprime, tol, root=True)[0], None)
+                         if definite else find_irreducible_corner(T, Vprime, tol))
         if same_subspace(V, Vprime):
             blocks.append((V, lam))
             certificate = BlockCertificate(

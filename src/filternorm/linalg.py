@@ -72,7 +72,9 @@ class Tolerances:
           system below it times the largest refuses Newton steps for the rest
           of the run;
         - the margin of a retried anchor's negative verdict, whose minimum
-          must exceed it times the quadratic model's constant.
+          must exceed it times the quadratic model's constant;
+        - the definiteness margin, relative to ``rho``'s largest diagonal
+          entry, of the states decided without a corner search.
     psd_abs : float
         Absolute eigenvalue floor (scaled by the spectral magnitude) below
         which a Hermitian matrix still counts as positive semidefinite.
@@ -346,25 +348,27 @@ def psd_check(mat: np.ndarray, tol: Tolerances | None = None) -> bool:
     return _psd_spectrum(np.linalg.eigvalsh(arr), tol)
 
 
-def _cholesky_psd_abs(mat: np.ndarray, tol: Tolerances | None = None) -> float | None:
+def _cholesky_psd_abs(mat: np.ndarray, tol: Tolerances | None = None,
+                      definite: bool = False) -> float | None:
     """The ``psd_abs`` down to which a shifted Cholesky proves the Hermitian
     ``mat`` passes :func:`psd_check`, or ``None`` where it proves nothing.
 
     ``tau`` is half the gate's threshold ``psd_abs (1 + d)``, with ``d`` the
-    largest |diagonal entry|, a lower bound on the largest |eigenvalue|.  A
-    Cholesky of ``mat + tau Id`` that succeeds factors it up to a backward
-    error of 2-norm at most ``n gamma_(n+1) (d + tau)`` (Higham, *Accuracy
-    and Stability of Numerical Algorithms*, Thm 10.3), bounded here by four
-    times that, so ``lambda_min(mat) >= -(tau + rounding)``.  The test runs
-    only where that rounding term is below ``tau / 8``, and a failed
-    Cholesky proves nothing: the caller falls back to ``eigvalsh``.
+    largest |diagonal entry|, a lower bound on the largest |eigenvalue|, or
+    with ``definite`` the margin ``-sqrt(rank_rel) d``.  A Cholesky of
+    ``mat + tau Id`` that succeeds factors it up to a backward error of 2-norm
+    at most ``n gamma_(n+1) (d + |tau|)`` (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, Thm 10.3), bounded here by four times that, so
+    ``lambda_min(mat) >= -(tau + rounding)``.  The test runs only where that
+    rounding term is below ``|tau| / 8``, so a result with ``definite`` is
+    negative and proves ``mat`` definite.  A failed Cholesky proves nothing.
     """
     tol = _tol(tol)
     n = mat.shape[0]
     d = float(np.abs(np.diagonal(mat)).max(initial=0.0))
-    tau = 0.5 * tol.psd_abs * (1.0 + d)
-    rounding = 2.0 * n * (n + 1) * np.finfo(float).eps * (d + tau)
-    if rounding > tau / 8.0:
+    tau = -np.sqrt(tol.rank_rel) * d if definite else 0.5 * tol.psd_abs * (1.0 + d)
+    rounding = 2.0 * n * (n + 1) * np.finfo(float).eps * (d + abs(tau))
+    if rounding > abs(tau) / 8.0:
         return None
     try:
         np.linalg.cholesky(mat + tau * np.eye(n))

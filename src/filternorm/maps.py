@@ -571,8 +571,8 @@ def _boundary_rank_drop(
 
 
 def _perron_data(
-    T: CpMap, V: Projection, tol: Tolerances, search: bool = True
-) -> tuple[float, np.ndarray, np.ndarray | None]:
+    T: CpMap, V: Projection, tol: Tolerances, search: bool = True, root: bool = False
+) -> tuple[float, np.ndarray | None, np.ndarray | None]:
     """``(lam, gamma, delta)`` of ``T`` on the corner of ``V``, ``s x s`` in
     corner coordinates; ``delta`` is ``None`` unless the root is simple, and a
     rank-deficient ``gamma`` spans a smaller invariant corner.
@@ -583,8 +583,11 @@ def _perron_data(
     :func:`_corner_perron`, and a degenerate root steps ``gamma`` to the PSD
     boundary of its eigenspace.  ``corner_rep``'s invariance guard runs once
     on every proper corner.  Raises ``ValueError`` as ``_corner_perron`` does,
-    ``RuntimeError`` on no PSD ``gamma`` or a failed boundary step.
+    ``RuntimeError`` on no PSD ``gamma`` or a failed boundary step.  ``root``
+    gives ``(lam, None, None)`` by the dense analysis's first step alone.
     """
+    if root:
+        return _top_eigenvalue(corner_rep(T, V), tol), None, None
     s = V.rank
     if s * s > _ARNOLDI_CHECKPOINTS[-1] or (search and s > 3):
         found = _krylov_perron(T, V, tol)

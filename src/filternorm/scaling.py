@@ -114,17 +114,37 @@ def _newton_basis(s: int) -> tuple[np.ndarray, ...]:
     """Read-only tables of ``hermitian_basis(s)``, built on first use per size:
     the basis as ``s^2 x s^2`` rows, ``rows`` with ``g @ rows = Re tr(E_i G)``
     for ``g`` the real view of ``vec G``, the coordinates of ``Id/sqrt(s)``, and
-    :func:`_newton_filters`' ``(s^4, 2)`` gather table ``index``, ``coef``."""
-    n = s * s
-    stack = hermitian_basis(s)
+    :func:`_newton_filters`' ``(s^4, 2)`` gather table ``index``, ``coef``: row
+    ``(i, j)`` holds the first two nonzero entries of the real view of
+    ``H = {E_i, E_j}/2`` (zero ones pad it), which weigh ``g`` in ``Re tr(H G)``
+    as ``conj(H^T) = H``.  An element has one nonzero entry a row, so the table
+    is read off the elements' own entries, ``O(s^4)``, to the bit."""
+    n, big = s * s, 2 * s * s  # big: past every real-view position
+    flat = hermitian_basis(s).reshape(n, n)
+    at = np.argsort(flat == 0, axis=1, kind="stable")[:, :2]  # a diagonal unit's 2nd is 0
+    entries = at.T // s, at.T % s, np.take_along_axis(flat, at, axis=1).T
+    rj, cj, vj = (x[None, :, None, :] for x in entries)  # (1, 2, 1, n): E_j's entries
     index, coef = np.empty((n, n, 2), dtype=np.intp), np.empty((n, n, 2))
-    for i, E in enumerate(stack):  # Re tr(H G) weighs g by the real view of conj(H^T) = H
-        weights = (E @ stack + stack @ E).view(float).reshape(n, 2 * n) / 2.0
-        index[i] = np.argsort(weights == 0.0, axis=1, kind="stable")[:, :2]
-        coef[i] = np.take_along_axis(weights, index[i], axis=1)
-    rows = stack.reshape(n, n).view(float).T.copy()
+    for lo in range(0, n, 16):  # up to 16 elements E_i against all E_j at a time
+        ri, ci, vi = (x[:, None, lo:lo + 16, None] for x in entries)  # (2, 1, c, 1)
+        # v_i v_j is in E_i E_j at (ri, cj) if ci = rj, in E_j E_i at (rj, ci) if cj = ri,
+        # real or imaginary: one real-view entry, whose position is its key
+        terms = np.stack([np.where(ci == rj, vi * vj, 0), np.where(cj == ri, vi * vj, 0)])
+        pos = np.stack(np.broadcast_arrays(ri * s + cj, rj * s + ci))
+        keys = np.where(terms != 0, 2 * pos + (terms.imag != 0), big)
+        keys = keys.reshape(-1, *terms.shape[-2:])  # (candidates, c, n)
+        same = keys[:, None] == keys[None]  # a key has at most one product of each side
+        sums = np.where(same, (terms.real + terms.imag).reshape(keys.shape), 0.0).sum(1)
+        keys = np.where(sums != 0, keys, big)  # no product, or a cancelled sum
+        first = keys.min(0)
+        top = np.stack([first, np.where(keys == first, big, keys).min(0)])
+        weights = np.where(keys == top[:, None], sums, -np.inf).max(1)  # equal sums
+        coef[lo:lo + 16] = np.moveaxis(np.where(top < big, weights / 2.0, 0.0), 0, -1)
+        first = np.where(first < big, first, 0)  # zero entries pad a row, by position
+        index[lo:lo + 16] = np.stack([first, np.where(top[1] < big, top[1], first == 0)], -1)
+    rows = flat.view(float).T.copy()
     target = np.eye(s).reshape(n) @ rows[::2] / np.sqrt(s)
-    views = stack.reshape(n, n), rows, target, index.reshape(-1, 2), coef.reshape(-1, 2)
+    views = flat, rows, target, index.reshape(-1, 2), coef.reshape(-1, 2)
     for view in views:
         view.flags.writeable = False
     return views

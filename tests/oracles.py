@@ -321,6 +321,25 @@ def newton_system(S, left, right, fwd, bwd):
     return J, rhs
 
 
+def newton_basis_tables(stack: np.ndarray) -> tuple:
+    """``scaling._newton_basis``'s tables by dense anticommutators, ``O(s^6)``,
+    from the basis stack ``(s^2, s, s)`` it uses: ``rows`` with
+    ``g @ rows = Re tr(E_i G)`` for ``g`` the real view of ``vec G``, the
+    coordinates ``target`` of ``Id/sqrt(s)``, and for each pair ``(i, j)``
+    the first two nonzero entries (zero ones after them, each group by
+    position) of the real view of ``(E_i E_j + E_j E_i)/2`` as ``index``
+    and ``coef``, ``(s^4, 2)`` each."""
+    n, s = stack.shape[0], stack.shape[1]
+    index, coef = np.empty((n, n, 2), dtype=np.intp), np.empty((n, n, 2))
+    for i, E in enumerate(stack):
+        weights = (E @ stack + stack @ E).view(float).reshape(n, 2 * n) / 2.0
+        index[i] = np.argsort(weights == 0.0, axis=1, kind="stable")[:, :2]
+        coef[i] = np.take_along_axis(weights, index[i], axis=1)
+    rows = stack.reshape(n, n).view(float).T.copy()
+    target = np.eye(s).reshape(n) @ rows[::2] / np.sqrt(s)
+    return rows, target, index.reshape(-1, 2), coef.reshape(-1, 2)
+
+
 # ---------------------------------------------------------------------------
 # 2x2 Pauli bookkeeping
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ from filternorm import (
     state_to_map,
     states,
     transform,
+    verdict_to_dict,
 )
 from filternorm import decide as decide_module
 from filternorm import maps as maps_module
@@ -52,6 +53,7 @@ from filternorm.linalg import (
     DEFAULT_TOL,
     identity_projection,
     image_basis,
+    kernel_basis,
     projection_from_matrix,
     projector_onto,
     psd_check,
@@ -59,6 +61,7 @@ from filternorm.linalg import (
     same_subspace,
 )
 from filternorm.maps import _arnoldi, _boundary_rank_drop, _corner_perron, _krylov_perron
+from filternorm.stateio import dump_json
 from helpers import (
     blocky_state,
     cli_env,
@@ -69,6 +72,7 @@ from helpers import (
     pattern_state,
     pattern_weights,
     random_invertible,
+    random_ppt_2x2,
     random_unitary,
     repeated_block_state,
     separable_full_rank,
@@ -1234,9 +1238,13 @@ def test_a_breakdown_under_a_sampled_anchor_is_decided_under_a_fresh_one(monkeyp
     """A breakdown says nothing about the state, so the decision runs again
     on a fresh sample from the range: after the maximally entangled vector
     on a full-rank state, after a sample on a rank-deficient one.  A
-    supplied anchor is decided once, and its breakdown is raised."""
+    supplied anchor is decided once, and its breakdown is raised.  The
+    full-rank state lies below the definiteness margin, so it runs the
+    corner search."""
     rng = np.random.default_rng(21)
-    cases = [(hidden_blocky(4, [2, 2], rng), [2, 2]), (separable_full_rank(3, rng), [3])]
+    w = np.ones((3, 3))
+    w[2, 2] = 1e-6
+    cases = [(hidden_blocky(4, [2, 2], rng), [2, 2]), (diagonal_state(w), [3])]
     for st, ranks in cases:
         anchors, breakdowns = _break_first_corner_searches(monkeypatch, 1)
         verdict = decide_equivalence(st)
@@ -1291,6 +1299,134 @@ PSD_PERRON_ERRORS = (
     "no PSD Perron eigenvector in the top eigenspace",
     "compressed adjoint has no PSD eigenvector at the spectral radius",
 )
+
+
+def test_an_anchor_outside_the_range_is_rejected_at_any_norm():
+    """The anchor's range test is relative to its norm: a full-tensor-rank
+    kernel vector of ``rho`` is rejected at norms 1, 1e-9 and 1e-12 (an
+    absolute floor once let it through at 1e-9, and the decision answered
+    one rank-4 block where the state has two of rank 2).  A range vector at
+    norm 1e-12 is accepted and gets the verdict of its unit multiple."""
+    st = hidden_blocky(4, [2, 2], np.random.default_rng(3))
+    kernel = kernel_basis(st.rho)
+    assert kernel.shape[1] == 8
+    coeffs = np.random.default_rng(4).standard_normal((2, 8))
+    outside = kernel @ (coeffs[0] + 1j * coeffs[1])
+    outside /= np.linalg.norm(outside)
+    assert rank_eps(outside.reshape(4, 4)) == 4
+    for norm in (1.0, 1e-9, 1e-12):
+        with pytest.raises(ValueError, match="not in the range"):
+            decide_equivalence(st, v=norm * outside)
+    inside = find_full_rank_vector(st)
+    want = decide_equivalence(st, v=inside)
+    got = decide_equivalence(st, v=1e-12 * inside)
+    assert want.outcome == got.outcome == OUTCOME_EQUIVALENT
+    assert [V.rank for V, _ in got.blocks] == [V.rank for V, _ in want.blocks] == [2, 2]
+
+
+def _definite_cases():
+    """Definite states of the definite step, each with its anchor: 20
+    two-qubit PPT draws, ``separable_full_rank(k)`` for k = 2 to 8, embedded
+    full-support 1x2, 2x3 and 2x4 patterns under random filters, and one
+    supplied anchor."""
+    states = [random_ppt_2x2(np.random.default_rng(seed)) for seed in range(20)]
+    states += [separable_full_rank(k, np.random.default_rng(k)) for k in range(2, 9)]
+    rng = np.random.default_rng(7)
+    for k, m in ((1, 2), (2, 3), (2, 4)):
+        base = apply_filter(pattern_state(np.ones((k, m))), random_invertible(k, rng),
+                            random_invertible(m, rng))
+        states.append(embed_rectangular(base))
+    draw = rng.standard_normal((2, 9))
+    anchor = (draw[0] + 1j * draw[1]) / np.linalg.norm(draw)
+    return [(st, None) for st in states] + [(states[21], anchor)]
+
+
+def _count_search_calls(monkeypatch):
+    """Count the corner searches, Perron analyses and corner matrices made."""
+    calls = {"find_irreducible_corner": 0, "_krylov_perron": 0, "_corner_perron": 0,
+             "corner_rep": 0}
+    for module, name in ((decide_module, "find_irreducible_corner"),
+                         (maps_module, "_krylov_perron"), (maps_module, "_corner_perron"),
+                         (maps_module, "corner_rep")):
+        def counted(*args, _real=getattr(module, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_the_definite_step_gives_the_corner_searchs_verdict_bit_for_bit(monkeypatch):
+    """A state proved definite gets the verdict, root, certificate and normal
+    form that the corner search gives it, to the bit."""
+    cases = _definite_cases()
+
+    def decided():
+        out = []
+        for st, v in cases:
+            verdict = decide_equivalence(st, v=v)
+            out.append((verdict, filter_normal_form(st, verdict)))
+        return out
+
+    proved = decided()
+    monkeypatch.setattr(decide_module, "_cholesky_psd_abs", lambda *args, **kw: None)
+    searched = decided()
+    for (got, got_nf), (want, want_nf) in zip(proved, searched):
+        assert got.outcome == OUTCOME_EQUIVALENT
+        assert dump_json(verdict_to_dict(got)) == dump_json(verdict_to_dict(want))
+        assert [np.float64(lam).tobytes() for _, lam in got.blocks] == [
+            np.float64(lam).tobytes() for _, lam in want.blocks]
+        got_cert, want_cert = got.certificate, want.certificate
+        for a, b in ((got_cert.prefilter, want_cert.prefilter),
+                     (got_cert.accumulated_transform, want_cert.accumulated_transform),
+                     (got_cert.final_map.kraus, want_cert.final_map.kraus),
+                     (got_nf.left, want_nf.left), (got_nf.right, want_nf.right),
+                     (got_nf.state.rho, want_nf.state.rho)):
+            assert np.array_equal(a, b)
+
+
+def test_the_definite_step_runs_no_corner_search(monkeypatch):
+    """A state proved definite calls neither the corner search nor a Perron
+    analysis, and makes one corner matrix, the whole space's."""
+    cases = _definite_cases()
+    calls = _count_search_calls(monkeypatch)
+    for st, v in cases:
+        for name in calls:
+            calls[name] = 0
+        assert decide_equivalence(st, v=v).outcome == OUTCOME_EQUIVALENT
+        assert calls == {"find_irreducible_corner": 0, "_krylov_perron": 0,
+                         "_corner_perron": 0, "corner_rep": 1}
+
+
+def test_states_below_the_definiteness_margin_run_the_corner_search(monkeypatch):
+    """Full-rank states whose smallest eigenvalue lies below ``sqrt(rank_rel)``
+    times the largest diagonal entry, and a rank-deficient state whose tiny
+    shift the factor cuts, run the corner search, with its verdicts."""
+    w = np.ones((3, 3))
+    w[2, 2] = 1e-6
+    base = hidden_blocky(4, [2, 2], np.random.default_rng(3))
+    cases = [(diagonal_state([[1.0, 1.0], [eps, 1.0]]), [2]) for eps in (1e-5, 1e-7)]
+    cases += [(diagonal_state(w), [3]),
+              (BipartiteState(k=4, m=4, rho=base.rho + 1e-12 * np.eye(16)), [2, 2])]
+    calls = _count_search_calls(monkeypatch)
+    for st, ranks in cases:
+        calls["find_irreducible_corner"] = 0
+        verdict = decide_equivalence(st)
+        assert verdict.outcome == OUTCOME_EQUIVALENT
+        assert sorted(V.rank for V, _ in verdict.blocks) == ranks
+        assert calls["find_irreducible_corner"] >= 1
+
+
+def test_the_definite_step_does_not_depend_on_the_scale_of_the_state(monkeypatch):
+    """``c rho`` takes ``rho``'s path, the definite step, for c from 1e-15 to
+    1e12: the margin is relative to the largest diagonal entry."""
+    calls = _count_search_calls(monkeypatch)
+    for st in (random_ppt_2x2(np.random.default_rng(0)),
+               separable_full_rank(3, np.random.default_rng(3))):
+        for c in (1e-15, 1e-12, 1e-9, 1.0, 1e6, 1e12):
+            for name in calls:
+                calls[name] = 0
+            decide_equivalence(BipartiteState(k=st.k, m=st.m, rho=c * st.rho))
+            assert calls["find_irreducible_corner"] == 0 and calls["corner_rep"] == 1, c
 
 
 def test_upper_triangular_k12_sweep(record_testsuite_property):

@@ -37,7 +37,7 @@ from filternorm import (
     transform,
 )
 from filternorm import scaling
-from filternorm.linalg import DEFAULT_TOL, dagger
+from filternorm.linalg import DEFAULT_TOL, dagger, hermitian_basis
 from filternorm.scaling import _PAULI, _su2_from_rotation
 from helpers import (
     cli_env,
@@ -953,6 +953,18 @@ def test_newton_filters_match_the_entrywise_system(monkeypatch):
         with pytest.raises(ScalingConvergenceError):
             run()
         assert refusals == [(False, False)] * (len(refusals) - 1) + [(True, True)]
+
+
+@pytest.mark.parametrize("s", range(1, 13))
+def test_newton_tables_match_the_dense_anticommutators(s):
+    """The Newton tables, read off the basis elements' own entries, have the
+    bits of the dense construction's: every anticommutator formed and its
+    nonzero real-view entries sorted to the front."""
+    scaling._newton_basis.cache_clear()
+    got = scaling._newton_basis(s)[1:]
+    want = oracles.newton_basis_tables(hermitian_basis(s))
+    for name, a, b in zip(("rows", "target", "index", "coef"), got, want):
+        assert np.array_equal(a, b), name
 
 
 def test_a_cold_newton_step_at_size_16_stays_within_16_mb():
