@@ -642,7 +642,7 @@ def _decide_anchored(
         iterations += 1
         if iterations > k:
             raise RuntimeError("decision loop exceeded the dimension bound")
-        V, lam, delta = ((Vprime, _perron_data(T, Vprime, tol, root=True)[0], None)
+        V, lam, delta = ((Vprime, _top_eigenvalue(corner_rep(T, Vprime), tol), None)
                          if definite else find_irreducible_corner(T, Vprime, tol))
         if same_subspace(V, Vprime):
             blocks.append((V, lam))

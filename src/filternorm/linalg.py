@@ -86,6 +86,9 @@ class Tolerances:
     sinkhorn_max_iters : int
         Iteration cap for the operator scaling loop; Sinkhorn rounds and
         Newton steps each count as one iteration.
+
+    Every threshold must be positive and finite and the cap an integer of at
+    least 1, not a bool or a float; anything else is a ``ValueError``.
     """
 
     rank_rel: float = 1e-9
@@ -96,10 +99,11 @@ class Tolerances:
 
     def __post_init__(self) -> None:
         for name in ("rank_rel", "psd_abs", "zero_f", "sinkhorn_residual"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"tolerance {name!r} must be positive")
-        if not self.sinkhorn_max_iters > 0:
-            raise ValueError("iteration cap 'sinkhorn_max_iters' must be positive")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"tolerance {name!r} must be positive and finite")
+        cap = self.sinkhorn_max_iters
+        if isinstance(cap, bool) or not isinstance(cap, (int, np.integer)) or cap < 1:
+            raise ValueError("iteration cap 'sinkhorn_max_iters' must be an integer >= 1")
 
 
 DEFAULT_TOL = Tolerances()

@@ -290,18 +290,17 @@ def corner_rep(T: CpMap, V: Projection) -> np.ndarray:
     Entry ``(i, j)`` is ``Re tr(E_i T(E_j))`` for ``E = hermitian_basis(s)``
     lifted by ``b E b*``, ``b = V.basis``: the matrix of
     :func:`restrict_to_corner` in that basis.  The compressed adjoint
-    ``X -> V T*(X) V`` is represented by its transpose.  Raises
-    ``ValueError`` when invariance fails badly: an image of a lifted basis
-    element leaves ``V M V`` by more than a loose ``1e-6`` of the map's
-    Kraus-norm bound.
+    ``X -> V T*(X) V`` is represented by its transpose.  Raises ``ValueError``
+    on a proper corner (``V.rank < V.dim``; the whole space is invariant)
+    when an image of a lifted basis element leaves ``V M V`` by more than a
+    loose ``1e-6`` of the map's Kraus-norm bound.
     """
     if T.src_dim != T.dst_dim or T.src_dim != V.dim:
         raise ValueError("corner_rep requires a square map matching V")
     b = V.basis
     basis = b @ hermitian_basis(V.rank) @ dagger(b)
     images = apply(T, basis)
-    guard = 1e-6 * kraus_norm(T)
-    if _invariance_defect(images, V.matrix) > guard:
+    if V.rank < V.dim and _invariance_defect(images, V.matrix) > 1e-6 * kraus_norm(T):
         raise ValueError("corner is not invariant under the map")
     n = len(basis)
     # Re tr(b* Y) is the real dot product of the (re, im) pairs of b and Y
@@ -571,7 +570,7 @@ def _boundary_rank_drop(
 
 
 def _perron_data(
-    T: CpMap, V: Projection, tol: Tolerances, search: bool = True, root: bool = False
+    T: CpMap, V: Projection, tol: Tolerances, search: bool = True
 ) -> tuple[float, np.ndarray | None, np.ndarray | None]:
     """``(lam, gamma, delta)`` of ``T`` on the corner of ``V``, ``s x s`` in
     corner coordinates; ``delta`` is ``None`` unless the root is simple, and a
@@ -583,11 +582,8 @@ def _perron_data(
     :func:`_corner_perron`, and a degenerate root steps ``gamma`` to the PSD
     boundary of its eigenspace.  ``corner_rep``'s invariance guard runs once
     on every proper corner.  Raises ``ValueError`` as ``_corner_perron`` does,
-    ``RuntimeError`` on no PSD ``gamma`` or a failed boundary step.  ``root``
-    gives ``(lam, None, None)`` by the dense analysis's first step alone.
+    ``RuntimeError`` on no PSD ``gamma`` or a failed boundary step.
     """
-    if root:
-        return _top_eigenvalue(corner_rep(T, V), tol), None, None
     s = V.rank
     if s * s > _ARNOLDI_CHECKPOINTS[-1] or (search and s > 3):
         found = _krylov_perron(T, V, tol)

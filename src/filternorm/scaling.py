@@ -112,42 +112,16 @@ def _inverse_sqrt_marginal(G: np.ndarray, s: int, tol: Tolerances) -> np.ndarray
 @lru_cache(maxsize=16)
 def _newton_basis(s: int) -> tuple[np.ndarray, ...]:
     """Read-only tables of ``hermitian_basis(s)``, built on first use per size:
-    the basis as ``s^2 x s^2`` rows, ``rows`` with ``g @ rows = Re tr(E_i G)``
-    for ``g`` the real view of ``vec G``, the coordinates of ``Id/sqrt(s)``, and
-    :func:`_newton_filters`' ``(s^4, 2)`` gather table ``index``, ``coef``: row
-    ``(i, j)`` holds the first two nonzero entries of the real view of
-    ``H = {E_i, E_j}/2`` (zero ones pad it), which weigh ``g`` in ``Re tr(H G)``
-    as ``conj(H^T) = H``.  An element has one nonzero entry a row, so the table
-    is read off the elements' own entries, ``O(s^4)``, to the bit."""
-    n, big = s * s, 2 * s * s  # big: past every real-view position
+    the basis as ``s^2 x s^2`` rows ``flat``, ``rows`` with
+    ``g @ rows = Re tr(E_i G)`` for ``g`` the real view of ``vec G``, and the
+    coordinates ``target`` of ``Id/sqrt(s)``."""
+    n = s * s
     flat = hermitian_basis(s).reshape(n, n)
-    at = np.argsort(flat == 0, axis=1, kind="stable")[:, :2]  # a diagonal unit's 2nd is 0
-    entries = at.T // s, at.T % s, np.take_along_axis(flat, at, axis=1).T
-    rj, cj, vj = (x[None, :, None, :] for x in entries)  # (1, 2, 1, n): E_j's entries
-    index, coef = np.empty((n, n, 2), dtype=np.intp), np.empty((n, n, 2))
-    for lo in range(0, n, 16):  # up to 16 elements E_i against all E_j at a time
-        ri, ci, vi = (x[:, None, lo:lo + 16, None] for x in entries)  # (2, 1, c, 1)
-        # v_i v_j is in E_i E_j at (ri, cj) if ci = rj, in E_j E_i at (rj, ci) if cj = ri,
-        # real or imaginary: one real-view entry, whose position is its key
-        terms = np.stack([np.where(ci == rj, vi * vj, 0), np.where(cj == ri, vi * vj, 0)])
-        pos = np.stack(np.broadcast_arrays(ri * s + cj, rj * s + ci))
-        keys = np.where(terms != 0, 2 * pos + (terms.imag != 0), big)
-        keys = keys.reshape(-1, *terms.shape[-2:])  # (candidates, c, n)
-        same = keys[:, None] == keys[None]  # a key has at most one product of each side
-        sums = np.where(same, (terms.real + terms.imag).reshape(keys.shape), 0.0).sum(1)
-        keys = np.where(sums != 0, keys, big)  # no product, or a cancelled sum
-        first = keys.min(0)
-        top = np.stack([first, np.where(keys == first, big, keys).min(0)])
-        weights = np.where(keys == top[:, None], sums, -np.inf).max(1)  # equal sums
-        coef[lo:lo + 16] = np.moveaxis(np.where(top < big, weights / 2.0, 0.0), 0, -1)
-        first = np.where(first < big, first, 0)  # zero entries pad a row, by position
-        index[lo:lo + 16] = np.stack([first, np.where(top[1] < big, top[1], first == 0)], -1)
     rows = flat.view(float).T.copy()
     target = np.eye(s).reshape(n) @ rows[::2] / np.sqrt(s)
-    views = flat, rows, target, index.reshape(-1, 2), coef.reshape(-1, 2)
-    for view in views:
+    for view in (flat, rows, target):
         view.flags.writeable = False
-    return views
+    return flat, rows, target
 
 
 def _newton_filters(
@@ -167,10 +141,9 @@ def _newton_filters(
     ``sqrt(k)``, over the flattened stacks ``left* E_i left`` and ``right F_j
     right*``, the ``T'*`` block its transpose times ``sqrt(k/m)``, so ``J`` is
     symmetric for a square map.  Its diagonal blocks ``Re tr(E_i {E_j, G}) / 2``,
-    ``G`` the marginal, are one gather: ``{E_i, E_j}`` has at most two nonzero
-    entries, each real or imaginary, so an entry reads two numbers of ``G``'s
-    real view, at the ``(d^4, 2)`` table of :func:`_newton_basis`, ``O(d^4)``
-    like ``J`` (a dense ``d^2 x d^4`` one would take 268 MB at ``d = 16``).
+    ``G`` the marginal, are ``Re tr(E_i G E_j)``, as ``tr(E_i E_j G)`` is the
+    conjugate of ``tr(E_i G E_j)`` for Hermitian ``E_i``, ``E_j``, ``G``: one
+    product of the images ``G E_j`` with the rows of :func:`_newton_basis`.
     ``(Id_m, -Id_k)`` spans the null space (it rescales both sides against
     each other), so ``lstsq``, cutting singular values below ``rank_rel`` of
     the largest, returns the minimum-norm step: computed from the filters,
@@ -183,19 +156,20 @@ def _newton_filters(
     """
     m, k = len(fwd), len(bwd)
     p, q = m * m, k * k
-    # a square map's two sides have one size, and each gather, product and
+    # a square map's two sides have one size, and each product and
     # eigendecomposition below takes them both in one stacked call; each
     # group is (size, marginals, first coordinate)
     groups = [(m, (fwd, bwd), 0)] if m == k else [(m, (fwd,), 0), (k, (bwd,), p)]
     jac, rhs = np.empty((p + q, p + q)), np.empty(p + q)
     for d, marginals, start in groups:
         n = d * d
-        _, rows, target, index, coef = _newton_basis(d)
-        marginals = np.array(marginals, dtype=complex).reshape(len(marginals), -1).view(float)
-        for i, block in enumerate((marginals.take(index, axis=1) * coef).sum(axis=2)):
+        flat, rows, target = _newton_basis(d)
+        G = np.array(marginals, dtype=complex)
+        images = (G[:, None] @ flat.reshape(n, d, d)).reshape(len(G), n, n).view(float)
+        for i, block in enumerate(images @ rows):
             first = start + i * n
-            jac[first:first + n, first:first + n] = block.reshape(n, n)
-        rhs[start:start + len(marginals) * n] = (target - marginals @ rows).reshape(-1)
+            jac[first:first + n, first:first + n] = block
+        rhs[start:start + len(G) * n] = (target - G.reshape(-1, n).view(float) @ rows).ravel()
     outer = (dagger(left) @ _newton_basis(m)[0].reshape(p, m, m) @ left).reshape(p, p)
     inner = (right @ _newton_basis(k)[0].reshape(q, k, k) @ dagger(right)).reshape(q, q)
     jac[:p, p:] = np.real(outer.conj() @ S @ inner.T)

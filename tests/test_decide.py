@@ -1347,7 +1347,7 @@ def _count_search_calls(monkeypatch):
              "corner_rep": 0}
     for module, name in ((decide_module, "find_irreducible_corner"),
                          (maps_module, "_krylov_perron"), (maps_module, "_corner_perron"),
-                         (maps_module, "corner_rep")):
+                         (maps_module, "corner_rep"), (decide_module, "corner_rep")):
         def counted(*args, _real=getattr(module, name), _name=name):
             calls[_name] += 1
             return _real(*args)

@@ -32,13 +32,16 @@ def random_rank_deficient(n, r, rng):
 
 
 def test_tolerances_reject_nonpositive_values():
-    """Every tolerance field must be strictly positive."""
-    with pytest.raises(ValueError):
-        Tolerances(rank_rel=0.0)
-    with pytest.raises(ValueError):
-        Tolerances(psd_abs=-1e-9)
-    with pytest.raises(ValueError):
-        Tolerances(sinkhorn_max_iters=0)
+    """Every threshold must be positive and finite, and the iteration cap an
+    integer of at least 1: an infinite ``psd_abs`` would call an NPT state
+    PPT, and an infinite ``sinkhorn_residual`` would return any map unscaled."""
+    bad = [{"rank_rel": 0.0}, {"psd_abs": -1e-9}, {"sinkhorn_max_iters": 0},
+           {"sinkhorn_max_iters": 2.5}, {"sinkhorn_max_iters": True}]
+    bad += [{name: np.inf} for name in ("rank_rel", "psd_abs", "zero_f", "sinkhorn_residual")]
+    for fields in bad:
+        with pytest.raises(ValueError):
+            Tolerances(**fields)
+    assert Tolerances(sinkhorn_max_iters=np.int64(5)).sinkhorn_max_iters == 5
 
 
 def test_dagger_is_conjugate_transpose():
