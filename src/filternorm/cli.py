@@ -38,7 +38,7 @@ from .decide import (
 from .linalg import DEFAULT_TOL, Tolerances, rank_eps
 from .scaling import check_2x2_inequality, filter_normal_form, pauli_coefficients
 from .states import (
-    _cholesky_range,
+    _factor_map,
     _full_rank_vector,
     embed_rectangular,
     is_ppt,
@@ -209,7 +209,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     state = load_state(args.state)
     k, m = state.k, state.m
     # one factor gives the range search and the rank, cut as the decision cuts
-    factor, basis = _cholesky_range(state, DEFAULT_TOL)
+    T, basis = _factor_map(state, DEFAULT_TOL)
     vector = _full_rank_vector(basis, k, m, np.random.default_rng(args.seed), DEFAULT_TOL)
     # the operator Schmidt rank is the rank of the realigned state
     realigned = state.blocks().transpose(0, 2, 1, 3).reshape(k * k, m * m)
@@ -217,7 +217,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         "k": state.k,
         "m": state.m,
         "trace": float(np.real(np.trace(state.rho))),
-        "rank": factor.shape[1],
+        "rank": 0 if T is None else len(T.kraus),
         "ppt": bool(is_ppt(state)),
         "partial_trace_first": matrix_to_json(partial_trace_first(state)),
         "partial_trace_second": matrix_to_json(partial_trace_second(state)),

@@ -566,13 +566,14 @@ def decide_equivalence(
     raises :class:`NotPositiveError` before ``rho`` is factored.  When no
     anchor vector ``v`` is supplied, :func:`find_full_rank_vector`'s search
     samples one from the range with the given ``rng`` (default seed 0); if
-    none of full tensor rank is found the verdict is inconclusive rather than
-    negative.  The map decided on is :func:`anchor_transform`'s, built from
-    the decision's single factor of ``rho``, a pivoted Cholesky one; an
-    embedded state's reads its factor's Kraus stack through the embedding.
-    One proved definite (module docstring; ``k^2 <= 64``, the factor keeping
-    the whole range) skips the corner search: one block, the whole space,
-    the root the search reads first, one iteration, as the search answers.
+    none of full tensor rank is found (the zero state's range is empty) the
+    verdict is inconclusive rather than negative.  The map decided on is
+    :func:`anchor_transform`'s, built from the decision's single factor of
+    ``rho``, a pivoted Cholesky one; an embedded state's reads its factor's
+    Kraus stack through the embedding.  One whose own ``rho``, at most
+    ``64 x 64`` (``k^2 <= 64``), is proved definite (module docstring) skips
+    the corner search: one block, the whole space, the root the search reads
+    first, one iteration, as the search answers.
 
     A numerical breakdown (``RuntimeError`` or ``ValueError``) under a
     sampled anchor says nothing about the state, so the loop runs again on a
@@ -596,9 +597,8 @@ def decide_equivalence(
         raise NotPositiveError("state is not PPT")
     T, basis = _factor_map(state, tol)
     k = state.k
-    factor = state if state._factor is None else state._factor  # same spectrum ratio
     definite = (basis is None and k * k <= _ARNOLDI_CHECKPOINTS[-1]
-                and _cholesky_psd_abs(factor.rho, tol, definite=True) is not None)
+                and _cholesky_psd_abs(state.rho, tol, definite=True) is not None)
     if v is not None:
         return _decide_anchored(v, T, basis, k, tol, retried=False, definite=definite)
     rng = np.random.default_rng(0) if rng is None else rng

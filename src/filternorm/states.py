@@ -206,7 +206,7 @@ def find_full_rank_vector(
     one whose coefficient matrix is best conditioned (largest smallest
     singular value relative to its norm), normalized.  Returns ``None`` when
     no sample reaches full tensor rank — absence of a witness, not proof that
-    none exists.
+    none exists — and when the range is empty, as the zero state's is.
     """
     tol = _tol(tol)
     rng = np.random.default_rng(0) if rng is None else rng
@@ -254,35 +254,29 @@ def _pivoted_cholesky(rho: np.ndarray, rank_rel: float) -> np.ndarray:
     return rows[:r].T
 
 
-def _cholesky_range(
-    state: BipartiteState, tol: Tolerances, basis: bool = True
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """The pivoted Cholesky factor ``F`` of ``rho`` and, if ``basis``, an
-    orthonormal basis of its range (``None`` where that is the whole space).
-    It factors ``rho`` itself; :func:`_factor_map` reads an embedded state
-    through its factor."""
-    F = _pivoted_cholesky(state.rho, tol.rank_rel)
-    whole = not basis or F.shape[1] == state.order
-    return F, None if whole else np.linalg.qr(F)[0]
-
-
 def _factor_map(
     state: BipartiteState, tol: Tolerances, basis: bool = True
-) -> tuple[CpMap, np.ndarray | None]:
-    """:func:`state_to_map`'s map and, if ``basis``, :func:`_cholesky_range`'s
-    range basis.
+) -> tuple[CpMap | None, np.ndarray | None]:
+    """The one factorization of a state: :func:`state_to_map`'s map, ``None``
+    for the zero state, and, if ``basis``, an orthonormal basis of the range,
+    ``None`` where that is the whole space and zero columns for the zero state.
 
-    An embedded state factors its ``k x m`` factor: its map reads the
-    factor's Kraus stack through the embedding (:class:`CpMap`), so no factor is
-    lifted, and its range basis is the factor's, lifted to ``Id_m (x) B (x) Id_k``.
+    A pivoted Cholesky ``rho = F F*`` gives both: the basis is ``F``'s QR
+    factor, the Kraus operators are the transposed coefficient matrices of
+    ``F``'s columns.  An embedded state factors its ``k x m`` factor: its map
+    reads the factor's Kraus stack through the embedding (:class:`CpMap`), so
+    no factor is lifted, and its range basis is the factor's, lifted to
+    ``Id_m (x) B (x) Id_k``.  ``basis=False``, :func:`state_to_map`'s, skips
+    the QR and the lift (``5184 x 72 r`` for an ``8 x 9`` factor of rank ``r``).
     """
-    factor = state._factor
-    F, range_basis = _cholesky_range(state if factor is None else factor, tol, basis)
-    if factor is None:
-        return _kraus_map(F, state.k, state.m), range_basis
-    small = _kraus_map(F, factor.k, factor.m)
-    T = CpMap(src_dim=state.k, dst_dim=state.m, kraus=small.kraus, embedded=True)
-    if range_basis is not None:
+    factor = state if state._factor is None else state._factor
+    F = _pivoted_cholesky(factor.rho, tol.rank_rel)
+    whole = not basis or F.shape[1] == factor.order
+    range_basis = None if whole else np.linalg.qr(F)[0]
+    T = None if F.shape[1] == 0 else CpMap(
+        src_dim=state.k, dst_dim=state.m, embedded=factor is not state,
+        kraus=np.ascontiguousarray(F.T.reshape(-1, factor.k, factor.m).swapaxes(1, 2)))
+    if range_basis is not None and factor is not state:
         range_basis = np.kron(np.kron(np.eye(factor.m), range_basis), np.eye(factor.k))
     return T, range_basis
 
@@ -333,17 +327,13 @@ def state_to_map(state: BipartiteState, tol: Tolerances | None = None) -> CpMap:
     :class:`~filternorm.maps.CpMap`: its ``k x m`` factor's Kraus stack, read
     as ``X -> T_f(sum_i X_ii) (x) Id_k`` over the diagonal ``k x k`` blocks,
     with ``T_f`` the factor's map.  The same matrix as a plain state gets
-    ``m r k`` operators of size ``mk``, ``r`` the factor's rank.
+    ``m r k`` operators of size ``mk``, ``r`` the factor's rank.  The zero
+    state has none and raises ``ValueError``.
     """
-    return _factor_map(state, _tol(tol), basis=False)[0]
-
-
-def _kraus_map(F: np.ndarray, k: int, m: int) -> CpMap:
-    """The map of :func:`state_to_map` from a factor ``rho = F F*``."""
-    if F.shape[1] == 0:
+    T = _factor_map(state, _tol(tol), basis=False)[0]
+    if T is None:
         raise ValueError("the zero state has no associated map")
-    coeffs = F.T.reshape(-1, k, m)
-    return CpMap(src_dim=k, dst_dim=m, kraus=np.ascontiguousarray(coeffs.swapaxes(1, 2)))
+    return T
 
 
 def apply_filter(

@@ -113,3 +113,27 @@ def test_module_uses_every_name_it_imports(module):
             imported.update(a.asname or a.name for a in node.names)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used - set(mod.__all__)) == []
+
+
+def test_states_factor_map_is_the_only_factorization():
+    """A state becomes its factor, range and map in ``states._factor_map``
+    alone: ``_pivoted_cholesky`` is called nowhere else in the package, and
+    no other module reaches a private ``states`` name but it and
+    ``_full_rank_vector``."""
+    callers, private = [], set()
+    for path in sorted(Path(filternorm.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for top in tree.body:
+            for node in ast.walk(top):
+                func = node.func if isinstance(node, ast.Call) else None
+                if getattr(func, "id", getattr(func, "attr", None)) == "_pivoted_cholesky":
+                    callers.append((path.stem, getattr(top, "name", None)))
+                if path.stem == "states":
+                    continue
+                if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("states"):
+                    private.update(a.name for a in node.names if a.name.startswith("_"))
+                elif (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                      and getattr(node.value, "id", None) == "states"):
+                    private.add(node.attr)
+    assert callers == [("states", "_factor_map")]
+    assert private <= {"_factor_map", "_full_rank_vector"}

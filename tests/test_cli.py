@@ -472,6 +472,26 @@ def test_analyze_outputs(tmp_path, capsys):
     assert "no full-tensor-rank vector found" in capsys.readouterr().out
 
 
+def test_the_zero_state_is_inconclusive_not_a_breakdown(tmp_path, capsys):
+    """A zero state file is PSD and PPT with an empty range: decide prints the
+    inconclusive verdict at no-full-rank-vector and normal-form finds no
+    anchor, both exit 4 without calling it a breakdown, and analyze reports
+    rank 0 and no vector."""
+    path = write_state(tmp_path, BipartiteState(k=2, m=2, rho=np.zeros((4, 4))), "zero.json")
+    assert main(["decide", path]) == 4
+    out, err = capsys.readouterr()
+    assert "outcome: inconclusive" in out and "failure stage: no-full-rank-vector" in out
+    assert err == ""
+    out_path = tmp_path / "nf.json"
+    assert main(["normal-form", path, "--output", str(out_path)]) == 4
+    assert capsys.readouterr().err == (
+        "filternorm: no full-tensor-rank vector found; cannot certify a normal form\n")
+    assert not out_path.exists()
+    assert main(["analyze", path, "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["rank"] == 0 and doc["full_rank_vector"] is None
+
+
 def test_analyze_reports_the_rank_the_decision_uses(tmp_path, capsys):
     """analyze counts the eigenvalues that the decision's range cut keeps: a
     tiny negative one that passes the PSD gate is not counted."""

@@ -715,6 +715,24 @@ def test_decide_product_state_is_inconclusive():
     assert verdict.iterations == 0
 
 
+def test_the_zero_state_is_inconclusive_and_refuses_every_anchor():
+    """The zero state, plain or embedded, is PPT with an empty range: the
+    decision finds no full-tensor-rank vector, and a supplied anchor is
+    refused as outside the range, or as of low tensor rank when it is zero."""
+    u = np.eye(2, dtype=complex).reshape(4) / np.sqrt(2.0)
+    for st in (BipartiteState(k=2, m=2, rho=np.zeros((4, 4))),
+               embed_rectangular(BipartiteState(k=1, m=2, rho=np.zeros((2, 2))))):
+        verdict = decide_equivalence(st)
+        assert verdict.outcome == OUTCOME_INCONCLUSIVE
+        assert verdict.witness.stage == STAGE_NO_FULL_RANK_VECTOR
+        assert verdict.iterations == 0
+        for call in (decide_equivalence, anchor_transform):
+            with pytest.raises(ValueError, match="not in the range of the state"):
+                call(st, u)
+            with pytest.raises(ValueError, match="does not have full tensor rank"):
+                call(st, np.zeros(4))
+
+
 def test_decide_hidden_block_structure():
     """A filtered two-block state is recognized with block ranks {1, 2}."""
     rng = np.random.default_rng(8)

@@ -217,6 +217,19 @@ def test_find_full_rank_vector_on_restricted_range():
     assert find_full_rank_vector(pure, rng=rng) is None
 
 
+def test_the_zero_state_has_an_empty_range_and_no_map():
+    """The zero state, plain or embedded, passes the PSD gate with an empty
+    range: its factorization gives no map and a basis with no column, so the
+    range search finds nothing and ``state_to_map`` raises."""
+    for st in (BipartiteState(k=2, m=2, rho=np.zeros((4, 4))),
+               embed_rectangular(BipartiteState(k=1, m=2, rho=np.zeros((2, 2))))):
+        T, basis = _factor_map(st, DEFAULT_TOL)
+        assert T is None and basis.shape == (st.order, 0)
+        assert find_full_rank_vector(st) is None
+        with pytest.raises(ValueError, match="the zero state has no associated map"):
+            state_to_map(st)
+
+
 def test_full_rank_search_matches_the_sample_loop():
     """The stacked search returns the one-sample-at-a-time loop's vector bit
     for bit, fails where it fails, and leaves the generator where it does.
